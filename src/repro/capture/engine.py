@@ -193,8 +193,10 @@ def run_capture(
         batches: batch indices to run (default: every batch).  Shards
             pass disjoint ranges from :func:`shard_batches`.
         checkpoint_path: where to persist the statistics every
-            ``checkpoint_every`` batches (atomic replace; ``.npz``
-            appended when missing).  ``None`` disables checkpointing.
+            ``checkpoint_every`` batches as uncompressed NPZ (temp file,
+            fsync, atomic replace; ``.npz`` appended when missing).
+            Compressed checkpoints from older runs still resume.
+            ``None`` disables checkpointing.
         checkpoint_every: batches between checkpoint writes; the final
             batch always checkpoints so a completed capture resumes as
             a no-op.

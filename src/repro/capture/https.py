@@ -10,8 +10,9 @@ steps, with no per-request Python loop anywhere:
    available) — one RC4 instance per simulated TLS connection, streamed
    deep enough to cover ``reconnect_every`` requests per connection;
 2. XOR the broadcast plaintext template;
-3. count Fluhrer–McGrew digraph and ABSAB differential cells with the
-   grouped flat-bincount kernels from :mod:`repro.datasets.generate`.
+3. count Fluhrer–McGrew digraph and ABSAB differential cells with
+   :func:`repro.datasets.generate.templated_digraph_counts` (a threaded
+   native row kernel, or grouped flat bincounts without it).
 
 ``reconnect_every`` models record churn (§6.3): every connection carries
 that many requests before the victim rekeys.  ``reconnect_every=1`` is
@@ -236,9 +237,8 @@ class HttpsCaptureSource:
             simd=self.config.native_simd,
         )
         # One transpose for the whole block; each request window is a
-        # column view and the template folds inside the multi-template
-        # core (single-victim fast path — one XOR, then zero-template
-        # counting, bit-identical to XOR-then-count).
+        # column view and the template folds into the counting kernel's
+        # per-row constants (bit-identical to XOR-then-count).
         columns = np.ascontiguousarray(stream.T)
         template = self._plaintext_arr[np.newaxis, :]
         for q in range(per_conn):
@@ -256,5 +256,6 @@ class HttpsCaptureSource:
                 window,
                 template,
                 offset=self.layout.base_offset + start,
+                threads=self.config.native_threads,
             )
         return count

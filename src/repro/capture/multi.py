@@ -9,10 +9,13 @@ capture batch (RC4 keystream generation) is shared and only the cheap
 template fold is per-victim:
 
 - **HTTPS** (:func:`ingest_keystream_columns`): the ABSAB differential
-  ``C[r] ^ C[p] = (Z[r] ^ Z[p]) ^ (T[r] ^ T[p])`` splits into a shared
-  keystream differential block computed once per alignment chunk and a
-  per-victim XOR with a *scalar* template differential per alignment.
-  Fluhrer–McGrew digraph rows (a handful per victim) fold directly.
+  ``C[r] ^ C[p] = (Z[r] ^ Z[p]) ^ (T[r] ^ T[p])`` is the keystream
+  differential XOR a *scalar* template differential per alignment, and
+  a Fluhrer–McGrew digraph row likewise folds its template into one
+  16-bit constant.  Every row of every victim goes through
+  :func:`~repro.datasets.generate.templated_digraph_counts`: a threaded
+  native kernel counting each row straight into its counters, or the
+  numpy fallback sharing keystream differential blocks across victims.
 - **TKIP** (:class:`MultiTkipStatistics`): XOR with a constant permutes
   the 256 histogram bins, so the shared keystream columns are bincounted
   once (:func:`~repro.datasets.generate.bytewise_row_counts`) and every
@@ -23,10 +26,9 @@ template fold is per-victim:
 Both paths produce int64 counters bit-identical to N independent
 single-template captures run with the same key-derivation label
 (`tests/test_campaign.py` holds this cell-for-cell on both
-``REPRO_NATIVE`` legs), and the single-victim case (V=1) folds the one
-template into the columns up front, making the routed
-:class:`~repro.capture.https.HttpsCaptureSource` path exactly as cheap
-as before.
+``REPRO_NATIVE`` legs); the single-victim
+:class:`~repro.capture.https.HttpsCaptureSource` is the V=1 case of the
+same kernel.
 """
 
 from __future__ import annotations
@@ -40,8 +42,7 @@ import numpy as np
 
 from ..config import ReproConfig
 from ..datasets.generate import (
-    DIGRAPH_GROUP,
-    digraph_row_counts,
+    templated_digraph_counts,
     templated_row_counts,
 )
 from ..errors import AttackError, CaptureError
@@ -53,10 +54,6 @@ from ..tls.attack import CookieLayout, CookieStatistics
 from ..tls.record import MAC_LEN
 from ..utils.serialization import canonical_json
 
-#: Alignment rows per ABSAB differential chunk (same cache budget as the
-#: single-template path in :mod:`repro.capture.https`).
-ABSAB_CHUNK = 64
-
 
 def ingest_keystream_columns(
     stats_list: Sequence[CookieStatistics],
@@ -64,16 +61,19 @@ def ingest_keystream_columns(
     templates: np.ndarray,
     *,
     offset: int = 1,
+    threads: int | None = None,
 ) -> None:
     """Score one keystream column block against many plaintext templates.
 
     The multi-victim core of the §6 capture: ``columns[p, k]`` is the
     keystream byte at request position ``p`` of request ``k`` (or the
     ciphertext byte — any constant XOR folds into the templates), and
-    victim v's ciphertext is ``columns[p] ^ templates[v, p]``.  Each
-    victim's Fluhrer–McGrew and ABSAB cells accumulate into its own
-    :class:`~repro.tls.attack.CookieStatistics`, with the keystream
-    differentials computed once and shared across victims.
+    victim v's ciphertext is ``columns[p] ^ templates[v, p]``.  Every
+    Fluhrer–McGrew digraph row and every ABSAB differential row of every
+    victim goes through one call of
+    :func:`~repro.datasets.generate.templated_digraph_counts`, which
+    counts into each victim's own
+    :class:`~repro.tls.attack.CookieStatistics`.
 
     Args:
         stats_list: one statistics object per victim; all must share one
@@ -83,6 +83,8 @@ def ingest_keystream_columns(
             templates, one row per victim.
         offset: keystream position of row 0, congruent to the layout
             base modulo 256 (the record-padding invariant, §6.3).
+        threads: native-kernel thread count (``None``: the configured
+            default); the counters do not depend on it.
     """
     if not stats_list:
         raise AttackError("multi-template ingestion needs at least one victim")
@@ -116,72 +118,36 @@ def ingest_keystream_columns(
                 "batched ingestion needs the absab_matrix backing store "
                 "(build statistics with CookieStatistics.empty)"
             )
-    n = columns.shape[1]
+        # The fm_counts reshape below must be a view, not a copy.
+        if not (
+            stats.fm_counts.flags.c_contiguous
+            and stats.absab_matrix.flags.c_contiguous
+        ):
+            raise AttackError("batched ingestion needs C-contiguous counters")
 
-    if len(stats_list) == 1 and templates.any():
-        # Single-victim fast path: fold the one template into the
-        # columns up front — one XOR, exactly the old per-request cost,
-        # and every count below sees a zero template.
-        columns = columns[: layout.request_len] ^ templates[0][:, None]
-        templates = np.zeros_like(templates)
-
-    transitions = layout.transitions()
-    first = transitions[0] - layout.base_offset
-    count = len(transitions)
-    fm_first = columns[first : first + count]
-    fm_second = columns[first + 1 : first + count + 1]
-    fm_offsets = np.arange(count, dtype=np.int64) * 65536
-    for v, stats in enumerate(stats_list):
-        t1 = templates[v, first : first + count]
-        t2 = templates[v, first + 1 : first + count + 1]
-        if t1.any() or t2.any():
-            f, s = fm_first ^ t1[:, None], fm_second ^ t2[:, None]
-        else:
-            f, s = fm_first, fm_second
-        digraph_row_counts(
-            f, s, stats.fm_counts.reshape(-1), fm_offsets
-        )
-
+    # Row spec: FM rows (digraph at r, r+1), then ABSAB rows (differential
+    # of the digraph at r against the known digraph at the partner p1).
     base = layout.base_offset
-    targets, partners = [], []
+    transitions = layout.transitions()
+    first = [r - base for r in transitions]
+    partner = [-1] * len(transitions)
     for (t, gap, side) in alignments:
         r = transitions[t]
-        p1 = r + 2 + gap if side == "after" else r - 2 - gap
-        targets.append(r - base)
-        partners.append(p1 - base)
-    targets = np.asarray(targets, dtype=np.intp)
-    partners = np.asarray(partners, dtype=np.intp)
-    offsets = np.arange(len(targets), dtype=np.int64) * 65536
-    # Per-victim template differentials: one scalar per alignment row.
-    td1 = templates[:, targets] ^ templates[:, partners]
-    td2 = templates[:, targets + 1] ^ templates[:, partners + 1]
-    scratch = np.empty(
-        (min(DIGRAPH_GROUP, len(targets)), n), dtype=np.int32
+        first.append(r - base)
+        partner.append((r + 2 + gap if side == "after" else r - 2 - gap) - base)
+    templated_digraph_counts(
+        columns[: layout.request_len],
+        templates,
+        np.asarray(first, dtype=np.intp),
+        np.asarray(partner, dtype=np.intp),
+        [
+            (stats.fm_counts.reshape(-1, 65536), stats.absab_matrix)
+            for stats in stats_list
+        ],
+        threads=threads,
     )
-    for start in range(0, len(targets), ABSAB_CHUNK):
-        t_idx = targets[start : start + ABSAB_CHUNK]
-        p_idx = partners[start : start + ABSAB_CHUNK]
-        # Shared keystream differentials for this alignment chunk —
-        # computed once, reused by every victim.
-        d1 = columns[t_idx] ^ columns[p_idx]
-        d2 = columns[t_idx + 1] ^ columns[p_idx + 1]
-        for v, stats in enumerate(stats_list):
-            v1 = td1[v, start : start + ABSAB_CHUNK]
-            v2 = td2[v, start : start + ABSAB_CHUNK]
-            if v1.any() or v2.any():
-                c1, c2 = d1 ^ v1[:, None], d2 ^ v2[:, None]
-            else:
-                c1, c2 = d1, d2
-            digraph_row_counts(
-                c1,
-                c2,
-                stats.absab_matrix.reshape(-1),
-                offsets[start : start + ABSAB_CHUNK],
-                scratch=scratch,
-            )
-
     for stats in stats_list:
-        stats.num_requests += n
+        stats.num_requests += columns.shape[1]
 
 
 def _layout_meta(layout: CookieLayout) -> dict:
@@ -328,21 +294,27 @@ class MultiTemplateStatistics:
 
         arrays, meta = load_statistics(path, "multi-template-statistics")
         layout = _layout_from_meta(meta["layout"])
-        stats = cls.empty(
-            layout, meta["victim_ids"], max_gap=int(meta["max_gap"])
-        )
+        max_gap = int(meta["max_gap"])
+        victim_ids = tuple(meta["victim_ids"])
         fm, absab = arrays["fm_counts"], arrays["absab_matrix"]
         requests = arrays["num_requests"]
-        if len(stats.victims) != fm.shape[0] or len(requests) != fm.shape[0]:
+        if not len(victim_ids) == len(fm) == len(absab) == len(requests):
             raise AttackError(f"{path}: victim count mismatch")
-        for v, victim in enumerate(stats.victims):
-            if fm[v].shape != victim.fm_counts.shape:
-                raise AttackError(f"{path}: fm_counts shape mismatch")
-            if absab[v].shape != victim.absab_matrix.shape:
-                raise AttackError(f"{path}: absab_matrix shape mismatch")
-            victim.fm_counts += fm[v]
-            victim.absab_matrix += absab[v]
-            victim.num_requests = int(requests[v])
+        # Victim v's counters are views into the loaded stacks: 1x memory.
+        try:
+            victims = [
+                CookieStatistics.from_counters(
+                    layout, fm[v], absab[v], max_gap=max_gap,
+                    num_requests=int(requests[v]),
+                )
+                for v in range(len(victim_ids))
+            ]
+        except AttackError as exc:
+            raise AttackError(f"{path}: {exc}") from None
+        stats = cls(
+            layout=layout, max_gap=max_gap, victim_ids=victim_ids,
+            victims=victims,
+        )
         return stats, meta.get("extra", {})
 
 
@@ -514,6 +486,7 @@ class MultiHttpsCaptureSource:
                 window,
                 self._template_matrix,
                 offset=self.layout.base_offset + start,
+                threads=self.config.native_threads,
             )
         return count * len(self.templates)
 

@@ -31,10 +31,14 @@ The grouped flat-bincount cores are exposed at array level
 (:func:`bytewise_row_counts`, :func:`digraph_row_counts`) so consumers
 that already hold byte rows — the capture engine in
 :mod:`repro.capture` counts *ciphertext* rows — share the exact same
-counting code instead of duplicating it.
+counting code instead of duplicating it.  The §6 capture's FM and ABSAB
+rows go through :func:`templated_digraph_counts`, which dispatches to a
+threaded native row kernel and keeps those bincounts as its fallback.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -47,6 +51,11 @@ SINGLE_GROUP = 64
 #: Digraph positions per fused bincount group (bins = 8 * 65536 int64
 #: = 4 MiB, still cache-friendly next to the (group, n) int32 codes).
 DIGRAPH_GROUP = 8
+
+#: Rows per shared keystream-differential block in the numpy fallback of
+#: :func:`templated_digraph_counts` (computed once, reused by every
+#: template).
+DIFFERENTIAL_CHUNK = 64
 
 
 def _code_scratch(
@@ -178,6 +187,125 @@ def templated_row_counts(
         # histogram through this template's per-row bin permutation.
         out[v] += base[row_idx, values ^ templates[v][:, None]]
     return out
+
+
+def templated_digraph_counts(
+    columns: np.ndarray,
+    templates: np.ndarray,
+    first: np.ndarray,
+    partner: np.ndarray,
+    out: Sequence[Sequence[np.ndarray]],
+    *,
+    threads: int | None = None,
+) -> None:
+    """Count digraph and differential rows of ``columns ^ template`` per template.
+
+    Template v sees the ciphertext block ``C = columns ^ templates[v][:,
+    None]``.  Row r, with ``f = first[r]`` and ``p = partner[r]``, counts
+    for every column the code ``(C[f] ^ C[p]) << 8 | (C[f+1] ^ C[p+1])``
+    — an ABSAB differential (§4.2) — or, when ``p < 0``, the plain
+    digraph ``C[f] << 8 | C[f+1]`` (Fluhrer–McGrew), into row r of
+    template v's counters.  This is the multi-victim §6 capture kernel.
+
+    ``columns`` is uint8 ``(L, n)`` keystream with unit column stride;
+    ``templates`` is uint8 ``(V, L)``; ``first``/``partner`` are ``(R,)``
+    row indices.  ``out[v]`` lists template v's C-contiguous int64
+    ``(rows, 65536)`` counter blocks, whose rows in order are rows
+    0..R-1 (e.g. the FM block, then the ABSAB block); every template
+    uses the same block split.
+
+    With the native backend one threaded C kernel counts all V·R rows,
+    each template folded into a per-row 16-bit XOR constant, straight
+    into the counters.  The numpy fallback computes the keystream
+    differentials once per :data:`DIFFERENTIAL_CHUNK` rows, XORs in each
+    template's scalars and runs the grouped bincounts of
+    :func:`digraph_row_counts`; a single template is folded into the
+    columns up front instead.  Both are bit-identical for any thread
+    count.
+    """
+    if columns.dtype != np.uint8 or templates.dtype != np.uint8:
+        raise ValueError("columns and templates must be uint8")
+    num_templates, length = templates.shape
+    first = np.asarray(first, dtype=np.intp)
+    partner = np.asarray(partner, dtype=np.intp)
+    if first.ndim != 1 or partner.shape != first.shape:
+        raise ValueError("first and partner must be 1-D of one length")
+    if columns.ndim != 2 or columns.shape[0] != length:
+        raise ValueError(
+            f"templates cover {length} rows, columns is {columns.shape}"
+        )
+    if first.size and (
+        first.min() < 0 or max(first.max(), partner.max()) >= length - 1
+    ):
+        raise ValueError(f"row pair indices outside 0..{length - 2}")
+    if len(out) != num_templates:
+        raise ValueError(
+            f"{len(out)} counter sets for {num_templates} templates"
+        )
+    splits = [block.shape[0] for block in out[0]] if out else []
+    for blocks in out:
+        if [block.shape[0] for block in blocks] != splits:
+            raise ValueError("every template needs the same block split")
+        for block in blocks:
+            # A reshape of a strided block would count into a copy.
+            if (
+                block.dtype != np.int64
+                or block.shape[1:] != (65536,)
+                or not block.flags.c_contiguous
+            ):
+                raise ValueError(
+                    "counter blocks must be C-contiguous int64 (rows, 65536)"
+                )
+    if sum(splits) != first.shape[0]:
+        raise ValueError(
+            f"{first.shape[0]} row pairs for {sum(splits)} counter rows"
+        )
+    has = partner >= 0
+    pair = np.where(has, partner, 0)
+    wide = templates.astype(np.uint16)
+    hi = wide[:, first] ^ np.where(has, wide[:, pair], 0)
+    lo = wide[:, first + 1] ^ np.where(has, wide[:, pair + 1], 0)
+    if _native.available():
+        if columns.shape[1] > 1 and columns.strides[1] != 1:
+            columns = np.ascontiguousarray(columns)
+        _native.count_digraph_rows(
+            columns,
+            np.tile(first, num_templates),
+            np.tile(partner, num_templates),
+            ((hi << 8) | lo).reshape(-1),
+            [block for blocks in out for block in blocks],
+            threads=threads,
+        )
+        return
+    if num_templates == 1 and templates.any():
+        # One template: fold it into the columns (one XOR of the block)
+        # so every row below counts with a zero template constant.
+        columns = columns ^ templates[0][:, None]
+        hi, lo = np.zeros_like(hi), np.zeros_like(lo)
+    hi, lo = hi.astype(np.uint8), lo.astype(np.uint8)
+    scratch = np.empty((DIGRAPH_GROUP, columns.shape[1]), dtype=np.int32)
+    row0 = 0
+    for b, rows in enumerate(splits):
+        for start in range(0, rows, DIFFERENTIAL_CHUNK):
+            stop = min(rows, start + DIFFERENTIAL_CHUNK)
+            chunk = slice(row0 + start, row0 + stop)
+            f, p = first[chunk], partner[chunk]
+            d1, d2 = columns[f], columns[f + 1]
+            mask = p >= 0
+            if mask.any():
+                d1[mask] ^= columns[p[mask]]
+                d2[mask] ^= columns[p[mask] + 1]
+            offsets = np.arange(start, stop, dtype=np.int64) * 65536
+            for v in range(num_templates):
+                v1, v2 = hi[v, chunk], lo[v, chunk]
+                if v1.any() or v2.any():
+                    c1, c2 = d1 ^ v1[:, None], d2 ^ v2[:, None]
+                else:
+                    c1, c2 = d1, d2
+                digraph_row_counts(
+                    c1, c2, out[v][b].reshape(-1), offsets, scratch=scratch
+                )
+        row0 += rows
 
 
 def _contiguous_target(out: np.ndarray) -> np.ndarray:

@@ -70,13 +70,17 @@ def save_statistics(
 
     Same NPZ container as the dataset store, tagged with a
     ``statistics_kind`` so a capture checkpoint is never mistaken for a
-    dataset (or for the other attack's statistics) on load.
+    dataset (or for the other attack's statistics) on load.  Written
+    uncompressed: capture counters are checkpointed every few batches,
+    and deflating their int64 cells took several times as long as the
+    counting between two checkpoints.  Each member keeps its zip CRC-32,
+    so a torn or flipped byte still fails the load.
     """
     payload = dict(meta)
     if "statistics_kind" in payload:
         raise DatasetError("'statistics_kind' is a reserved metadata key")
     payload["statistics_kind"] = kind
-    return save_arrays(path, arrays, payload)
+    return save_arrays(path, arrays, payload, compress=False)
 
 
 def load_statistics(

@@ -731,6 +731,30 @@ static void *thread_main(void *arg)
     return NULL;
 }
 
+/* Run jobs[0..threads-1] (each `stride` bytes apart) on their own POSIX
+ * threads and join them.  A job whose thread fails to spawn runs on the
+ * calling thread instead — degraded but still correct, because every
+ * job owns its output. */
+static void spawn_join(void *(*body)(void *), char *jobs, size_t stride,
+                       int threads)
+{
+    pthread_t *tids = malloc((size_t)threads * sizeof(pthread_t));
+    char *spawned = calloc((size_t)threads, 1);
+    int t;
+    if (tids && spawned)
+        for (t = 0; t < threads; t++)
+            spawned[t] = pthread_create(&tids[t], NULL, body,
+                                        jobs + (size_t)t * stride) == 0;
+    for (t = 0; t < threads; t++) {
+        if (spawned && spawned[t])
+            pthread_join(tids[t], NULL);
+        else
+            body(jobs + (size_t)t * stride);
+    }
+    free(tids);
+    free(spawned);
+}
+
 /* Split `template` (covering all n keys) into `threads` contiguous key
  * ranges and run them concurrently.  For counting jobs each range gets a
  * private zeroed counter block of `counter_cells` int64 cells, merged
@@ -743,8 +767,6 @@ static void run_threaded(const rc4_job *template, int threads,
 {
     ptrdiff_t n = template->n;
     rc4_job *jobs;
-    pthread_t *tids;
-    char *spawned;
     int64_t *blocks = NULL;
     ptrdiff_t base, extra, start;
     int t;
@@ -756,16 +778,11 @@ static void run_threaded(const rc4_job *template, int threads,
         return;
     }
     jobs = malloc((size_t)threads * sizeof(rc4_job));
-    tids = malloc((size_t)threads * sizeof(pthread_t));
-    spawned = malloc((size_t)threads);
     if (template->kind != JOB_KEYSTREAM)
         blocks = calloc((size_t)threads * (size_t)counter_cells,
                         sizeof(int64_t));
-    if (!jobs || !tids || !spawned ||
-        (template->kind != JOB_KEYSTREAM && !blocks)) {
+    if (!jobs || (template->kind != JOB_KEYSTREAM && !blocks)) {
         free(jobs);
-        free(tids);
-        free(spawned);
         free(blocks);
         run_job(template);
         return;
@@ -785,14 +802,7 @@ static void run_threaded(const rc4_job *template, int threads,
             jobs[t].out_i64 = blocks + (ptrdiff_t)t * counter_cells;
         start += count;
     }
-    for (t = 0; t < threads; t++)
-        spawned[t] = pthread_create(&tids[t], NULL, thread_main, &jobs[t]) == 0;
-    for (t = 0; t < threads; t++) {
-        if (spawned[t])
-            pthread_join(tids[t], NULL);
-        else
-            run_job(&jobs[t]); /* degraded but still correct */
-    }
+    spawn_join(thread_main, (char *)jobs, sizeof(rc4_job), threads);
     if (template->kind != JOB_KEYSTREAM) {
         int64_t *out = template->out_i64;
         for (t = 0; t < threads; t++) {
@@ -803,9 +813,76 @@ static void run_threaded(const rc4_job *template, int threads,
         }
     }
     free(jobs);
-    free(tids);
-    free(spawned);
     free(blocks);
+}
+
+/* ---- digraph rows over keystream columns (§6 capture) ------------------- */
+
+/* Columns whose codes are staged before their counter increments.  The
+ * code pass vectorises, and the increment pass is then a tight loop of
+ * independent read-modify-writes that keeps many cache misses in flight
+ * (an output row is 512 KiB, so at paper gaps most increments miss).
+ * Measured on a 2-CPU AVX2 Xeon against computing each code inside the
+ * increment loop: 1.5x faster at both max_gap=8 and max_gap=128; a
+ * software prefetch of the counter lines on top bought nothing. */
+#define ROW_BLOCK 256
+
+/* One output row per (first, partner, tmpl) triple over the transposed
+ * block `cols` (row stride `ld`, `n` columns used).  Column k of row r
+ * contributes code
+ *     (cols[f][k] ^ P1) << 8 | (cols[f+1][k] ^ P2)   XOR  tmpl[r]
+ * with f = first[r] and (P1, P2) the partner columns partner[r] and
+ * partner[r]+1 — an ABSAB differential — or zero when partner[r] < 0, a
+ * plain Fluhrer-McGrew digraph.  tmpl[r] is the row's plaintext template
+ * constant folded into one 16-bit code.  Every row writes only its own
+ * 65536 int64 cells out[r], so a range of rows is an independent job. */
+typedef struct {
+    const uint8_t *cols;
+    ptrdiff_t ld;
+    ptrdiff_t n;
+    const ptrdiff_t *first;
+    const ptrdiff_t *partner;
+    const uint16_t *tmpl;
+    int64_t *const *out;
+    ptrdiff_t r0, r1; /* this job's rows */
+} rows_job;
+
+static void digraph_rows(const rows_job *job)
+{
+    uint16_t codes[ROW_BLOCK];
+    ptrdiff_t r;
+    for (r = job->r0; r < job->r1; r++) {
+        const uint8_t *a = job->cols + job->first[r] * job->ld;
+        const uint8_t *b = a + job->ld;
+        const uint8_t *p = NULL, *q = NULL;
+        int64_t *row = job->out[r];
+        unsigned x = job->tmpl[r];
+        ptrdiff_t k0, k;
+        if (job->partner[r] >= 0) {
+            p = job->cols + job->partner[r] * job->ld;
+            q = p + job->ld;
+        }
+        for (k0 = 0; k0 < job->n; k0 += ROW_BLOCK) {
+            ptrdiff_t m = job->n - k0 < ROW_BLOCK ? job->n - k0 : ROW_BLOCK;
+            if (p)
+                for (k = 0; k < m; k++)
+                    codes[k] = (uint16_t)((((unsigned)(a[k0 + k] ^ p[k0 + k])
+                                            << 8) |
+                                           (b[k0 + k] ^ q[k0 + k])) ^ x);
+            else
+                for (k = 0; k < m; k++)
+                    codes[k] = (uint16_t)((((unsigned)a[k0 + k] << 8) |
+                                           b[k0 + k]) ^ x);
+            for (k = 0; k < m; k++)
+                row[codes[k]] += 1;
+        }
+    }
+}
+
+static void *rows_main(void *arg)
+{
+    digraph_rows((const rows_job *)arg);
+    return NULL;
 }
 
 /* ---- exported entry points ---------------------------------------------- */
@@ -851,4 +928,39 @@ void rc4_count_longterm(const uint8_t *keys, ptrdiff_t n, ptrdiff_t keylen,
     rc4_job job = {JOB_LONGTERM, interleave, simd, keys, n,    keylen,
                    stream_len,   drop,       gap,  NULL, out};
     run_threaded(&job, threads, (ptrdiff_t)256 * 65536);
+}
+
+/* Digraph rows (see digraph_rows above) split across `threads` POSIX
+ * threads as contiguous row ranges.  Rows own disjoint counters, so no
+ * private blocks or merge are needed and the counters are bit-identical
+ * for any thread count; the caller guarantees the out[] rows are
+ * distinct. */
+void rc4_count_digraph_rows(const uint8_t *cols, ptrdiff_t ld, ptrdiff_t n,
+                            ptrdiff_t rows, const ptrdiff_t *first,
+                            const ptrdiff_t *partner, const uint16_t *tmpl,
+                            int64_t *const *out, int threads)
+{
+    rows_job whole = {cols, ld, n, first, partner, tmpl, out, 0, rows};
+    rows_job *jobs;
+    ptrdiff_t base, extra, start;
+    int t;
+
+    if (threads > rows)
+        threads = (int)(rows > 0 ? rows : 1);
+    jobs = threads > 1 ? malloc((size_t)threads * sizeof(rows_job)) : NULL;
+    if (!jobs) {
+        digraph_rows(&whole);
+        return;
+    }
+    base = rows / threads;
+    extra = rows % threads;
+    start = 0;
+    for (t = 0; t < threads; t++) {
+        jobs[t] = whole;
+        jobs[t].r0 = start;
+        start += base + (t < extra ? 1 : 0);
+        jobs[t].r1 = start;
+    }
+    spawn_join(rows_main, (char *)jobs, sizeof(rows_job), threads);
+    free(jobs);
 }

@@ -1,7 +1,11 @@
 """Optional compiled backend for the RC4 statistics pipeline.
 
 ``_native.c`` (next to this module) implements per-key RC4 with the
-256-byte state in L1 plus fused generate-and-count kernels.  This module
+256-byte state in L1, fused generate-and-count kernels, and the §6
+capture's row kernel (:func:`count_digraph_rows`: FM digraph and ABSAB
+differential codes of a transposed keystream block, each row XORed with
+its template constant and counted straight into its own 65536 int64
+cells).  This module
 compiles it on demand with the system C compiler (``gcc``/``cc``), caches
 the shared object under ``~/.cache/repro-rc4/`` keyed by a hash of the
 source *plus* the compiler identity and flags (so pinning a different
@@ -14,7 +18,9 @@ Three performance knobs ride on every kernel:
   ``REPRO_NATIVE_THREADS``): the C side splits keys into contiguous
   ranges, one POSIX thread each.  Counting threads accumulate into
   private blocks merged serially at the end, so results are bit-exact
-  for any thread count.
+  for any thread count.  The row kernel splits output rows instead:
+  each thread owns a contiguous range of rows and their counters, so
+  it needs no private blocks or merge and is bit-exact as well.
 - ``interleave`` (default on, ``REPRO_NATIVE_INTERLEAVE=0`` to disable):
   selects the interleaved kernels that advance several independent RC4
   states per loop iteration to hide the serial swap-latency chain.
@@ -223,6 +229,12 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         i64p, cint, cint, cint,
     ]
     lib.rc4_count_longterm.restype = None
+    lib.rc4_count_digraph_rows.argtypes = [
+        u8p, ssize, ssize, ssize, ctypes.POINTER(ssize),
+        ctypes.POINTER(ssize), ctypes.POINTER(ctypes.c_uint16),
+        ctypes.POINTER(i64p), cint,
+    ]
+    lib.rc4_count_digraph_rows.restype = None
     lib.rc4_simd_available.argtypes = []
     lib.rc4_simd_available.restype = cint
     lib.rc4_simd_lanes.argtypes = []
@@ -461,4 +473,58 @@ def count_longterm(
             lane_bytes=_SIMD_LANE_SCRATCH if use_simd else 0,
         ),
         _interleave(interleave), use_simd,
+    )
+
+
+def count_digraph_rows(
+    columns: np.ndarray,
+    first: np.ndarray,
+    partner: np.ndarray,
+    xor: np.ndarray,
+    out: list[np.ndarray],
+    *,
+    threads: int | None = None,
+) -> None:
+    """Accumulate templated digraph rows straight into their counters.
+
+    Output row r (the r-th row of the ``out`` blocks, in order) counts,
+    for every column k, the code ``(c[f, k] ^ c[p, k]) << 8 |
+    (c[f + 1, k] ^ c[p + 1, k])`` XOR ``xor[r]``, where ``c`` is
+    ``columns``, ``f = first[r]`` and ``p = partner[r]``; ``partner[r] <
+    0`` drops the ``c[p]`` terms (a plain digraph row).  ``columns`` is a
+    uint8 ``(L, n)`` block with unit column stride (row views of a wider
+    block are fine) and every index must lie in ``0..L-2``; every
+    ``out`` block is a C-contiguous int64 ``(rows, 65536)`` array.  Rows
+    split across threads as disjoint ranges with no private counters, so
+    the result is bit-exact for any thread count; a row that appears
+    twice (two views of one counter) runs serially.
+    """
+    lib = _load()
+    assert lib is not None, "call available() first"
+    assert columns.dtype == np.uint8 and columns.ndim == 2
+    assert columns.shape[1] <= 1 or columns.strides[1] == 1
+    first = np.ascontiguousarray(first, dtype=np.intp)
+    partner = np.ascontiguousarray(partner, dtype=np.intp)
+    xor = np.ascontiguousarray(xor, dtype=np.uint16)
+    pointers = []
+    for block in out:
+        assert block.dtype == np.int64 and block.flags.c_contiguous
+        assert block.ndim == 2 and block.shape[1] == 65536
+        pointers.append(
+            block.ctypes.data
+            + np.arange(block.shape[0], dtype=np.uintp) * block.strides[0]
+        )
+    pointers = np.concatenate(pointers) if pointers else np.empty(0, np.uintp)
+    rows = first.shape[0]
+    assert partner.shape == xor.shape == pointers.shape == (rows,)
+    threads = resolve_threads(threads)
+    if np.unique(pointers).shape[0] != rows:
+        threads = 1
+    ssize_p = ctypes.POINTER(ctypes.c_ssize_t)
+    rows_p = ctypes.POINTER(ctypes.POINTER(ctypes.c_int64))
+    lib.rc4_count_digraph_rows(
+        _u8p(columns), columns.strides[0], columns.shape[1], rows,
+        first.ctypes.data_as(ssize_p), partner.ctypes.data_as(ssize_p),
+        xor.ctypes.data_as(ctypes.POINTER(ctypes.c_uint16)),
+        pointers.ctypes.data_as(rows_p), threads,
     )

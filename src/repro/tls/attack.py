@@ -140,17 +140,58 @@ class CookieStatistics:
     def empty(
         cls, layout: CookieLayout, *, max_gap: int = MAX_GAP
     ) -> "CookieStatistics":
-        transitions = layout.transitions()
-        fm_counts = np.zeros((len(transitions), 256, 256), dtype=np.int64)
+        alignments = len(cls.alignment_keys(layout, max_gap=max_gap))
+        return cls.from_counters(
+            layout,
+            np.zeros((len(layout.transitions()), 256, 256), dtype=np.int64),
+            np.zeros((alignments, 65536), dtype=np.int64),
+            max_gap=max_gap,
+        )
+
+    @classmethod
+    def from_counters(
+        cls,
+        layout: CookieLayout,
+        fm_counts: np.ndarray,
+        absab_matrix: np.ndarray,
+        *,
+        max_gap: int = MAX_GAP,
+        num_requests: int = 0,
+    ) -> "CookieStatistics":
+        """Statistics backed by the given int64 counter arrays, uncopied.
+
+        ``absab_counts`` becomes row views into ``absab_matrix``, so a
+        loaded checkpoint resumes at 1x its counter memory.
+
+        Raises:
+            AttackError: if a counter's shape does not match the layout.
+        """
         keys = cls.alignment_keys(layout, max_gap=max_gap)
-        matrix = np.zeros((len(keys), 65536), dtype=np.int64)
-        absab = {key: matrix[row] for row, key in enumerate(keys)}
+        fm_shape = (len(layout.transitions()), 256, 256)
+        if fm_counts.shape != fm_shape:
+            raise AttackError(
+                f"fm_counts shape {fm_counts.shape} != expected {fm_shape}"
+            )
+        if absab_matrix.shape != (len(keys), 65536):
+            raise AttackError(
+                f"absab_matrix shape {absab_matrix.shape} != expected "
+                f"{(len(keys), 65536)}"
+            )
+        # Same casting rule as adding the arrays into int64 zeros: integer
+        # counters convert, float ones raise.
+        fm_counts, absab_matrix = (
+            np.ascontiguousarray(
+                array.astype(np.int64, casting="same_kind", copy=False)
+            )
+            for array in (fm_counts, absab_matrix)
+        )
         return cls(
             layout=layout,
             fm_counts=fm_counts,
-            absab_counts=absab,
+            absab_counts={key: absab_matrix[row] for row, key in enumerate(keys)},
+            num_requests=num_requests,
             max_gap=max_gap,
-            absab_matrix=matrix,
+            absab_matrix=absab_matrix,
         )
 
     @staticmethod
@@ -219,7 +260,8 @@ class CookieStatistics:
         }
 
     def save(self, path, *, extra: dict | None = None):
-        """NPZ persistence via the dataset store (resumable captures)."""
+        """Uncompressed NPZ persistence via the dataset store (resumable
+        captures; see :func:`~repro.datasets.store.save_statistics`)."""
         from ..datasets.store import save_statistics
 
         matrix = self.absab_matrix
@@ -258,14 +300,16 @@ class CookieStatistics:
             cookie_len=fields["cookie_len"],
             base_offset=fields["base_offset"],
         )
-        stats = cls.empty(layout, max_gap=meta["max_gap"])
-        if arrays["fm_counts"].shape != stats.fm_counts.shape:
-            raise AttackError(f"{path}: fm_counts shape mismatch")
-        if arrays["absab_matrix"].shape != stats.absab_matrix.shape:
-            raise AttackError(f"{path}: absab_matrix shape mismatch")
-        stats.fm_counts += arrays["fm_counts"]
-        stats.absab_matrix += arrays["absab_matrix"]
-        stats.num_requests = meta["num_requests"]
+        try:
+            stats = cls.from_counters(
+                layout,
+                arrays["fm_counts"],
+                arrays["absab_matrix"],
+                max_gap=meta["max_gap"],
+                num_requests=meta["num_requests"],
+            )
+        except AttackError as exc:
+            raise AttackError(f"{path}: {exc}") from None
         return stats, meta.get("extra", {})
 
     def ingest_fragment(self, fragment: bytes, offset: int = 1) -> None:

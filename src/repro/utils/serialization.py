@@ -138,8 +138,15 @@ def save_arrays(
     path: str | Path,
     arrays: Mapping[str, np.ndarray],
     metadata: Mapping[str, Any],
+    *,
+    compress: bool = True,
 ) -> Path:
-    """Save named arrays plus JSON metadata to ``path`` (``.npz``)."""
+    """Save named arrays plus JSON metadata to ``path`` (``.npz``).
+
+    ``compress=False`` stores the members uncompressed (``np.savez``):
+    each member keeps its zip CRC-32, and :func:`load_arrays` reads both
+    forms.
+    """
     path = Path(path)
     if _META_KEY in arrays:
         raise DatasetError(f"array name {_META_KEY!r} is reserved")
@@ -148,7 +155,8 @@ def save_arrays(
     encoded = json.dumps(meta, sort_keys=True).encode("utf-8")
     blob = np.frombuffer(encoded, dtype=np.uint8)
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(path, **{_META_KEY: blob}, **arrays)
+    save = np.savez_compressed if compress else np.savez
+    save(path, **{_META_KEY: blob}, **arrays)
     return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
 
 

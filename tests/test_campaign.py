@@ -10,6 +10,8 @@ directory, and the success surface fits a calibrated binomial
 reference.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,10 +32,18 @@ from repro.campaign import (
     run_tkip_campaign,
     split_population,
 )
-from repro.capture import HttpsCaptureSource, TkipCaptureSource, run_capture
+from repro.capture import (
+    HttpsCaptureSource,
+    MultiHttpsCaptureSource,
+    TkipCaptureSource,
+    run_capture,
+)
 from repro.config import ReproConfig
 from repro.errors import CampaignError
 from repro.rc4 import _native
+from repro.rc4.keygen import derive_keys
+from repro.rc4.reference import rc4_keystream
+from repro.tls.attack import CookieLayout, CookieStatistics
 
 
 @pytest.fixture(params=["numpy", "native"])
@@ -180,6 +190,79 @@ class TestMultiTemplateIdentity:
                     assert np.array_equal(
                         mine.counts[tsc], alone.counts[tsc]
                     ), tsc
+
+
+def _per_request_reference(source, plaintext):
+    """One victim's counters via reference RC4 + ingest_fragment."""
+    stats = CookieStatistics.empty(source.layout, max_gap=source.max_gap)
+    stride = source.layout.request_len + source.record_overhead
+    per_conn = source.reconnect_every
+    for index in range(source.num_batches):
+        count = min(
+            source.batch_size, source.num_requests - index * source.batch_size
+        )
+        keys = derive_keys(
+            source.config, f"{source.label}/batch{index}", -(-count // per_conn)
+        )
+        for c, key in enumerate(keys):
+            stream = rc4_keystream(
+                bytes(key), (per_conn - 1) * stride + len(plaintext)
+            )
+            for q in range(min(per_conn, count - c * per_conn)):
+                window = stream[q * stride : q * stride + len(plaintext)]
+                stats.ingest_fragment(
+                    bytes(s ^ p for s, p in zip(window, plaintext)),
+                    offset=1 + q * stride,
+                )
+    return stats
+
+
+class TestMultiTemplateKernelMatrix:
+    """Group capture with distinct non-zero templates == the per-request
+    reference for every victim, on the numpy fallback and the native
+    kernel at 1-3 threads, across ABSAB gap caps and record churn.
+
+    The request (134 bytes + 122 record-overhead bytes = one 256-byte
+    stride) is just long enough for gap 128 after the one-byte cookie.
+    37 requests in batches of 12 end on a partial batch and connection.
+    """
+
+    @pytest.mark.parametrize(
+        "max_gap,reconnect_every", [(8, 1), (32, 2), (128, 1), (128, 2)]
+    )
+    @pytest.mark.parametrize("victims", [1, 3])
+    def test_group_matches_per_request(
+        self, config, engine_threads, victims, max_gap, reconnect_every
+    ):
+        rng = np.random.default_rng(max_gap + victims)
+        layout = CookieLayout(
+            prefix=b"id=", suffix=bytes(rng.integers(1, 256, 130, np.uint8)),
+            cookie_len=1,
+        )
+        templates = tuple(
+            layout.prefix + bytes([65 + v]) + layout.suffix
+            for v in range(victims)
+        )
+        source = MultiHttpsCaptureSource(
+            config=dataclasses.replace(config, native_threads=engine_threads),
+            layout=layout,
+            templates=templates,
+            victim_ids=tuple(f"v{v}" for v in range(victims)),
+            num_requests=37,
+            batch_size=12,
+            reconnect_every=reconnect_every,
+            max_gap=max_gap,
+            record_overhead=122,
+            label="kernel-group",
+        )
+        stats = run_capture(source)
+        for victim_id, template in zip(source.victim_ids, templates):
+            mine = stats.victim(victim_id)
+            alone = _per_request_reference(source, template)
+            assert mine.num_requests == alone.num_requests == 37
+            assert np.array_equal(mine.fm_counts, alone.fm_counts)
+            assert list(mine.absab_counts) == list(alone.absab_counts)
+            assert np.array_equal(mine.absab_matrix, alone.absab_matrix)
 
 
 # --------------------------------------------------------------------------

@@ -13,7 +13,10 @@ bit-identical JSON/NPZ round-trips) is pinned with hypothesis.
 
 import dataclasses
 import json
+import struct
 import tempfile
+import tracemalloc
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -24,12 +27,14 @@ from hypothesis import strategies as st
 from repro.capture import (
     HttpsCaptureSource,
     TkipCaptureSource,
+    ingest_keystream_columns,
     merge_shards,
     run_capture,
     shard_batches,
 )
 from repro.config import ReproConfig
-from repro.errors import CaptureError, ExperimentParamError
+from repro.datasets.generate import templated_digraph_counts
+from repro.errors import AttackError, CaptureError, ExperimentParamError
 from repro.rc4 import _native
 from repro.rc4.keygen import derive_keys
 from repro.rc4.reference import rc4_keystream
@@ -137,6 +142,131 @@ class TestHttpsCaptureEquivalence:
     def test_rejects_batch_not_multiple_of_reconnect(self, config, https_sim):
         with pytest.raises(CaptureError):
             _https_source(https_sim, config, reconnect_every=3, batch_size=64)
+
+
+def _wide_gap_source(config, *, max_gap, reconnect_every, threads):
+    """A compact request whose suffix reaches ABSAB gaps up to 128.
+
+    134 request bytes plus 122 record-overhead bytes make a 256-byte
+    stride, so multi-request connections stay record-aligned (§6.3).
+    """
+    rng = np.random.default_rng(max_gap)
+    layout = CookieLayout(
+        prefix=b"id=", suffix=bytes(rng.integers(1, 256, 130, np.uint8)),
+        cookie_len=1,
+    )
+    return HttpsCaptureSource(
+        config=dataclasses.replace(config, native_threads=threads),
+        layout=layout,
+        plaintext=layout.prefix + b"Q" + layout.suffix,
+        num_requests=37,
+        batch_size=12,
+        reconnect_every=reconnect_every,
+        max_gap=max_gap,
+        record_overhead=122,
+        label="kernel-https",
+    )
+
+
+class TestHttpsKernelMatrix:
+    """Native kernel (1-3 threads) and numpy fallback == per-request
+    reference across ABSAB gap caps and record churn.  37 requests in
+    batches of 12 leave a partial final batch and connection."""
+
+    @pytest.mark.parametrize("reconnect_every", [1, 2])
+    @pytest.mark.parametrize("max_gap", [8, 32, 128])
+    def test_batched_matches_per_request(
+        self, config, engine_threads, max_gap, reconnect_every
+    ):
+        source = _wide_gap_source(
+            config, max_gap=max_gap, reconnect_every=reconnect_every,
+            threads=engine_threads,
+        )
+        stats = run_capture(source)
+        assert max(gap for _, gap, _ in stats.absab_counts) == max_gap
+        _assert_cookie_stats_equal(stats, _https_reference(source))
+
+
+def _cell_reference(columns, templates, first, partner, counts):
+    """Per-cell oracle for templated_digraph_counts (np.add.at)."""
+    for template, rows in zip(templates, counts):
+        cipher = (columns ^ template[:, None]).astype(np.int64)
+        for row, f, p in zip(rows, first, partner):
+            hi, lo = cipher[f], cipher[f + 1]
+            if p >= 0:
+                hi, lo = hi ^ cipher[p], lo ^ cipher[p + 1]
+            np.add.at(row, (hi << 8) | lo, 1)
+
+
+class TestTemplatedDigraphKernel:
+    """templated_digraph_counts == a per-cell reference: plain digraph and
+    differential rows mixed, partners more than 128 rows away, fewer
+    rows than threads, 37 columns (no multiple of any thread count),
+    a strided column window, and counters that already hold counts."""
+
+    @pytest.mark.parametrize("rows", [2, 7])
+    @pytest.mark.parametrize("victims", [1, 3])
+    def test_matches_cell_reference(self, engine_threads, victims, rows):
+        rng = np.random.default_rng(10 * rows + victims)
+        length, n = 300, 37
+        block = rng.integers(0, 256, (length, n + 8), dtype=np.uint8)
+        columns = block[:, 3 : 3 + n]
+        templates = rng.integers(1, 256, (victims, length), dtype=np.uint8)
+        first = rng.integers(0, length - 1, rows)
+        partner = rng.integers(0, length - 1, rows)
+        partner[::3] = -1
+        first[1], partner[1] = 2, 200
+        start = rng.integers(0, 5, (victims, rows, 65536))
+        got, expected = start.copy(), start.copy()
+        split = rows // 2
+        templated_digraph_counts(
+            columns, templates, first, partner,
+            [(g[:split], g[split:]) for g in got], threads=engine_threads,
+        )
+        _cell_reference(columns, templates, first, partner, expected)
+        assert np.array_equal(got, expected)
+
+    def test_shared_counters_count_twice(self, engine_threads):
+        """One statistics object listed twice: every row is counted twice,
+        never raced (the native wrapper runs shared rows serially).  A
+        constant block sends every increment of a row to one cell, so
+        two threads on the same row would lose updates; repeated calls
+        make an overlap of the threads all but certain."""
+        rng = np.random.default_rng(3)
+        columns = np.full((_LAYOUT.request_len, 1 << 17), 7, np.uint8)
+        templates = rng.integers(0, 256, (2, _LAYOUT.request_len), np.uint8)
+        templates[1] = templates[0]
+        twice = CookieStatistics.empty(_LAYOUT, max_gap=3)
+        once = CookieStatistics.empty(_LAYOUT, max_gap=3)
+        for _ in range(8):
+            ingest_keystream_columns(
+                [twice, twice], columns, templates, threads=engine_threads
+            )
+            ingest_keystream_columns([once], columns, templates[:1])
+        assert np.array_equal(twice.fm_counts, 2 * once.fm_counts)
+        assert np.array_equal(twice.absab_matrix, 2 * once.absab_matrix)
+        assert twice.num_requests == 2 * once.num_requests
+
+    def test_rejects_rows_outside_the_block(self):
+        columns = np.zeros((10, 4), np.uint8)
+        templates = np.zeros((1, 10), np.uint8)
+        out = [(np.zeros((1, 65536), np.int64),)]
+        for first, partner in [(-1, -1), (9, -1), (0, 9)]:
+            with pytest.raises(ValueError, match="outside"):
+                templated_digraph_counts(
+                    columns, templates, [first], [partner], out
+                )
+
+    def test_rejects_strided_counters(self):
+        stats = CookieStatistics.empty(_LAYOUT, max_gap=3)
+        stats.absab_matrix = np.zeros(
+            (stats.absab_matrix.shape[0], 2 * 65536), np.int64
+        )[:, ::2]
+        columns = np.zeros((_LAYOUT.request_len, 4), np.uint8)
+        with pytest.raises(AttackError, match="C-contiguous"):
+            ingest_keystream_columns(
+                [stats], columns, np.zeros((1, _LAYOUT.request_len), np.uint8)
+            )
 
 
 class TestTkipCaptureEquivalence:
@@ -329,6 +459,64 @@ class TestCheckpointResume:
         resumed = run_capture(source, checkpoint_path=path, checkpoint_every=1)
         _assert_cookie_stats_equal(resumed, uninterrupted)
 
+    def _interrupted_https(self, config, https_sim, path):
+        """An HTTPS checkpoint after one batch, plus the uninterrupted run."""
+        source = _https_source(https_sim, config, num_requests=96, batch_size=32)
+        with pytest.raises(RuntimeError):
+            run_capture(
+                _FailAfter(source, 1), checkpoint_path=path, checkpoint_every=1
+            )
+        return source, run_capture(source)
+
+    def test_checkpoint_members_are_stored_uncompressed(
+        self, config, https_sim, tmp_path
+    ):
+        path = tmp_path / "https.npz"
+        self._interrupted_https(config, https_sim, path)
+        with zipfile.ZipFile(path) as archive:
+            kinds = {i.filename: i.compress_type for i in archive.infolist()}
+        assert set(kinds) == {
+            "__meta__.npy", "fm_counts.npy", "absab_matrix.npy"
+        }
+        assert set(kinds.values()) == {zipfile.ZIP_STORED}
+
+    def test_compressed_checkpoint_still_resumes(
+        self, config, https_sim, tmp_path
+    ):
+        """A checkpoint in the older compressed-NPZ form resumes bit-exactly."""
+        path = tmp_path / "https.npz"
+        source, uninterrupted = self._interrupted_https(config, https_sim, path)
+        with np.load(path) as archive:
+            members = {name: archive[name] for name in archive.files}
+        np.savez_compressed(path, **members)
+        with zipfile.ZipFile(path) as archive:
+            assert {i.compress_type for i in archive.infolist()} == {
+                zipfile.ZIP_DEFLATED
+            }
+        resumed = run_capture(source, checkpoint_path=path, checkpoint_every=1)
+        _assert_cookie_stats_equal(resumed, uninterrupted)
+
+    def test_flipped_counter_byte_fails_crc_and_restarts(
+        self, config, https_sim, tmp_path
+    ):
+        """Uncompressed members still carry a CRC-32: a flipped counter
+        byte restarts the capture instead of resuming wrong counts."""
+        path = tmp_path / "https.npz"
+        source, uninterrupted = self._interrupted_https(config, https_sim, path)
+        with zipfile.ZipFile(path) as archive:
+            info = archive.getinfo("absab_matrix.npy")
+        raw = bytearray(path.read_bytes())
+        # Local file header: 30 fixed bytes, then the name and extra field.
+        name_len, extra_len = struct.unpack_from("<HH", raw, info.header_offset + 26)
+        data = info.header_offset + 30 + name_len + extra_len
+        raw[data + info.file_size // 2] ^= 0x40
+        path.write_bytes(bytes(raw))
+        with pytest.warns(RuntimeWarning, match="Bad CRC-32"):
+            restarted = run_capture(
+                source, checkpoint_path=path, checkpoint_every=1
+            )
+        _assert_cookie_stats_equal(restarted, uninterrupted)
+
     def test_rejects_foreign_checkpoint(self, config, tmp_path):
         source = self._source(config)
         path = tmp_path / "capture.npz"
@@ -397,8 +585,6 @@ class TestSharding:
         assert {len(r) for r in ranges} <= {3, 4}
 
     def test_merge_rejects_mismatched_layouts(self, config, https_sim):
-        from repro.errors import AttackError
-
         a = CookieStatistics.empty(https_sim.layout, max_gap=4)
         b = CookieStatistics.empty(https_sim.layout, max_gap=8)
         with pytest.raises(AttackError):
@@ -471,6 +657,88 @@ class TestStatisticsAlgebra:
         assert canonical_json(loaded.to_jsonable()) == canonical_json(
             stats.to_jsonable()
         )
+
+
+class TestResumeMemory:
+    """Loading a checkpoint keeps the loaded arrays as the counters: the
+    load peaks at about 1x the counter bytes, not 2x."""
+
+    @staticmethod
+    def _load_peak(load, path):
+        tracemalloc.start()
+        try:
+            loaded, _ = load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return loaded, peak
+
+    def test_cookie_statistics_load_peak(self, tmp_path):
+        stats = CookieStatistics.empty(_LAYOUT, max_gap=32)
+        stats.absab_matrix[:, ::97] = 5
+        path = stats.save(tmp_path / "stats.npz")
+        loaded, peak = self._load_peak(CookieStatistics.load, path)
+        counter_bytes = stats.fm_counts.nbytes + stats.absab_matrix.nbytes
+        assert counter_bytes <= peak <= 1.2 * counter_bytes
+        _assert_cookie_stats_equal(loaded, stats)
+        key = next(iter(loaded.absab_counts))
+        assert np.shares_memory(loaded.absab_counts[key], loaded.absab_matrix)
+
+    def test_multi_template_statistics_load_peak(self, tmp_path):
+        from repro.capture import MultiTemplateStatistics
+
+        stats = MultiTemplateStatistics.empty(_LAYOUT, ["a", "b"], max_gap=16)
+        stats.victim("b").absab_matrix[:, ::89] = 3
+        path = stats.save(tmp_path / "multi.npz")
+        loaded, peak = self._load_peak(MultiTemplateStatistics.load, path)
+        counter_bytes = sum(
+            s.fm_counts.nbytes + s.absab_matrix.nbytes for s in stats.victims
+        )
+        assert counter_bytes <= peak <= 1.2 * counter_bytes
+        for mine, theirs in zip(loaded.victims, stats.victims):
+            _assert_cookie_stats_equal(mine, theirs)
+
+
+def test_only_capture_statistics_are_stored_uncompressed(tmp_path, config):
+    """Capture statistics skip deflate; dataset-cache, per-TSC and
+    warehouse-blob files stay compressed."""
+    from repro.api import ExperimentResult
+    from repro.datasets import DatasetSpec
+    from repro.datasets.store import save_dataset
+    from repro.tkip.per_tsc import PerTscDistributions
+    from repro.warehouse import RunStore
+
+    def kinds(path):
+        with zipfile.ZipFile(path) as archive:
+            return {i.compress_type for i in archive.infolist()}
+
+    stored = [
+        _random_cookie_stats(1).save(tmp_path / "cookie.npz"),
+        _random_capture_set(2).save(tmp_path / "tkip.npz"),
+    ]
+    for path in stored:
+        assert kinds(path) == {zipfile.ZIP_STORED}, path
+    counts = np.ones((4, 256), np.int64)
+    store = RunStore(tmp_path / "warehouse")
+    run = store.append(
+        ExperimentResult(
+            experiment="dataset-single", params={}, metrics={},
+            timings={}, provenance={"seed": 1},
+        ),
+        blobs={"counters": ({"counts": counts}, {})},
+    )
+    deflated = [
+        save_dataset(
+            tmp_path / "dataset.npz", counts,
+            DatasetSpec(kind="single", num_keys=1, positions=4),
+        ),
+        PerTscDistributions([7], np.full((1, 4, 256), 1 / 256)).save(
+            tmp_path / "per-tsc.npz"
+        ),
+        store.blob_path(run.fingerprint, "counters"),
+    ]
+    for path in deflated:
+        assert kinds(path) == {zipfile.ZIP_DEFLATED}, path
 
 
 # --- registry integration -------------------------------------------------

@@ -216,6 +216,9 @@ def test_thread_determinism_job_covers_one_and_default(workflow):
     runs = _run_lines(job)
     assert "REPRO_NATIVE_THREADS" in runs
     assert "test_dataset_equivalence" in runs
+    # The threaded capture kernel splits counter rows across threads.
+    assert "tests/test_capture_equivalence.py" in runs
+    assert "tests/test_campaign.py" in runs
 
 
 def test_lint_job_runs_ruff(workflow):
