@@ -33,9 +33,10 @@ count and backend knob in the library:
     count for ``distributed`` experiment runs.
 
 ``REPRO_CANDIDATE_MEM``
-    Peak scratch-memory budget in bytes for the candidate-recovery
-    engine's selection passes (Algorithm 2's pooled top-N merges; see
-    :mod:`repro.core.candidates.viterbi`).  Accepts a plain byte count
+    Peak scratch-memory budget in bytes for the selection passes of the
+    candidate-recovery engine's numpy fallback (Algorithm 2's pooled
+    top-N selection; see :mod:`repro.core.candidates.viterbi`; the
+    native k-way merge needs no such scratch).  Accepts a plain byte count
     or a ``K``/``M``/``G`` suffix (e.g. ``512M``); default 2 GiB —
     enough to run the paper's N=2^23 Fig 10 budget without segmented
     selection while staying inside a CI-class machine.
@@ -112,8 +113,9 @@ class ReproConfig:
             exponential retry backoff (>= 0).
         fleet_workers: default local worker count for ``distributed``
             experiment runs; ``None`` means ``os.cpu_count()``.
-        candidate_mem: peak scratch bytes the candidate-recovery engine
-            may use per selection pass (>= 1; default 2 GiB).
+        candidate_mem: peak scratch bytes the candidate-recovery
+            engine's numpy fallback may use per selection pass (>= 1;
+            default 2 GiB).
     """
 
     scale: float = 1.0

@@ -13,15 +13,19 @@ partial plaintexts ending in mu — the "simplest form" of list Viterbi the
 paper describes — with three array-major refinements over the naive
 merge so N=2^23 (the paper's full Fig 10 budget) is routine:
 
-* **Threshold-pruned exact selection.**  Every per-ending-value
-  extension row is a concatenation of A blocks that are already sorted
-  descending (the previous step's lists).  A small per-block sample
-  (A*m ~ 2N scores) yields a lower bound T on the N-th best pooled
-  value; one ``searchsorted`` per block then counts exactly the entries
-  that can still reach the top N (value >= T), and selection runs on
-  that gathered superset alone.  No retry loop: the bound holds by
-  construction, so even heavily skewed score distributions cost one
-  sample pass plus one selection over ~N entries instead of A*N.
+* **Per-state k-way merge.**  Every per-ending-value extension row is a
+  concatenation of A blocks that are already sorted (the previous
+  step's lists), so its N best entries are the first N pops of an A-way
+  merge.  The native backend (:func:`repro.rc4._native.merge_topk`)
+  runs that merge with a loser tree per row, splitting rows across
+  threads; it needs O(threads * A) scratch.  Without the backend
+  (``REPRO_NATIVE=0`` or no C compiler) a threshold-pruned numpy
+  selection takes over: a small per-block sample (A*m ~ 2N scores)
+  lower-bounds the N-th best pooled value T, one ``searchsorted`` per
+  block counts exactly the entries that can still reach the top N
+  (value >= T), and selection runs on that gathered superset alone,
+  with scratch bounded by ``REPRO_CANDIDATE_MEM`` (see
+  :func:`_plan_chunk`).
 * **Packed backpointers.**  The flat pool index *is* the backpointer
   pair ``prev_idx * K_prev + prev_rank``; storing it directly halves the
   dominant allocation at 2^23 versus a ``(idx, rank)`` int32 pair, and
@@ -33,9 +37,10 @@ merge so N=2^23 (the paper's full Fig 10 budget) is routine:
 
 Selection is *canonical*: the N kept extensions are the largest by
 ``(score desc, flat index asc)``, so the output is a pure function of
-the likelihoods — independent of chunking, pooling, or segmentation.
-Peak scratch memory is bounded by a configurable byte budget
-(``REPRO_CANDIDATE_MEM``; see :func:`_plan_chunk`).
+the likelihoods — the same bits from either backend, at any thread
+count, chunking, pooling, or segmentation.  That order needs comparable
+scores, so NaN and +inf log-likelihoods are rejected; -inf (an
+impossible pair) is allowed.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ...errors import CandidateError
+from ...rc4 import _native
 from .matrix import CandidateMatrix
 
 #: Scratch bytes per pooled score during selection: the float64 negated
@@ -104,20 +110,27 @@ def algorithm2(
         num_candidates: N.
         charset: allowed byte values for the L-2 unknown positions
             (default: all 256).  The known bytes need not be in it.
-        mem_budget: peak selection-scratch budget in bytes (default: the
-            ``REPRO_CANDIDATE_MEM`` configuration knob).  Bounds the
-            transient arrays only; the O(A * N) scores/backpointer state
-            is inherent to list Viterbi.
+        mem_budget: peak selection-scratch budget in bytes of the numpy
+            fallback (default: the ``REPRO_CANDIDATE_MEM`` configuration
+            knob).  Bounds the transient arrays only; the O(A * N)
+            scores/backpointer state is inherent to list Viterbi, and the
+            native merge needs no selection scratch.
 
     Returns:
         A :class:`CandidateMatrix` over the L-2 *unknown* bytes (the
         known m1/mL framing is stripped), best first.
+
+    Raises:
+        CandidateError: on malformed arguments, or a NaN or +inf
+            log-likelihood.
     """
     lam = np.asarray(log_likelihoods, dtype=np.float64)
     if lam.ndim != 3 or lam.shape[1:] != (256, 256):
         raise CandidateError(
             f"log_likelihoods must be (L-1, 256, 256), got {lam.shape}"
         )
+    if not np.all(lam < np.inf):
+        raise CandidateError("log_likelihoods must not contain NaN or +inf")
     num_steps = lam.shape[0]
     if num_steps < 2:
         raise CandidateError("need at least one unknown byte (L >= 3)")
@@ -205,10 +218,12 @@ def _extend_topk(
     and the canonical top-k is by ``(value asc, flat index asc)`` with
     flat index ``b * k_prev + i``.
 
-    Exact threshold pruning: the k-th best value T of a per-block sample
-    (the first m entries of every block, which are the per-block best
-    because rows of ``scores`` are sorted descending) is a lower bound
-    on the true k-th score, so every true top-k entry satisfies
+    With the native backend each row is a k-way merge of its sorted
+    blocks (:func:`repro.rc4._native.merge_topk`).  The numpy fallback
+    is exact threshold pruning: the k-th best value T of a per-block
+    sample (the first m entries of every block, which are the per-block
+    best because rows of ``scores`` are sorted descending) is a lower
+    bound on the true k-th score, so every true top-k entry satisfies
     ``pooled <= T``.  Counting those entries per block is a single
     ``searchsorted``; selection then runs on the gathered superset only.
 
@@ -217,12 +232,15 @@ def _extend_topk(
         neg_trans_rows: (R, A) negated transition weights into each
             ending value.
         k: entries to keep per row; must satisfy ``k <= A * K_prev``.
-        mem_budget: scratch budget in bytes (see :func:`_plan_chunk`).
+        mem_budget: scratch budget in bytes of the numpy fallback (see
+            :func:`_plan_chunk`).
 
     Returns:
-        ``(sel_idx, sel_neg)``: (R, k) packed flat backpointers and
-        negated scores, best first.
+        ``(sel_idx, sel_neg)``: (R, k) int64 packed flat backpointers and
+        float64 negated scores, best first.
     """
+    if _native.available():
+        return _native.merge_topk(scores, neg_trans_rows, k)
     a_size, k_prev = scores.shape
     num_rows = neg_trans_rows.shape[0]
     m = _initial_pool_width(k, a_size, k_prev)

@@ -1,11 +1,13 @@
 """Optional compiled backend for the RC4 statistics pipeline.
 
 ``_native.c`` (next to this module) implements per-key RC4 with the
-256-byte state in L1, fused generate-and-count kernels, and the §6
-capture's row kernel (:func:`count_digraph_rows`: FM digraph and ABSAB
-differential codes of a transposed keystream block, each row XORed with
-its template constant and counted straight into its own 65536 int64
-cells).  This module
+256-byte state in L1, fused generate-and-count kernels, and two row
+kernels: the §6 capture's (:func:`count_digraph_rows`: FM digraph and
+ABSAB differential codes of a transposed keystream block, each row XORed
+with its template constant and counted straight into its own 65536
+int64 cells) and Algorithm 2's list extension (:func:`merge_topk`: per
+ending value, a k-way merge of the previous step's sorted lists into the
+canonical top N).  This module
 compiles it on demand with the system C compiler (``gcc``/``cc``), caches
 the shared object under ``~/.cache/repro-rc4/`` keyed by a hash of the
 source *plus* the compiler identity and flags (so pinning a different
@@ -18,9 +20,9 @@ Three performance knobs ride on every kernel:
   ``REPRO_NATIVE_THREADS``): the C side splits keys into contiguous
   ranges, one POSIX thread each.  Counting threads accumulate into
   private blocks merged serially at the end, so results are bit-exact
-  for any thread count.  The row kernel splits output rows instead:
-  each thread owns a contiguous range of rows and their counters, so
-  it needs no private blocks or merge and is bit-exact as well.
+  for any thread count.  The row kernels split output rows instead:
+  each thread owns a contiguous range of rows and their outputs, so
+  they need no private blocks or merge and are bit-exact as well.
 - ``interleave`` (default on, ``REPRO_NATIVE_INTERLEAVE=0`` to disable):
   selects the interleaved kernels that advance several independent RC4
   states per loop iteration to hide the serial swap-latency chain.
@@ -33,13 +35,15 @@ Three performance knobs ride on every kernel:
 
 The backend is strictly optional: if no compiler is present, compilation
 fails, or ``REPRO_NATIVE=0`` is set, :func:`available` returns False and
-callers (``repro.rc4.batch``, ``repro.datasets.generate``) fall back to
-the pure-numpy paths.  An unexpected failure (as opposed to an explicit
-disable) emits a single :class:`RuntimeWarning` so slow runs are
-diagnosable; ``REPRO_NATIVE_CC`` pins the compiler for tests that
-simulate a broken toolchain.  Both paths are bit-exact with
-:mod:`repro.rc4.reference`; tests/test_dataset_equivalence.py compares
-them cell-for-cell.
+callers (``repro.rc4.batch``, ``repro.datasets.generate``,
+``repro.core.candidates.viterbi``) fall back to the pure-numpy paths.
+An unexpected failure (as opposed to an explicit disable) emits a single
+:class:`RuntimeWarning` so slow runs are diagnosable;
+``REPRO_NATIVE_CC`` pins the compiler for tests that simulate a broken
+toolchain.  Both paths are bit-exact with :mod:`repro.rc4.reference`;
+tests/test_dataset_equivalence.py compares them cell-for-cell, and
+tests/test_candidate_equivalence.py compares the merge with the numpy
+selection.
 
 No third-party dependency is involved — only :mod:`ctypes` and a C
 compiler that the pure-python fallback makes optional.  All ``REPRO_*``
@@ -235,6 +239,11 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         ctypes.POINTER(i64p), cint,
     ]
     lib.rc4_count_digraph_rows.restype = None
+    f64p = ctypes.POINTER(ctypes.c_double)
+    lib.rc4_merge_topk.argtypes = [
+        f64p, ssize, ssize, f64p, ssize, ssize, i64p, f64p, cint,
+    ]
+    lib.rc4_merge_topk.restype = cint
     lib.rc4_simd_available.argtypes = []
     lib.rc4_simd_available.restype = cint
     lib.rc4_simd_lanes.argtypes = []
@@ -528,3 +537,48 @@ def count_digraph_rows(
         xor.ctypes.data_as(ctypes.POINTER(ctypes.c_uint16)),
         pointers.ctypes.data_as(rows_p), threads,
     )
+
+
+def merge_topk(
+    scores: np.ndarray,
+    neg_trans_rows: np.ndarray,
+    k: int,
+    *,
+    threads: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical top-k list extensions of Algorithm 2 by k-way merge.
+
+    Row r's pool is ``neg_trans_rows[r, b] - scores[b, i]`` over blocks
+    b and ranks i of the float64 ``(A, K_prev)`` ``scores``, whose rows
+    must be sorted descending; the k kept entries are the smallest by
+    ``(value, flat index b * K_prev + i)``, best first.  Each row is an
+    A-way merge of its already-sorted blocks (a loser tree of A heads,
+    one float64 subtraction per pooled value), so scratch is O(threads
+    * A) whatever k is.  Rows split across threads as disjoint ranges,
+    so the result is bit-exact for any thread count.  Values must not
+    be NaN, where the order is undefined.
+
+    Returns:
+        ``(sel_idx, sel_neg)``: (R, k) int64 flat indices and float64
+        pooled values.
+    """
+    lib = _load()
+    assert lib is not None, "call available() first"
+    scores = np.ascontiguousarray(scores, dtype=np.float64)
+    neg_trans_rows = np.ascontiguousarray(neg_trans_rows, dtype=np.float64)
+    a_size, k_prev = scores.shape
+    rows = neg_trans_rows.shape[0]
+    assert a_size >= 1 and neg_trans_rows.shape == (rows, a_size)
+    assert 0 <= k <= a_size * k_prev
+    sel_idx = np.empty((rows, k), dtype=np.int64)
+    sel_neg = np.empty((rows, k), dtype=np.float64)
+    f64p = ctypes.POINTER(ctypes.c_double)
+    status = lib.rc4_merge_topk(
+        scores.ctypes.data_as(f64p), a_size, k_prev,
+        neg_trans_rows.ctypes.data_as(f64p), rows, k,
+        _i64p(sel_idx), sel_neg.ctypes.data_as(f64p),
+        resolve_threads(threads),
+    )
+    if status != 0:
+        raise MemoryError("native merge_topk could not allocate its scratch")
+    return sel_idx, sel_neg

@@ -369,12 +369,14 @@ _BASE_IDX = (
 def transition_log_likelihoods(stats: CookieStatistics) -> np.ndarray:
     """Combined FM + ABSAB log-likelihoods per transition (§4.3, eq 25).
 
-    The ABSAB estimates (eq 22/24) are computed for *all* alignments at
-    once on the contiguous ``(A, 65536)`` backing matrix — one
-    broadcast multiply-add for every eq 22 vector, then one 65536-entry
-    gather per alignment via the XOR identity
-    ``((mu1^k1)<<8) | (mu2^k2) == ((mu1<<8)|mu2) ^ ((k1<<8)|k2)`` —
-    instead of re-deriving each alignment from its dict entry.  The
+    Streams the alignments: for each transition, in alignment-key order,
+    the eq 22 vector ``counts * coef + offset`` of one alignment is
+    computed into a single reused 65536-entry buffer and gathered into
+    eq 24's (mu1, mu2) layout via the XOR identity
+    ``((mu1^k1)<<8) | (mu2^k2) == ((mu1<<8)|mu2) ^ ((k1<<8)|k2)``, then
+    added to that transition's output row.  The counter rows are read
+    in place (``absab_counts`` views), so memory is the output plus a
+    few 65536-entry rows whatever the number of alignments.  The
     per-element operations and the eq 25 accumulation order match the
     per-alignment reference (:func:`absab_log_likelihoods` +
     :func:`combine_likelihoods`) bit for bit.
@@ -388,51 +390,38 @@ def transition_log_likelihoods(stats: CookieStatistics) -> np.ndarray:
     if total <= 0:
         raise AttackError("no requests ingested")
 
-    keys = list(stats.absab_counts)
-    if stats.absab_matrix is not None:
-        counts_all = stats.absab_matrix.astype(np.float64)
-    elif keys:
-        counts_all = np.stack(
-            [np.asarray(c, dtype=np.float64) for c in stats.absab_counts.values()]
-        )
-    else:
-        counts_all = np.zeros((0, 65536), dtype=np.float64)
-    # Eq 22 for every alignment row at once.  The per-gap scalars are
-    # computed exactly as the scalar reference does, so the broadcast
-    # multiply-add below reproduces its rows bitwise.
+    alignments: dict[int, list[tuple[int, str, np.ndarray]]] = {}
+    for (t, gap, side), counts in stats.absab_counts.items():
+        alignments.setdefault(t, []).append((gap, side, counts))
+    # Eq 22's per-gap scalars, computed exactly as the scalar reference
+    # does, so the multiply-add below reproduces its vectors bitwise.
     gap_scalars: dict[int, tuple[float, float]] = {}
-    coef = np.empty(len(keys), dtype=np.float64)
-    offset = np.empty(len(keys), dtype=np.float64)
-    for row, (_, gap, _) in enumerate(keys):
-        if gap not in gap_scalars:
-            alpha = absab_alpha(gap)
-            log_alpha = np.log(alpha)
-            log_u = np.log((1.0 - alpha) / (65536 - 1))
-            gap_scalars[gap] = (log_alpha - log_u, total * log_u)
-        coef[row], offset[row] = gap_scalars[gap]
-    lam_hat = counts_all * coef[:, None] + offset[:, None]
-
-    rows_by_transition: dict[int, list[int]] = {}
-    for row, (t, _, _) in enumerate(keys):
-        rows_by_transition.setdefault(t, []).append(row)
+    lam_hat = np.empty(65536, dtype=np.float64)
+    index = np.empty(65536, dtype=np.intp)
+    gathered = np.empty((256, 256), dtype=np.float64)
 
     loglik = np.empty((len(transitions), 256, 256), dtype=np.float64)
     for t, r in enumerate(transitions):
         cells = fm_biased_cells(position_to_counter(r))
         mass = sum(p for _, p in cells)
         uniform_p = (1.0 - mass) / (65536 - len(cells))
-        combined = digraph_log_likelihoods(
+        loglik[t] = digraph_log_likelihoods(
             stats.fm_counts[t], cells, uniform_p, total
         )
-        for row in rows_by_transition.get(t, ()):
-            _, gap, side = keys[row]
-            if side == "after":
-                known = (layout.known_byte(r + 2 + gap), layout.known_byte(r + 3 + gap))
-            else:
-                known = (layout.known_byte(r - 2 - gap), layout.known_byte(r - 1 - gap))
-            key = (known[0] << 8) | known[1]
-            combined += lam_hat[row, _BASE_IDX ^ key].reshape(256, 256)
-        loglik[t] = combined
+        for gap, side, counts in alignments.get(t, ()):
+            if gap not in gap_scalars:
+                alpha = absab_alpha(gap)
+                log_alpha = np.log(alpha)
+                log_u = np.log((1.0 - alpha) / (65536 - 1))
+                gap_scalars[gap] = (log_alpha - log_u, total * log_u)
+            coef, offset = gap_scalars[gap]
+            np.multiply(counts, coef, out=lam_hat)
+            lam_hat += offset
+            partner = r + 2 + gap if side == "after" else r - 2 - gap
+            key = (layout.known_byte(partner) << 8) | layout.known_byte(partner + 1)
+            np.bitwise_xor(_BASE_IDX, key, out=index)
+            np.take(lam_hat, index, out=gathered.reshape(-1))
+            loglik[t] += gathered
     return loglik
 
 

@@ -17,6 +17,10 @@ Four equivalence layers:
    (:meth:`BruteForceOracle.search_matrix`) against the scalar
    generator pipeline ``search(pruner.filter(...))``: same attempts,
    same pruned counts, same errors, for hits, budgets and exhaustion.
+
+Layers 1 and 2 run under the numpy fallback and the native k-way merge
+at 1-3 threads, and the merge is compared bit for bit with the
+fallback's threshold-pruned selection at its edge cases.
 """
 
 from __future__ import annotations
@@ -38,12 +42,21 @@ from repro.core import (
     lazy_candidates,
 )
 from repro.core.candidates.viterbi import (
+    _extend_topk,
     _initial_pool_width,
     _plan_chunk,
     _select_desc,
 )
 from repro.errors import AttackError, CandidateError
+from repro.rc4 import _native
 from repro.tls.bruteforce import BruteForceOracle, CandidatePruner
+
+
+@pytest.fixture
+def backend(engine_threads, monkeypatch):
+    """Algorithm 2 under the numpy fallback and the native merge at 1-3
+    threads (the merge takes its thread count from the environment)."""
+    monkeypatch.setenv("REPRO_NATIVE_THREADS", str(engine_threads))
 
 # --------------------------------------------------------------------------
 # Seed reference: the pre-vectorization Algorithm 2 (per-row argpartition
@@ -139,6 +152,7 @@ def _assert_matches_seed(lam, first, last, n, charset, mem_budget=None):
     assert list(got.plaintexts) == ref_p
 
 
+@pytest.mark.usefixtures("backend")
 class TestGoldenOrdering:
     """Bit-identical to the seed decoder on continuous (tie-free) data."""
 
@@ -221,6 +235,7 @@ def _tiny_hmm(draw, *, integer_scores: bool):
     return PlaintextHmm(lam, first, last, charset=charset), n
 
 
+@pytest.mark.usefixtures("backend")
 class TestBruteForceGroundTruth:
     @settings(max_examples=25, deadline=None)
     @given(_tiny_hmm(integer_scores=False))
@@ -233,6 +248,119 @@ class TestBruteForceGroundTruth:
     def test_exact_ties(self, case):
         hmm, n = case
         _assert_matches_brute_force(hmm, n)
+
+
+# --------------------------------------------------------------------------
+# Native k-way merge against the numpy threshold-pruned selection.
+# --------------------------------------------------------------------------
+
+
+def _sorted_desc(values: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(np.sort(values, axis=1)[:, ::-1])
+
+
+class TestNativeMerge:
+    """``_extend_topk``'s two backends emit the same bits."""
+
+    @pytest.fixture(autouse=True)
+    def _need_native(self):
+        if not _native.available():
+            pytest.skip("native backend unavailable (no C compiler?)")
+
+    @staticmethod
+    def _assert_backends_agree(monkeypatch, scores, neg_trans, k):
+        with monkeypatch.context() as m:
+            m.setattr(_native, "available", lambda: False)
+            ref_idx, ref_neg = _extend_topk(scores, neg_trans, k, 1 << 30)
+        assert ref_idx.shape == (neg_trans.shape[0], k)
+        for threads in (1, 2, 3):
+            got_idx, got_neg = _native.merge_topk(
+                scores, neg_trans, k, threads=threads
+            )
+            assert got_idx.dtype == np.int64 and got_neg.dtype == np.float64
+            np.testing.assert_array_equal(got_idx, ref_idx)
+            np.testing.assert_array_equal(
+                got_neg.view(np.int64), ref_neg.view(np.int64)
+            )
+
+    @pytest.mark.parametrize("k", [1, 7, 40, 97, 200])
+    def test_integer_ties_across_the_kth_boundary(self, monkeypatch, rng, k):
+        # Scores in {0, 1, 2} and transitions in {0, 1}: every boundary
+        # value is shared by many blocks, so the cut falls inside a tie
+        # group that spans blocks.
+        scores = _sorted_desc(rng.integers(0, 3, size=(9, 30)).astype(np.float64))
+        neg_trans = rng.integers(0, 2, size=(9, 9)).astype(np.float64)
+        self._assert_backends_agree(monkeypatch, scores, neg_trans, k)
+
+    def test_signed_zero_ties(self, monkeypatch, rng):
+        # -0.0 and +0.0 compare equal, so they tie and fall to the flat
+        # index; each keeps its own sign bit in the output.
+        scores = np.where(rng.random(size=(6, 10)) < 0.5, -0.0, 0.0)
+        neg_trans = rng.choice([-0.0, 0.0, 1.0], size=(6, 6))
+        self._assert_backends_agree(monkeypatch, scores, neg_trans, 25)
+
+    def test_impossible_transitions(self, monkeypatch, rng):
+        # -inf transitions (+inf negated) and -inf partial scores.
+        scores = rng.normal(size=(6, 12))
+        scores[rng.random(size=scores.shape) < 0.2] = -np.inf
+        scores = _sorted_desc(scores)
+        neg_trans = rng.normal(size=(6, 6))
+        neg_trans[rng.random(size=neg_trans.shape) < 0.3] = np.inf
+        neg_trans[0] = np.inf
+        for k in (5, 40, 72):
+            self._assert_backends_agree(monkeypatch, scores, neg_trans, k)
+
+    def test_whole_pool(self, monkeypatch, rng):
+        scores = _sorted_desc(rng.normal(size=(5, 8)))
+        neg_trans = rng.normal(size=(5, 5))
+        self._assert_backends_agree(monkeypatch, scores, neg_trans, 5 * 8)
+
+    def test_first_step_lists_of_one(self, monkeypatch, rng):
+        scores = rng.normal(size=(90, 1))
+        neg_trans = rng.normal(size=(90, 90))
+        for k in (1, 30, 90):
+            self._assert_backends_agree(monkeypatch, scores, neg_trans, k)
+
+    def test_single_final_row(self, monkeypatch, rng):
+        scores = _sorted_desc(rng.normal(size=(90, 64)))
+        neg_trans = rng.normal(size=(1, 90))
+        self._assert_backends_agree(monkeypatch, scores, neg_trans, 1000)
+
+    def test_threads_keep_their_own_merge_state(self, rng):
+        # Rows long enough for the threads to overlap, repeated: a merge
+        # state shared between threads corrupts some of them.
+        scores = _sorted_desc(rng.normal(size=(90, 2048)))
+        neg_trans = rng.normal(size=(90, 90))
+        ref_idx, _ = _native.merge_topk(scores, neg_trans, 2048, threads=1)
+        for _ in range(4):
+            for threads in (2, 3):
+                got_idx, _ = _native.merge_topk(
+                    scores, neg_trans, 2048, threads=threads
+                )
+                np.testing.assert_array_equal(got_idx, ref_idx)
+
+    def test_fewer_rows_than_threads(self, monkeypatch, rng):
+        scores = _sorted_desc(rng.integers(0, 4, size=(7, 16)).astype(np.float64))
+        neg_trans = rng.integers(0, 3, size=(2, 7)).astype(np.float64)
+        self._assert_backends_agree(monkeypatch, scores, neg_trans, 50)
+
+
+@pytest.mark.usefixtures("backend")
+class TestNonFiniteLikelihoods:
+    """The canonical order needs comparable scores: NaN and +inf are
+    rejected on both backends; -inf (an impossible pair) is allowed."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejected(self, rng, bad):
+        lam = rng.normal(size=(4, 256, 256))
+        lam[2, 0x41, 0x42] = bad
+        with pytest.raises(CandidateError, match="NaN or \\+inf"):
+            algorithm2(lam, 1, 2, 64, charset=_COOKIE_CHARSET)
+
+    def test_minus_inf_allowed(self, rng):
+        lam = rng.normal(size=(4, 256, 256))
+        lam[1][:, ::3] = -np.inf
+        _assert_matches_seed(lam, 0x41, 0x3B, 512, _COOKIE_CHARSET)
 
 
 # --------------------------------------------------------------------------

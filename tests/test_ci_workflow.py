@@ -219,6 +219,9 @@ def test_thread_determinism_job_covers_one_and_default(workflow):
     # The threaded capture kernel splits counter rows across threads.
     assert "tests/test_capture_equivalence.py" in runs
     assert "tests/test_campaign.py" in runs
+    # So does Algorithm 2's native merge (candidate lists, §6 recovery).
+    assert "tests/test_candidate_equivalence.py" in runs
+    assert "tests/test_tls_attack.py" in runs
 
 
 def test_lint_job_runs_ruff(workflow):

@@ -1,9 +1,18 @@
 """The HTTPS cookie attack: layout, statistics, likelihoods, brute force."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.biases.fluhrer_mcgrew import fm_biased_cells, position_to_counter
 from repro.config import ReproConfig
+from repro.core import (
+    absab_log_likelihoods,
+    combine_likelihoods,
+    digraph_log_likelihoods,
+)
 from repro.errors import AttackError
 from repro.simulate import HttpsAttackSimulation
 from repro.tls import (
@@ -117,6 +126,79 @@ class TestLikelihoodsAndRecovery:
             rank = candidates.rank_of(sim.secret)
             ranks.append(rank if rank is not None else 1 << 13)
         assert ranks[1] <= ranks[0]
+
+
+#: A short layout whose 131-byte known prefix still reaches every gap up
+#: to 128: 23, 71 and 263 ABSAB alignments at max_gap 8, 32 and 128.
+_SHORT_LAYOUT = CookieLayout(
+    prefix=(bytes(range(33, 123)) * 2)[:131], suffix=b";p=/", cookie_len=1
+)
+
+
+def _random_statistics(layout, max_gap, seed):
+    """Matrix-backed statistics with arbitrary counts and a large total."""
+    rng = np.random.default_rng(seed)
+    alignments = len(CookieStatistics.alignment_keys(layout, max_gap=max_gap))
+    return CookieStatistics.from_counters(
+        layout,
+        rng.integers(0, 1 << 20, size=(len(layout.transitions()), 256, 256)),
+        rng.integers(0, 1 << 20, size=(alignments, 65536)),
+        max_gap=max_gap,
+        num_requests=9 << 27,
+    )
+
+
+def _reference_log_likelihoods(stats):
+    """Eq 25 per alignment: the sparse FM estimate plus one eq-24 ABSAB
+    estimate per alignment, summed in alignment-key order."""
+    layout = stats.layout
+    total = float(stats.num_requests)
+    out = []
+    for t, r in enumerate(layout.transitions()):
+        cells = fm_biased_cells(position_to_counter(r))
+        mass = sum(p for _, p in cells)
+        uniform_p = (1.0 - mass) / (65536 - len(cells))
+        parts = [digraph_log_likelihoods(stats.fm_counts[t], cells, uniform_p, total)]
+        for (row_t, gap, side), counts in stats.absab_counts.items():
+            if row_t != t:
+                continue
+            partner = r + 2 + gap if side == "after" else r - 2 - gap
+            known = (layout.known_byte(partner), layout.known_byte(partner + 1))
+            parts.append(absab_log_likelihoods(counts, gap, known, total))
+        out.append(combine_likelihoods(*parts))
+    return np.stack(out)
+
+
+class TestLikelihoodReference:
+    """``transition_log_likelihoods`` equals the per-alignment reference
+    bit for bit, and holds no per-alignment float copies."""
+
+    @pytest.mark.parametrize("max_gap", [8, 32, 128])
+    def test_bit_identical_to_reference(self, max_gap):
+        stats = _random_statistics(_SHORT_LAYOUT, max_gap, seed=max_gap)
+        ref = _reference_log_likelihoods(stats)
+        for variant in (stats, dataclasses.replace(stats, absab_matrix=None)):
+            got = transition_log_likelihoods(variant)
+            assert got.dtype == np.float64 and got.shape == ref.shape
+            np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+
+    def test_peak_memory_independent_of_alignments(self):
+        layout = CookieLayout(
+            prefix=_SHORT_LAYOUT.prefix, suffix=b";path=", cookie_len=2
+        )
+        stats = _random_statistics(layout, 32, seed=3)
+        assert len(stats.absab_counts) == 112
+        tracemalloc.start()
+        try:
+            out = transition_log_likelihoods(stats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        row = 65536 * 8
+        # A float copy of the counters alone would be 112 rows; streaming
+        # needs the output plus a few rows (the reused eq 22 buffers and
+        # the FM estimate's temporaries).
+        assert peak <= out.nbytes + 12 * row
 
 
 class TestBruteForce:
