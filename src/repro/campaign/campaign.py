@@ -27,22 +27,22 @@ peak memory by the group size, not the population size.
 
 from __future__ import annotations
 
-import json
 import math
 import os
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from ..analysis.report import SurfaceCheck, check_surface_within_ci
 from ..config import ReproConfig
-from ..errors import AttackError, CampaignError
+from ..errors import AttackError, CampaignError, ManifestError
+from ..fleet.manifest import atomic_write_json, read_json
 from ..simulate.https import HttpsAttackSimulation
 from ..simulate.timing import tkip_timeline, tls_timeline
 from ..simulate.wifi import WifiAttackSimulation
 from ..tls.attack import recover_candidates
 from ..tls.cookies import charset as charset_by_name
-from ..utils.serialization import canonical_json
 from .population import Population, VictimSpec
 
 #: Axis names of the two campaign kinds' success surfaces.
@@ -291,21 +291,37 @@ def _capture_group(
 def _load_done(
     checkpoint_dir: str | Path | None, tag: str, fingerprint: str
 ) -> list[VictimOutcome] | None:
-    """Reuse a finished group's outcomes from a previous campaign run."""
+    """Reuse a finished group's outcomes from a previous campaign run.
+
+    A record that cannot be read back (say, torn by a crash on a
+    filesystem that lost the unsynced write) is a miss: it warns, and
+    the group is recomputed and its record rewritten.  A readable record
+    of a different campaign raises :class:`CampaignError`.
+    """
     if checkpoint_dir is None:
         return None
     path = Path(checkpoint_dir) / f"{tag}.done.json"
     if not path.exists():
         return None
-    record = json.loads(path.read_text())
-    if record.get("fingerprint") != fingerprint:
-        raise CampaignError(
-            f"{path} records a different capture campaign — "
-            "clear the checkpoint directory or fix the parameters"
+    try:
+        record = read_json(path)
+        if record.get("fingerprint") != fingerprint:
+            raise CampaignError(
+                f"{path} records a different capture campaign — "
+                "clear the checkpoint directory or fix the parameters"
+            )
+        return [
+            VictimOutcome.from_jsonable(fields)
+            for fields in record["outcomes"]
+        ]
+    except (ManifestError, KeyError, TypeError, ValueError) as exc:
+        warnings.warn(
+            f"{path}: unreadable outcome record ({exc}); recomputing the "
+            "group",
+            RuntimeWarning,
+            stacklevel=2,
         )
-    return [
-        VictimOutcome.from_jsonable(fields) for fields in record["outcomes"]
-    ]
+        return None
 
 
 def _store_done(
@@ -318,17 +334,13 @@ def _store_done(
         return
     directory = Path(checkpoint_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{tag}.done.json"
-    tmp = directory / f"{tag}.done.tmp.json"
-    tmp.write_text(
-        canonical_json(
-            {
-                "fingerprint": fingerprint,
-                "outcomes": [outcome.to_jsonable() for outcome in outcomes],
-            }
-        )
+    atomic_write_json(
+        directory / f"{tag}.done.json",
+        {
+            "fingerprint": fingerprint,
+            "outcomes": [outcome.to_jsonable() for outcome in outcomes],
+        },
     )
-    os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------------------

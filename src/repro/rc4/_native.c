@@ -47,11 +47,13 @@
  * cross-checks this in tests/test_dataset_equivalence.py across thread
  * counts, the interleaved vs scalar kernels, and the SIMD tier.
  *
- * Besides the RC4 kernels, the file holds two row kernels that split
+ * Besides the RC4 kernels, the file holds three row kernels that split
  * output rows across the same threads: the §6 capture's digraph rows
- * (digraph_rows) and Algorithm 2's per-ending-value k-way merge
- * (merge_rows).  Each row owns its output, so they are bit-identical for
- * any thread count too.
+ * (digraph_rows), Algorithm 2's per-ending-value k-way merge
+ * (merge_rows) and the §6 statistic sampler's multinomial rows
+ * (multinomial_rows, which calls numpy's own C sampler on one bit
+ * generator per row).  Each row owns its output, so they are
+ * bit-identical for any thread count too.
  *
  * Build contract (see _native.py): plain C99, no dependencies beyond
  * libc + pthreads, compiled with `cc -O3 -shared -fPIC -pthread`.  The
@@ -999,6 +1001,61 @@ static void *merge_main(void *arg)
     return NULL;
 }
 
+/* ---- multinomial rows through numpy's own sampler (§6 statistics) -------- */
+
+/* numpy's binomial_t, laid out as numpy/random/distributions.h declares
+ * it (RAND_INT_TYPE is int64_t outside numpy's legacy RandomState).
+ * random_binomial caches its set-up here keyed on (n, p); a zeroed struct
+ * is the cache of a fresh Generator, and the cached values are a pure
+ * function of (n, p), so they change the speed, never the draws. */
+typedef struct {
+    int has_binomial;
+    double psave;
+    int64_t nsave;
+    double r, q, fm;
+    int64_t m;
+    double p1, xm, xl, xr, c, laml, lamr, p2, p3, p4;
+} np_binomial;
+
+/* numpy's exported random_multinomial(bitgen_t *, RAND_INT_TYPE n,
+ * RAND_INT_TYPE *mnix, double *pix, npy_intp d, binomial_t *).  The
+ * bitgen_t (a numpy bit generator's C interface) stays opaque here. */
+typedef void (*np_multinomial_fn)(void *bitgen, int64_t n, int64_t *out,
+                                  double *probs, ptrdiff_t d,
+                                  np_binomial *binomial);
+
+typedef struct {
+    np_multinomial_fn draw;
+    int64_t n;
+    ptrdiff_t d;
+    double *const *probs;
+    void *const *bitgens;
+    int64_t *const *out;
+    ptrdiff_t r0, r1; /* this job's rows */
+} multinomial_job;
+
+/* Row r draws multinomial(n, probs[r]) into out[r] on bitgens[r], exactly
+ * as Generator.multinomial does: into a zeroed row (the routine stops
+ * writing once the trials run out) with the generator's binomial cache,
+ * here a fresh one per row. */
+static void multinomial_rows(const multinomial_job *job)
+{
+    ptrdiff_t r;
+    for (r = job->r0; r < job->r1; r++) {
+        np_binomial binomial;
+        memset(&binomial, 0, sizeof binomial);
+        memset(job->out[r], 0, (size_t)job->d * sizeof(int64_t));
+        job->draw(job->bitgens[r], job->n, job->out[r], job->probs[r],
+                  job->d, &binomial);
+    }
+}
+
+static void *multinomial_main(void *arg)
+{
+    multinomial_rows((const multinomial_job *)arg);
+    return NULL;
+}
+
 /* ---- exported entry points ---------------------------------------------- */
 
 /* Generate `length` keystream bytes per key into `out` (n x length,
@@ -1127,4 +1184,41 @@ int rc4_merge_topk(const double *scores, ptrdiff_t a, ptrdiff_t kp,
     free(heads);
     free(pos);
     return 0;
+}
+
+/* Multinomial rows (see multinomial_rows above) split across `threads`
+ * POSIX threads as contiguous row ranges.  Every row has its own bit
+ * generator, binomial cache and output, so each row's draw is
+ * bit-identical to numpy's for any thread count; the caller guarantees
+ * distinct rows and generators, n >= 0 and rows numpy would accept. */
+void rc4_multinomial_rows(np_multinomial_fn draw, int64_t n, ptrdiff_t d,
+                          ptrdiff_t rows, double *const *probs,
+                          void *const *bitgens, int64_t *const *out,
+                          int threads)
+{
+    multinomial_job whole = {draw, n, d, probs, bitgens, out, 0, rows};
+    multinomial_job *jobs;
+    ptrdiff_t base, extra, start;
+    int t;
+
+    if (threads > rows)
+        threads = (int)(rows > 0 ? rows : 1);
+    jobs = threads > 1 ? malloc((size_t)threads * sizeof(multinomial_job))
+                       : NULL;
+    if (!jobs) {
+        multinomial_rows(&whole);
+        return;
+    }
+    base = rows / threads;
+    extra = rows % threads;
+    start = 0;
+    for (t = 0; t < threads; t++) {
+        jobs[t] = whole;
+        jobs[t].r0 = start;
+        start += base + (t < extra ? 1 : 0);
+        jobs[t].r1 = start;
+    }
+    spawn_join(multinomial_main, (char *)jobs, sizeof(multinomial_job),
+               threads);
+    free(jobs);
 }

@@ -1,13 +1,15 @@
 """Optional compiled backend for the RC4 statistics pipeline.
 
 ``_native.c`` (next to this module) implements per-key RC4 with the
-256-byte state in L1, fused generate-and-count kernels, and two row
+256-byte state in L1, fused generate-and-count kernels, and three row
 kernels: the §6 capture's (:func:`count_digraph_rows`: FM digraph and
 ABSAB differential codes of a transposed keystream block, each row XORed
 with its template constant and counted straight into its own 65536
-int64 cells) and Algorithm 2's list extension (:func:`merge_topk`: per
+int64 cells), Algorithm 2's list extension (:func:`merge_topk`: per
 ending value, a k-way merge of the previous step's sorted lists into the
-canonical top N).  This module
+canonical top N) and the §6 statistic sampler's
+(:func:`multinomial_rows`: numpy's own C ``random_multinomial``, one bit
+generator per row, so the draws are numpy's bit for bit).  This module
 compiles it on demand with the system C compiler (``gcc``/``cc``), caches
 the shared object under ``~/.cache/repro-rc4/`` keyed by a hash of the
 source *plus* the compiler identity and flags (so pinning a different
@@ -36,14 +38,16 @@ Three performance knobs ride on every kernel:
 The backend is strictly optional: if no compiler is present, compilation
 fails, or ``REPRO_NATIVE=0`` is set, :func:`available` returns False and
 callers (``repro.rc4.batch``, ``repro.datasets.generate``,
-``repro.core.candidates.viterbi``) fall back to the pure-numpy paths.
+``repro.core.candidates.viterbi``, ``repro.simulate.sampling``) fall
+back to the pure-numpy paths.
 An unexpected failure (as opposed to an explicit disable) emits a single
 :class:`RuntimeWarning` so slow runs are diagnosable;
 ``REPRO_NATIVE_CC`` pins the compiler for tests that simulate a broken
 toolchain.  Both paths are bit-exact with :mod:`repro.rc4.reference`;
-tests/test_dataset_equivalence.py compares them cell-for-cell, and
+tests/test_dataset_equivalence.py compares them cell-for-cell,
 tests/test_candidate_equivalence.py compares the merge with the numpy
-selection.
+selection, and tests/test_simulate.py the multinomial rows with
+``Generator.multinomial``.
 
 No third-party dependency is involved — only :mod:`ctypes` and a C
 compiler that the pure-python fallback makes optional.  All ``REPRO_*``
@@ -54,6 +58,7 @@ env-reading module); this module only consumes the typed accessors.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import subprocess
@@ -244,6 +249,11 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         f64p, ssize, ssize, f64p, ssize, ssize, i64p, f64p, cint,
     ]
     lib.rc4_merge_topk.restype = cint
+    ptrs = ctypes.POINTER(ctypes.c_void_p)
+    lib.rc4_multinomial_rows.argtypes = [
+        ctypes.c_void_p, ctypes.c_int64, ssize, ssize, ptrs, ptrs, ptrs, cint,
+    ]
+    lib.rc4_multinomial_rows.restype = None
     lib.rc4_simd_available.argtypes = []
     lib.rc4_simd_available.restype = cint
     lib.rc4_simd_lanes.argtypes = []
@@ -582,3 +592,76 @@ def merge_topk(
     if status != 0:
         raise MemoryError("native merge_topk could not allocate its scratch")
     return sel_idx, sel_neg
+
+
+@functools.cache
+def numpy_multinomial() -> int | None:
+    """Address of numpy's exported C ``random_multinomial``, or None.
+
+    The symbol is looked up in the shared object of
+    ``numpy.random._generator``, as numpy's own
+    ``random/_examples/cffi/extending.py`` does; None (a numpy build that
+    does not export it) sends :func:`multinomial_rows`' callers to
+    ``Generator.multinomial``, which draws the same bits.
+    """
+    try:
+        lib = ctypes.CDLL(np.random._generator.__file__)
+        return ctypes.cast(lib.random_multinomial, ctypes.c_void_p).value
+    except (OSError, AttributeError):
+        return None
+
+
+def multinomial_rows(
+    n: int,
+    probs: list[np.ndarray],
+    bitgens: list[np.random.BitGenerator],
+    out: list[np.ndarray],
+    *,
+    threads: int | None = None,
+) -> None:
+    """Draw ``out[r] = multinomial(n, probs[r])`` on ``bitgens[r]``.
+
+    Each row runs numpy's own C ``random_multinomial`` (see
+    :func:`numpy_multinomial`) on its bit generator, into a zeroed row
+    with a fresh binomial cache, so row r is bit-identical to
+    ``np.random.Generator(bitgens[r]).multinomial(n, probs[r])`` from
+    the same state and the generators advance as numpy's would.  Rows
+    split across threads as disjoint ranges, so the result is bit-exact
+    for any thread count.  ``probs`` and ``out`` hold C-contiguous
+    float64 and int64 rows of one length, every row and generator
+    distinct.  The C routine checks neither ``n`` nor the probabilities:
+    the caller passes ``0 <= n < 2**63`` and rows numpy's ``multinomial``
+    would accept.  The generators must stay referenced until this
+    returns (the caller's lists do that).
+    """
+    lib = _load()
+    draw = numpy_multinomial()
+    assert lib is not None and draw is not None, "call available() first"
+    rows = len(out)
+    if not len(probs) == len(bitgens) == rows:
+        raise ValueError("probs, bitgens and out need one entry per row")
+    if not 0 <= n < 1 << 63:
+        raise ValueError(f"n must lie in [0, 2**63), got {n}")
+    cells = out[0].shape[0] if rows else 0
+    for p, o in zip(probs, out):
+        if not (
+            p.dtype == np.float64 and o.dtype == np.int64
+            and p.shape == o.shape == (cells,)
+            and p.flags.c_contiguous and o.flags.c_contiguous
+            and o.flags.writeable
+        ):
+            raise ValueError(
+                "rows must be C-contiguous 1-D float64 probabilities and "
+                "writeable int64 outputs of one length"
+            )
+    ptrs = ctypes.POINTER(ctypes.c_void_p)
+    prob_ptrs = np.array([p.ctypes.data for p in probs], dtype=np.uintp)
+    out_ptrs = np.array([o.ctypes.data for o in out], dtype=np.uintp)
+    gen_ptrs = np.array(
+        [g.ctypes.bit_generator.value for g in bitgens], dtype=np.uintp
+    )
+    lib.rc4_multinomial_rows(
+        draw, n, cells, rows, prob_ptrs.ctypes.data_as(ptrs),
+        gen_ptrs.ctypes.data_as(ptrs), out_ptrs.ctypes.data_as(ptrs),
+        resolve_threads(threads),
+    )

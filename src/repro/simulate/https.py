@@ -8,7 +8,8 @@ produced by the real record layer (PRF-derived keys, HMAC-SHA1, RC4).
 
 The statistic-level path (:meth:`HttpsAttackSimulation.sampled_statistics`)
 produces the identical sufficient statistics at paper scale by sampling
-the model-induced multinomials; benchmarks use it for Figure 10.
+the model-induced multinomials, one PCG64 stream per counter row, on
+native threads; benchmarks use it for Figure 10.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 
 from ..biases.fluhrer_mcgrew import fm_digraph_distribution, position_to_counter
-from ..config import ReproConfig
+from ..config import ReproConfig, child_seed
 from ..errors import AttackError
 from ..tls.attack import (
     CookieAttackResult,
@@ -30,7 +31,12 @@ from ..tls.cookies import charset as charset_by_name
 from ..tls.cookies import random_cookie
 from ..tls.http import CookieJar, browser_profile
 from ..tls.mitm import MitmCampaign
-from .sampling import sample_absab_differential_counts, sample_digraph_counts
+from .sampling import (
+    absab_cipher_probs,
+    check_trials,
+    digraph_cipher_probs,
+    sample_multinomial_rows,
+)
 
 TARGET_HOST = "site.com"
 TARGET_COOKIE = "auth"
@@ -152,9 +158,7 @@ class HttpsAttackSimulation:
             label=f"https-capture/{self.browser}",
         )
 
-    def sampled_statistics(
-        self, num_requests: int, *, method: str = "multinomial"
-    ) -> CookieStatistics:
+    def sampled_statistics(self, num_requests: int) -> CookieStatistics:
         """Statistic-level capture (exact distributional equivalent).
 
         For every transition digraph, draw the ciphertext digraph counts
@@ -164,32 +168,58 @@ class HttpsAttackSimulation:
         from the model-induced multinomials is distribution-exact — it
         matches a real capture of ``num_requests`` requests (see the
         :mod:`repro.simulate` package docstring).
+
+        Every counter row draws on its own PCG64 stream, keyed by the
+        row's identity: labels ``("https-sim", "sampled", num_requests,
+        "fm", t)`` for transition t and ``(..., "absab", t, gap, side)``
+        for an alignment.  So a row's counts do not depend on which
+        other rows are drawn (``max_gap=8`` and ``16`` share their common
+        alignments), and :func:`repro.simulate.sampling
+        .sample_multinomial_rows` draws the rows on native threads with
+        the same bits as numpy for any backend or thread count.  This
+        replaced one stream for the whole run, so the counts a given
+        seed produces changed once, in distribution not at all:
+        ``capture=sampled`` runs stored before then are still valid
+        samples but do not re-run bit for bit.
+
+        Raises:
+            DistributionError: ``num_requests`` is not an integer in
+                [0, 2^63).
         """
+        num_requests = check_trials(num_requests)
         layout = self.layout
         plaintext = self.campaign.request_plaintext()
         stats = CookieStatistics.empty(layout, max_gap=self.max_gap)
         stats.num_requests = num_requests
-        rng = self.config.rng("https-sim", "sampled", num_requests)
+        labels = ("https-sim", "sampled", num_requests)
 
         def pbyte(position: int) -> int:
             return plaintext[position - layout.base_offset]
 
         transitions = layout.transitions()
-        for t, r in enumerate(transitions):
-            dist = fm_digraph_distribution(position_to_counter(r))
-            stats.fm_counts[t] = sample_digraph_counts(
-                dist, num_requests, (pbyte(r), pbyte(r + 1)), seed=rng, method=method
-            )
-        for (t, gap, side), counts in stats.absab_counts.items():
-            r = transitions[t]
-            if side == "after":
-                partner = (pbyte(r + 2 + gap), pbyte(r + 3 + gap))
-            else:
-                partner = (pbyte(r - 2 - gap), pbyte(r - 1 - gap))
-            diff = (pbyte(r) ^ partner[0], pbyte(r + 1) ^ partner[1])
-            counts[:] = sample_absab_differential_counts(
-                gap, num_requests, diff, seed=rng, method=method
-            )
+
+        def rows():
+            for t, r in enumerate(transitions):
+                dist = fm_digraph_distribution(position_to_counter(r))
+                yield (
+                    child_seed(self.config.seed, *labels, "fm", t),
+                    digraph_cipher_probs(dist, (pbyte(r), pbyte(r + 1))),
+                    stats.fm_counts[t].reshape(-1),
+                )
+            for (t, gap, side), counts in stats.absab_counts.items():
+                r = transitions[t]
+                if side == "after":
+                    partner = (pbyte(r + 2 + gap), pbyte(r + 3 + gap))
+                else:
+                    partner = (pbyte(r - 2 - gap), pbyte(r - 1 - gap))
+                diff = (pbyte(r) ^ partner[0], pbyte(r + 1) ^ partner[1])
+                yield (
+                    child_seed(self.config.seed, *labels, "absab", t, gap, side),
+                    absab_cipher_probs(gap, diff),
+                    counts,
+                )
+
+        sample_multinomial_rows(num_requests, rows())
         return stats
 
     def attack(

@@ -343,6 +343,26 @@ class TestCampaignResume:
         )
         assert again.outcomes == first.outcomes
 
+    def test_torn_done_record_is_recomputed(self, config, tmp_path):
+        """A truncated outcome record is a miss: the run warns, recomputes
+        that group to the same outcomes and rewrites the record."""
+        pop = Population.sample(config, 4, label="resume")
+        ckpt = tmp_path / "campaign"
+        first = run_https_campaign(
+            config, pop, checkpoint_dir=ckpt, **self._kwargs(),
+        )
+        records = sorted(ckpt.glob("*.done.json"))
+        assert records
+        whole = records[0].read_bytes()
+        records[0].write_bytes(whole[: len(whole) // 2])
+        with pytest.warns(RuntimeWarning, match="unreadable outcome record"):
+            again = run_https_campaign(
+                config, pop, checkpoint_dir=ckpt, **self._kwargs(),
+            )
+        assert again.outcomes == first.outcomes
+        assert records[0].read_bytes() == whole
+        assert not list(ckpt.glob("*.tmp*"))
+
     def test_mismatched_checkpoint_dir_is_rejected(self, config, tmp_path):
         pop = Population.sample(config, 3, label="resume")
         ckpt = tmp_path / "campaign"

@@ -222,6 +222,8 @@ def test_thread_determinism_job_covers_one_and_default(workflow):
     # So does Algorithm 2's native merge (candidate lists, §6 recovery).
     assert "tests/test_candidate_equivalence.py" in runs
     assert "tests/test_tls_attack.py" in runs
+    # And the §6 statistic sampler's multinomial rows.
+    assert "tests/test_simulate.py" in runs
 
 
 def test_lint_job_runs_ruff(workflow):
