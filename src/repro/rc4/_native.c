@@ -52,8 +52,9 @@
  * (digraph_rows), Algorithm 2's per-ending-value k-way merge
  * (merge_rows) and the §6 statistic sampler's multinomial rows
  * (multinomial_rows, which calls numpy's own C sampler on one bit
- * generator per row).  Each row owns its output, so they are
- * bit-identical for any thread count too.
+ * generator per row, the threads taking the rows one at a time).  Each
+ * row owns its output, so they are bit-identical for any thread count
+ * too.
  *
  * Build contract (see _native.py): plain C99, no dependencies beyond
  * libc + pthreads, compiled with `cc -O3 -shared -fPIC -pthread`.  The
@@ -1024,25 +1025,36 @@ typedef void (*np_multinomial_fn)(void *bitgen, int64_t n, int64_t *out,
                                   double *probs, ptrdiff_t d,
                                   np_binomial *binomial);
 
+/* One call's rows, shared by all its threads.  Each thread takes the
+ * next untaken row under `lock` until none is left, so a thread whose
+ * CPU is busy elsewhere takes fewer rows instead of holding up the call
+ * with a fixed share of them; the rows cost milliseconds each, so the
+ * lock is taken rarely. */
 typedef struct {
     np_multinomial_fn draw;
     int64_t n;
-    ptrdiff_t d;
+    ptrdiff_t d, rows;
     double *const *probs;
     void *const *bitgens;
     int64_t *const *out;
-    ptrdiff_t r0, r1; /* this job's rows */
+    pthread_mutex_t lock;
+    ptrdiff_t next; /* first row not yet taken; guarded by lock */
 } multinomial_job;
 
 /* Row r draws multinomial(n, probs[r]) into out[r] on bitgens[r], exactly
  * as Generator.multinomial does: into a zeroed row (the routine stops
  * writing once the trials run out) with the generator's binomial cache,
- * here a fresh one per row. */
-static void multinomial_rows(const multinomial_job *job)
+ * here a fresh one per row.  Which thread draws a row does not matter. */
+static void multinomial_rows(multinomial_job *job)
 {
-    ptrdiff_t r;
-    for (r = job->r0; r < job->r1; r++) {
+    for (;;) {
         np_binomial binomial;
+        ptrdiff_t r;
+        pthread_mutex_lock(&job->lock);
+        r = job->next++;
+        pthread_mutex_unlock(&job->lock);
+        if (r >= job->rows)
+            return;
         memset(&binomial, 0, sizeof binomial);
         memset(job->out[r], 0, (size_t)job->d * sizeof(int64_t));
         job->draw(job->bitgens[r], job->n, job->out[r], job->probs[r],
@@ -1052,7 +1064,7 @@ static void multinomial_rows(const multinomial_job *job)
 
 static void *multinomial_main(void *arg)
 {
-    multinomial_rows((const multinomial_job *)arg);
+    multinomial_rows((multinomial_job *)arg);
     return NULL;
 }
 
@@ -1186,39 +1198,44 @@ int rc4_merge_topk(const double *scores, ptrdiff_t a, ptrdiff_t kp,
     return 0;
 }
 
-/* Multinomial rows (see multinomial_rows above) split across `threads`
- * POSIX threads as contiguous row ranges.  Every row has its own bit
- * generator, binomial cache and output, so each row's draw is
- * bit-identical to numpy's for any thread count; the caller guarantees
- * distinct rows and generators, n >= 0 and rows numpy would accept. */
+/* Multinomial rows (see multinomial_rows above) drawn by the calling
+ * thread and `threads` - 1 helper POSIX threads, each taking the next
+ * untaken row until none is left.  The calling thread starts drawing at
+ * once rather than waiting for its helpers to be scheduled, and a helper
+ * that fails to spawn only leaves more rows to the others.  Every row
+ * has its own bit generator, binomial cache and output, so each row's
+ * draw is bit-identical to numpy's for any thread count and any order
+ * the rows are taken in; the caller guarantees distinct rows and
+ * generators, n >= 0 and rows numpy would accept. */
 void rc4_multinomial_rows(np_multinomial_fn draw, int64_t n, ptrdiff_t d,
                           ptrdiff_t rows, double *const *probs,
                           void *const *bitgens, int64_t *const *out,
                           int threads)
 {
-    multinomial_job whole = {draw, n, d, probs, bitgens, out, 0, rows};
-    multinomial_job *jobs;
-    ptrdiff_t base, extra, start;
-    int t;
+    multinomial_job job;
+    pthread_t *helpers = NULL;
+    int spawned = 0, t;
 
+    job.draw = draw;
+    job.n = n;
+    job.d = d;
+    job.rows = rows;
+    job.probs = probs;
+    job.bitgens = bitgens;
+    job.out = out;
+    job.next = 0;
+    pthread_mutex_init(&job.lock, NULL);
     if (threads > rows)
-        threads = (int)(rows > 0 ? rows : 1);
-    jobs = threads > 1 ? malloc((size_t)threads * sizeof(multinomial_job))
-                       : NULL;
-    if (!jobs) {
-        multinomial_rows(&whole);
-        return;
-    }
-    base = rows / threads;
-    extra = rows % threads;
-    start = 0;
-    for (t = 0; t < threads; t++) {
-        jobs[t] = whole;
-        jobs[t].r0 = start;
-        start += base + (t < extra ? 1 : 0);
-        jobs[t].r1 = start;
-    }
-    spawn_join(multinomial_main, (char *)jobs, sizeof(multinomial_job),
-               threads);
-    free(jobs);
+        threads = (int)rows;
+    if (threads > 1)
+        helpers = malloc((size_t)(threads - 1) * sizeof(pthread_t));
+    if (helpers)
+        for (t = 1; t < threads; t++)
+            spawned += pthread_create(&helpers[spawned], NULL,
+                                      multinomial_main, &job) == 0;
+    multinomial_rows(&job);
+    for (t = 0; t < spawned; t++)
+        pthread_join(helpers[t], NULL);
+    free(helpers);
+    pthread_mutex_destroy(&job.lock);
 }

@@ -625,14 +625,16 @@ def multinomial_rows(
     :func:`numpy_multinomial`) on its bit generator, into a zeroed row
     with a fresh binomial cache, so row r is bit-identical to
     ``np.random.Generator(bitgens[r]).multinomial(n, probs[r])`` from
-    the same state and the generators advance as numpy's would.  Rows
-    split across threads as disjoint ranges, so the result is bit-exact
-    for any thread count.  ``probs`` and ``out`` hold C-contiguous
-    float64 and int64 rows of one length, every row and generator
-    distinct.  The C routine checks neither ``n`` nor the probabilities:
-    the caller passes ``0 <= n < 2**63`` and rows numpy's ``multinomial``
-    would accept.  The generators must stay referenced until this
-    returns (the caller's lists do that).
+    the same state and the generators advance as numpy's would.  The
+    threads take the rows one at a time, so a thread whose CPU is busy
+    elsewhere draws fewer rows instead of holding up the call with a
+    fixed share; which thread draws a row changes no bit, so the result
+    is bit-exact for any thread count.  ``probs`` and ``out`` hold
+    C-contiguous float64 and int64 rows of one length, every row and
+    generator distinct.  The C routine checks neither ``n`` nor the
+    probabilities: the caller passes ``0 <= n < 2**63`` and rows numpy's
+    ``multinomial`` would accept.  The generators must stay referenced
+    until this returns (the caller's lists do that).
     """
     lib = _load()
     draw = numpy_multinomial()

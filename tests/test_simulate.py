@@ -150,6 +150,27 @@ class TestNativeMultinomialRows:
             np.random.Generator(bitgen).multinomial(n, p)
         assert [g.state for g in bitgens] == [g.state for g in after]
 
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_many_short_rows_each_drawn_once(self, threads):
+        """The threads take rows one at a time from a shared counter;
+        short rows make them take it often, and every row must still be
+        drawn exactly once, on its own stream."""
+        _need_native_multinomial()
+        num_rows = 400
+        probs = _prob_rows(num_rows, 16, seed=3)
+        seeds = [child_seed(6, "short", r) for r in range(num_rows)]
+        bitgens = [np.random.PCG64(seed) for seed in seeds]
+        out = [np.full(16, -7, dtype=np.int64) for _ in range(num_rows)]
+        _native.multinomial_rows(
+            PAPER_REQUESTS, probs, bitgens, out, threads=threads
+        )
+        for got, want in zip(out, _reference(PAPER_REQUESTS, seeds, probs)):
+            np.testing.assert_array_equal(got, want)
+        after = [np.random.PCG64(seed) for seed in seeds]
+        for bitgen, p in zip(after, probs):
+            np.random.Generator(bitgen).multinomial(PAPER_REQUESTS, p)
+        assert [g.state for g in bitgens] == [g.state for g in after]
+
     def test_point_mass_row(self):
         _need_native_multinomial()
         p = np.zeros(256)
