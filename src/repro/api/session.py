@@ -14,6 +14,7 @@ facade, so orchestration lives in exactly one place.
 from __future__ import annotations
 
 import time
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,7 +29,7 @@ from .._version import __version__
 from ..config import ReproConfig, get_config
 from ..datasets.manager import DatasetSpec, generate_dataset
 from ..datasets.store import dataset_cache_path, load_dataset, save_dataset
-from ..errors import ExperimentError
+from ..errors import DatasetError, ExperimentError
 from ..rc4 import _native
 from .registry import ExperimentSpec, get_experiment
 from .result import ExperimentResult
@@ -132,7 +133,9 @@ class Session:
         seeds never collide.  Cached counters are returned as read-only
         views; copy before mutating.  A non-default ``worker_chunk``
         (a testing knob that changes shard key derivation, hence the
-        counters) bypasses both cache layers entirely.
+        counters) bypasses both cache layers entirely.  A cache file that
+        fails to load (torn, corrupt or stale) is regenerated and
+        overwritten, with a :class:`RuntimeWarning`.
         """
         if worker_chunk is not None:
             return generate_dataset(
@@ -147,10 +150,20 @@ class Session:
         cached = self._dataset_cache.get(key)
         if cached is not None:
             return cached
+        counts = None
         if self.cache_dir is not None and path.exists():
             # expected_spec guards against hash collisions and stale files.
-            counts, _ = load_dataset(path, expected_spec=spec)
-        else:
+            try:
+                counts, _ = load_dataset(path, expected_spec=spec)
+            except DatasetError as exc:
+                # A torn or stale entry is a cache miss: regenerate it and
+                # overwrite the file.
+                warnings.warn(
+                    f"dataset cache entry unusable, regenerating: {exc}",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+        if counts is None:
             counts = generate_dataset(
                 spec,
                 self.config,

@@ -54,7 +54,10 @@
  * (multinomial_rows, which calls numpy's own C sampler on one bit
  * generator per row, the threads taking the rows one at a time).  Each
  * row owns its output, so they are bit-identical for any thread count
- * too.
+ * too.  The last kernel, the §5 CRC search's best-first walk
+ * (rc4_lazy_walk), is single-threaded: it pops candidates from a binary
+ * heap that lives in a buffer the caller owns and grows, so it allocates
+ * nothing.
  *
  * Build contract (see _native.py): plain C99, no dependencies beyond
  * libc + pthreads, compiled with `cc -O3 -shared -fPIC -pthread`.  The
@@ -62,6 +65,7 @@
  * other compilers or architectures fall back to the portable kernels.
  */
 
+#include <math.h>
 #include <pthread.h>
 #include <stddef.h>
 #include <stdint.h>
@@ -1068,6 +1072,35 @@ static void *multinomial_main(void *arg)
     return NULL;
 }
 
+/* ---- lazy best-first walk over rank vectors (§5.3 CRC search) ---------- */
+
+/* One frontier entry, `stride` bytes apart in a heap buffer the caller
+ * owns (stride >= 12 + len, a multiple of 8; lazy_walk_dtype in
+ * _native.py is the same layout as a numpy structured dtype): the
+ * candidate's score, the first position its children may increment (the
+ * canonical-parent rule, wider than a byte so any len works) and its len
+ * per-position ranks. */
+typedef struct {
+    double score;
+    uint32_t min_pos;
+    uint8_t ranks[];
+} walk_entry;
+
+#define WALK_ENTRY(heap, stride, i) ((walk_entry *)((heap) + (i) * (stride)))
+
+/* The walk's total order: higher score first, ties by rank vector
+ * bytewise ascending.  Rank vectors are unique, so no two entries tie and
+ * the pop order does not depend on the heap layout.  Scores are never
+ * NaN (the caller rejects NaN and +inf inputs, and a -inf candidate's
+ * children score -inf), and -0.0 == +0.0 falls to the ranks. */
+static inline int walk_before(const walk_entry *x, const walk_entry *y,
+                              size_t len)
+{
+    if (x->score != y->score)
+        return x->score > y->score;
+    return memcmp(x->ranks, y->ranks, len) < 0;
+}
+
 /* ---- exported entry points ---------------------------------------------- */
 
 /* Generate `length` keystream bytes per key into `out` (n x length,
@@ -1238,4 +1271,72 @@ void rc4_multinomial_rows(np_multinomial_fn draw, int64_t n, ptrdiff_t d,
         pthread_join(helpers[t], NULL);
     free(helpers);
     pthread_mutex_destroy(&job.lock);
+}
+
+/* Pop up to `block` entries, best first, from the binary heap of *size
+ * entries: entry k's ranks go to out_ranks[k*len..] and its score to
+ * out_scores[k].  Each pop pushes its children before the next one, since
+ * a candidate's successor may be its own child: one per position
+ * p >= min_pos whose rank is below 255, scoring
+ *     (score - sorted[p][rank]) + sorted[p][rank + 1]
+ * in that order, in plain IEEE double, or -inf when the parent is -inf
+ * (where -inf - -inf would be NaN).  `sorted` is (len, 256), each row in
+ * decreasing order.  The heap never grows here: the caller leaves room
+ * for *size + block * len entries, which covers the net len - 1 entries
+ * a pop can add plus the one scratch slot past the end that a push
+ * builds its child in.  Returns the number popped; *size is updated. */
+ptrdiff_t rc4_lazy_walk(const double *sorted, ptrdiff_t len, uint8_t *heap,
+                        ptrdiff_t stride, ptrdiff_t *size, ptrdiff_t block,
+                        uint8_t *out_ranks, double *out_scores)
+{
+    const size_t ulen = (size_t)len, ustride = (size_t)stride;
+    ptrdiff_t n = *size, k, p, i, c;
+    for (k = 0; k < block && n > 0; k++) {
+        uint8_t *ranks = out_ranks + k * len;
+        const walk_entry *top = WALK_ENTRY(heap, stride, 0);
+        const walk_entry *last;
+        double score = top->score;
+        ptrdiff_t first = (ptrdiff_t)top->min_pos;
+        memcpy(ranks, top->ranks, ulen);
+        out_scores[k] = score;
+        /* Pop: sift the hole left at the root down, then fill it with the
+         * last entry, which stays intact past the new end meanwhile. */
+        last = WALK_ENTRY(heap, stride, --n);
+        for (i = 0; (c = 2 * i + 1) < n; i = c) {
+            if (c + 1 < n && walk_before(WALK_ENTRY(heap, stride, c + 1),
+                                         WALK_ENTRY(heap, stride, c), ulen))
+                c++;
+            if (!walk_before(WALK_ENTRY(heap, stride, c), last, ulen))
+                break;
+            memcpy(WALK_ENTRY(heap, stride, i), WALK_ENTRY(heap, stride, c),
+                   ustride);
+        }
+        if (i < n)
+            memcpy(WALK_ENTRY(heap, stride, i), last, ustride);
+        /* Push the children: each is built in the slot past the hole at
+         * the end, and the hole sifts up to its place. */
+        for (p = first; p < len; p++) {
+            walk_entry *child = WALK_ENTRY(heap, stride, n + 1);
+            const double *row = sorted + p * 256;
+            if (ranks[p] == 255)
+                continue;
+            child->score = score == -INFINITY
+                               ? score
+                               : (score - row[ranks[p]]) + row[ranks[p] + 1];
+            child->min_pos = (uint32_t)p;
+            memcpy(child->ranks, ranks, ulen);
+            child->ranks[p]++;
+            for (i = n; i > 0; i = c) {
+                c = (i - 1) / 2;
+                if (!walk_before(child, WALK_ENTRY(heap, stride, c), ulen))
+                    break;
+                memcpy(WALK_ENTRY(heap, stride, i),
+                       WALK_ENTRY(heap, stride, c), ustride);
+            }
+            memcpy(WALK_ENTRY(heap, stride, i), child, ustride);
+            n++;
+        }
+    }
+    *size = n;
+    return k;
 }

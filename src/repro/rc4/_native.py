@@ -9,14 +9,17 @@ int64 cells), Algorithm 2's list extension (:func:`merge_topk`: per
 ending value, a k-way merge of the previous step's sorted lists into the
 canonical top N) and the §6 statistic sampler's
 (:func:`multinomial_rows`: numpy's own C ``random_multinomial``, one bit
-generator per row, so the draws are numpy's bit for bit).  This module
+generator per row, so the draws are numpy's bit for bit), plus the §5
+CRC search's best-first walk (:func:`lazy_walk`: single-threaded, over
+a binary heap in a numpy buffer the caller owns and grows).  This module
 compiles it on demand with the system C compiler (``gcc``/``cc``), caches
 the shared object under ``~/.cache/repro-rc4/`` keyed by a hash of the
 source *plus* the compiler identity and flags (so pinning a different
 ``REPRO_NATIVE_CC`` or changing CFLAGS can never load a stale artefact),
 and exposes thin ctypes wrappers.
 
-Three performance knobs ride on every kernel:
+Three performance knobs ride on every kernel but the walk, which runs
+on the calling thread:
 
 - ``threads`` (default ``os.cpu_count()``, overridable per call or via
   ``REPRO_NATIVE_THREADS``): the C side splits keys into contiguous
@@ -38,16 +41,16 @@ Three performance knobs ride on every kernel:
 The backend is strictly optional: if no compiler is present, compilation
 fails, or ``REPRO_NATIVE=0`` is set, :func:`available` returns False and
 callers (``repro.rc4.batch``, ``repro.datasets.generate``,
-``repro.core.candidates.viterbi``, ``repro.simulate.sampling``) fall
-back to the pure-numpy paths.
+``repro.core.candidates.viterbi``, ``repro.core.candidates.lazy``,
+``repro.simulate.sampling``) fall back to the pure-numpy paths.
 An unexpected failure (as opposed to an explicit disable) emits a single
 :class:`RuntimeWarning` so slow runs are diagnosable;
 ``REPRO_NATIVE_CC`` pins the compiler for tests that simulate a broken
 toolchain.  Both paths are bit-exact with :mod:`repro.rc4.reference`;
 tests/test_dataset_equivalence.py compares them cell-for-cell,
 tests/test_candidate_equivalence.py compares the merge with the numpy
-selection, and tests/test_simulate.py the multinomial rows with
-``Generator.multinomial``.
+selection and the walk with its ``heapq`` loop, and tests/test_simulate.py
+the multinomial rows with ``Generator.multinomial``.
 
 No third-party dependency is involved — only :mod:`ctypes` and a C
 compiler that the pure-python fallback makes optional.  All ``REPRO_*``
@@ -254,6 +257,10 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         ctypes.c_void_p, ctypes.c_int64, ssize, ssize, ptrs, ptrs, ptrs, cint,
     ]
     lib.rc4_multinomial_rows.restype = None
+    lib.rc4_lazy_walk.argtypes = [
+        f64p, ssize, u8p, ssize, ctypes.POINTER(ssize), ssize, u8p, f64p,
+    ]
+    lib.rc4_lazy_walk.restype = ssize
     lib.rc4_simd_available.argtypes = []
     lib.rc4_simd_available.restype = cint
     lib.rc4_simd_lanes.argtypes = []
@@ -667,3 +674,61 @@ def multinomial_rows(
         gen_ptrs.ctypes.data_as(ptrs), out_ptrs.ctypes.data_as(ptrs),
         resolve_threads(threads),
     )
+
+
+def lazy_walk_dtype(length: int) -> np.dtype:
+    """One frontier entry of :func:`lazy_walk`, laid out as ``_native.c``'s
+    ``walk_entry``: the score, the first position its children may
+    increment, and its ``length`` per-position ranks."""
+    return np.dtype(
+        [("score", "<f8"), ("min_pos", "<u4"), ("ranks", "u1", (length,))],
+        align=True,
+    )
+
+
+def lazy_walk(
+    sorted_lam: np.ndarray,
+    heap: np.ndarray,
+    size: int,
+    ranks: np.ndarray,
+    scores: np.ndarray,
+) -> tuple[int, int]:
+    """Pop up to one block of the best-first walk over rank vectors.
+
+    ``heap[:size]`` is a binary heap of :func:`lazy_walk_dtype` entries
+    ordered by (score descending, ranks bytewise ascending).  Each pop
+    writes its ranks to the next row of the uint8 ``(B, L)`` ``ranks``
+    and its score to ``scores`` (B,), then pushes its children, scored
+    from the float64 ``(L, 256)`` ``sorted_lam`` whose rows are in
+    decreasing order.  The C side allocates nothing: ``heap`` must hold
+    ``size + B * L`` entries, which the caller grows between calls.
+
+    Returns:
+        ``(popped, size)``: rows written (< B only once the walk runs
+        dry) and the heap's new size.
+    """
+    lib = _load()
+    assert lib is not None, "call available() first"
+    length = sorted_lam.shape[0]
+    block = scores.shape[0]
+    if not (
+        sorted_lam.dtype == np.float64 and sorted_lam.shape == (length, 256)
+        and sorted_lam.flags.c_contiguous
+        and heap.dtype == lazy_walk_dtype(length) and heap.ndim == 1
+        and heap.flags.c_contiguous and heap.shape[0] >= size + block * length
+        and ranks.dtype == np.uint8 and ranks.shape == (block, length)
+        and ranks.flags.c_contiguous
+        and scores.dtype == np.float64 and scores.flags.c_contiguous
+        and length < 1 << 32
+    ):
+        raise ValueError(
+            "lazy_walk needs C-contiguous (L, 256) float64 scores, a heap "
+            "with room for size + B * L entries and (B, L) uint8 ranks"
+        )
+    new_size = ctypes.c_ssize_t(size)
+    popped = lib.rc4_lazy_walk(
+        sorted_lam.ctypes.data_as(ctypes.POINTER(ctypes.c_double)), length,
+        _u8p(heap), heap.dtype.itemsize, ctypes.byref(new_size), block,
+        _u8p(ranks), scores.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
+    )
+    return popped, new_size.value

@@ -106,11 +106,15 @@ def decrypt_mic_icv(
         true_mic: optional ground truth for success accounting.
 
     Raises:
-        AttackError: if no candidate within the budget passes the CRC.
+        AttackError: on a budget below 1, or if no candidate within the
+            budget passes the CRC.
+        CandidateError: on a NaN or +inf log-likelihood.
     """
     loglik = np.asarray(loglik, dtype=np.float64)
     if loglik.shape != (MIC_LEN + ICV_LEN, 256):
         raise AttackError(f"expected ({MIC_LEN + ICV_LEN}, 256) likelihoods")
+    if max_candidates < 1:
+        raise AttackError(f"max_candidates must be >= 1, got {max_candidates}")
     prefix_state = Crc32().update(known_data).state
     icv_shifts = np.uint32(8) * np.arange(ICV_LEN, dtype=np.uint32)
     seen = 0

@@ -17,6 +17,8 @@ from __future__ import annotations
 import json
 import os
 import warnings
+import zipfile
+import zlib
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
@@ -161,19 +163,32 @@ def save_arrays(
 
 
 def load_arrays(path: str | Path) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
-    """Load arrays and metadata previously written by :func:`save_arrays`."""
+    """Load arrays and metadata previously written by :func:`save_arrays`.
+
+    Raises:
+        DatasetError: naming ``path`` when it is missing, is not a repro
+            archive, or is truncated or corrupt (a torn write surfaces
+            here, never as a raw ``zipfile``/``zlib`` error).
+    """
     path = Path(path)
     if not path.exists():
         raise DatasetError(f"dataset not found: {path}")
-    with np.load(path, allow_pickle=False) as archive:
-        if _META_KEY not in archive:
-            raise DatasetError(f"{path} has no metadata; not a repro dataset")
-        meta = json.loads(bytes(archive[_META_KEY]).decode("utf-8"))
-        version = meta.get("format_version")
-        if version != FORMAT_VERSION:
-            raise DatasetError(
-                f"{path}: unsupported format version {version!r} "
-                f"(expected {FORMAT_VERSION})"
-            )
-        arrays = {name: archive[name] for name in archive.files if name != _META_KEY}
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            if _META_KEY not in archive:
+                raise DatasetError(f"{path} has no metadata; not a repro dataset")
+            meta = json.loads(bytes(archive[_META_KEY]).decode("utf-8"))
+            version = meta.get("format_version")
+            if version != FORMAT_VERSION:
+                raise DatasetError(
+                    f"{path}: unsupported format version {version!r} "
+                    f"(expected {FORMAT_VERSION})"
+                )
+            arrays = {
+                name: archive[name] for name in archive.files if name != _META_KEY
+            }
+    except (zipfile.BadZipFile, zlib.error, EOFError, ValueError) as exc:
+        raise DatasetError(
+            f"{path} is truncated or corrupt ({exc.__class__.__name__}: {exc})"
+        ) from exc
     return arrays, meta

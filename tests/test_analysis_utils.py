@@ -74,6 +74,22 @@ class TestSerialization:
         with pytest.raises(DatasetError):
             load_arrays(tmp_path / "absent.npz")
 
+    @pytest.mark.parametrize("compress", [True, False])
+    def test_torn_file_raises_dataset_error(self, tmp_path, compress):
+        """A truncated or flipped archive is a DatasetError naming the
+        file, never a raw zipfile/zlib/EOF error."""
+        arrays = {"a": np.arange(5000), "b": np.ones((8, 256))}
+        path = save_arrays(tmp_path / "x.npz", arrays, {}, compress=compress)
+        data = path.read_bytes()
+        torn = tmp_path / "torn.npz"
+        cuts = [bytes(data[:cut]) for cut in (0, 30, len(data) // 2, len(data) - 1)]
+        flipped = bytearray(data)
+        flipped[len(data) // 3] ^= 0xFF
+        for blob in [*cuts, bytes(flipped)]:
+            torn.write_bytes(blob)
+            with pytest.raises(DatasetError, match="torn.npz"):
+                load_arrays(torn)
+
 
 class TestConfig:
     def test_scaled_clamps(self):

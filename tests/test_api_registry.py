@@ -20,8 +20,9 @@ from repro.api import (
     list_experiments,
 )
 from repro.config import ReproConfig
-from repro.datasets import DatasetSpec
+from repro.datasets import DatasetSpec, load_dataset
 from repro.errors import (
+    DatasetError,
     ExperimentError,
     ExperimentParamError,
     ReproError,
@@ -247,6 +248,23 @@ def test_session_disk_cache_roundtrip(tmp_path):
     # A different seed must not share the entry.
     Session(ReproConfig(seed=78), cache_dir=tmp_path).dataset(spec)
     assert len(list(tmp_path.glob("*.npz"))) == 2
+
+
+def test_session_regenerates_torn_cache_entry(tmp_path):
+    config = ReproConfig(seed=77)
+    spec = DatasetSpec(kind="single", num_keys=512, positions=4, label="torn-t")
+    counts = Session(config, cache_dir=tmp_path).dataset(spec)
+    (path,) = tmp_path.glob("*.npz")
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+    with pytest.raises(DatasetError, match=path.name):
+        load_dataset(path)
+    with pytest.warns(RuntimeWarning, match="regenerating"):
+        again = Session(config, cache_dir=tmp_path).dataset(spec)
+    assert np.array_equal(counts, again)
+    # The torn entry was overwritten with the regenerated counters.
+    loaded, _ = load_dataset(path, expected_spec=spec)
+    assert np.array_equal(loaded, counts)
 
 
 def test_no_env_reads_outside_config():

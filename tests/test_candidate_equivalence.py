@@ -12,19 +12,22 @@ Four equivalence layers:
    :meth:`PlaintextHmm.brute_force` on tiny alphabets, including
    integer-valued likelihoods that force exact score ties.
 3. **Streams** — ``lazy_candidate_blocks`` against ``lazy_candidates``
-   against ``algorithm1``.
+   against ``algorithm1``, and the native walk against the ``heapq``
+   fallback: the same rows, score bits and block sizes.
 4. **Accounting** — the batched oracle/pruner walk
    (:meth:`BruteForceOracle.search_matrix`) against the scalar
    generator pipeline ``search(pruner.filter(...))``: same attempts,
    same pruned counts, same errors, for hits, budgets and exhaustion.
 
-Layers 1 and 2 run under the numpy fallback and the native k-way merge
-at 1-3 threads, and the merge is compared bit for bit with the
-fallback's threshold-pruned selection at its edge cases.
+Layers 1 to 3 run under the numpy fallback and the native backend at
+1-3 threads, and the merge is compared bit for bit with the fallback's
+threshold-pruned selection at its edge cases.
 """
 
 from __future__ import annotations
 
+import functools
+import tracemalloc
 from itertools import islice
 
 import numpy as np
@@ -368,7 +371,75 @@ class TestNonFiniteLikelihoods:
 # --------------------------------------------------------------------------
 
 
+def _lazy_input(case: str) -> tuple[np.ndarray, int | None]:
+    """A named input of the walk comparisons and its row limit (None:
+    walk to exhaustion)."""
+    rng = np.random.default_rng(sum(case.encode()))
+    if case == "normal":
+        return rng.normal(size=(6, 256)), 1 << 12
+    if case == "integer-ties":
+        return rng.integers(0, 3, size=(6, 256)).astype(np.float64), 1 << 12
+    if case == "signed-zeros":
+        return np.where(rng.random(size=(5, 256)) < 0.5, -0.0, 0.0), 1 << 12
+    if case == "L1-exhausted":
+        return rng.normal(size=(1, 256)), None
+    if case == "L12-2^15":
+        return rng.normal(size=(12, 256)), 1 << 15
+    if case == "L300":
+        return rng.normal(size=(300, 256)), 1 << 10
+    if case == "minus-inf-rows":
+        # Rows with several -inf entries and only 3 * 128 * 4 finite
+        # candidates, so the walk runs on into -inf ones, whose children
+        # would score -inf - -inf = NaN.
+        lam = rng.normal(size=(3, 256))
+        lam[0, 3:] = -np.inf
+        lam[1, ::2] = -np.inf
+        lam[2, rng.permutation(256)[4:]] = -np.inf
+        return lam, 1 << 12
+    raise AssertionError(case)
+
+
+_LAZY_CASES = (
+    "normal", "integer-ties", "signed-zeros", "L1-exhausted", "L12-2^15",
+    "L300", "minus-inf-rows",
+)
+
+
+def _walk(lam, block_size, limit=None):
+    """Concatenated rows, scores and block sizes of a walk, stopping at the
+    first block that reaches ``limit`` rows."""
+    rows, scores, sizes = [], [], []
+    seen = 0
+    for block, block_scores in lazy_candidate_blocks(lam, block_size=block_size):
+        rows.append(block)
+        scores.append(block_scores)
+        sizes.append(block_scores.shape[0])
+        seen += block_scores.shape[0]
+        if limit is not None and seen >= limit:
+            break
+    return np.concatenate(rows), np.concatenate(scores), sizes
+
+
+@functools.cache
+def _fallback_walk(case, block_size):
+    """The ``heapq`` fallback's walk of a named input, computed once."""
+    lam, limit = _lazy_input(case)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_native, "available", lambda: False)
+        return _walk(lam, block_size, limit)
+
+
+def _assert_same_walk(got, ref):
+    np.testing.assert_array_equal(got[0], ref[0])
+    np.testing.assert_array_equal(got[1].view(np.int64), ref[1].view(np.int64))
+    assert got[2] == ref[2]
+
+
+@pytest.mark.usefixtures("engine_threads")
 class TestLazyBlocks:
+    """The walk under the ``heapq`` fallback and the native kernel (which
+    is single-threaded, so the thread counts only repeat it)."""
+
     def test_blocks_concat_equals_per_item(self, rng):
         lam = rng.normal(size=(5, 256))
         items = list(islice(lazy_candidates(lam), 500))
@@ -400,6 +471,91 @@ class TestLazyBlocks:
     def test_block_size_validated(self, rng):
         with pytest.raises(CandidateError):
             next(lazy_candidate_blocks(rng.normal(size=(2, 256)), block_size=0))
+
+    @pytest.mark.parametrize("block_size", [1, 17, 256])
+    @pytest.mark.parametrize("case", _LAZY_CASES)
+    def test_matches_fallback_bit_for_bit(self, case, block_size):
+        lam, limit = _lazy_input(case)
+        got = _walk(lam, block_size, limit)
+        _assert_same_walk(got, _fallback_walk(case, block_size))
+        if limit is None:
+            assert got[0].shape[0] == 256 ** lam.shape[0]
+
+    def test_minus_inf_children_stay_minus_inf(self):
+        lam, limit = _lazy_input("minus-inf-rows")
+        _, scores, _ = _walk(lam, 256, limit)
+        finite = 3 * 128 * 4
+        assert np.all(np.diff(scores[:finite]) <= 0)
+        assert np.isfinite(scores[:finite]).all()
+        assert np.isneginf(scores[finite:]).all()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nan_and_plus_inf_rejected(self, rng, bad):
+        lam = rng.normal(size=(12, 256))
+        lam[7, 0x41] = bad
+        with pytest.raises(CandidateError, match="NaN or \\+inf"):
+            next(lazy_candidate_blocks(lam))
+        with pytest.raises(CandidateError, match="NaN or \\+inf"):
+            next(lazy_candidate_blocks(np.full((3, 256), bad)))
+
+    def test_heap_grows_through_doublings(self, monkeypatch, rng):
+        if not _native.available():
+            pytest.skip("checks the native kernel's heap buffer")
+        capacities = []
+        kernel = _native.lazy_walk
+
+        def spy(sorted_lam, heap, size, ranks, scores):
+            capacities.append(heap.shape[0])
+            return kernel(sorted_lam, heap, size, ranks, scores)
+
+        monkeypatch.setattr(_native, "lazy_walk", spy)
+        lam, limit = _lazy_input("normal")
+        got = _walk(lam, 1, limit)
+        grown = sorted(set(capacities))
+        assert len(grown) >= 5
+        assert all(b >= 2 * a for a, b in zip(grown, grown[1:]))
+        _assert_same_walk(got, _fallback_walk("normal", 1))
+
+    def test_abandoned_walk_then_fresh_one(self):
+        lam, limit = _lazy_input("normal")
+        abandoned = lazy_candidate_blocks(lam, block_size=17)
+        head_rows, head_scores = next(abandoned)
+        abandoned.close()
+        got = _walk(lam, 17, limit)
+        np.testing.assert_array_equal(got[0][:17], head_rows)
+        np.testing.assert_array_equal(got[1][:17], head_scores)
+        _assert_same_walk(got, _fallback_walk("normal", 17))
+
+    def test_blocks_own_their_arrays(self):
+        lam, _ = _lazy_input("integer-ties")
+        walk = lazy_candidate_blocks(lam, block_size=64)
+        rows, scores = next(walk)
+        kept_rows, kept_scores = rows.copy(), scores.copy()
+        for later_rows, later_scores in islice(walk, 8):
+            assert not np.shares_memory(rows, later_rows)
+            assert not np.shares_memory(scores, later_scores)
+        np.testing.assert_array_equal(rows, kept_rows)
+        np.testing.assert_array_equal(scores.view(np.int64), kept_scores.view(np.int64))
+
+    def test_native_walk_memory_bound(self):
+        """A 2^15-deep walk at L = 12 leaves about 70k entries on the
+        frontier.  The native heap holds them as 24-byte entries and
+        peaks under 5 MiB, growth copy included; the fallback's tuples
+        take about 9.5 MiB."""
+        if not _native.available():
+            pytest.skip("bounds the native kernel's heap buffer")
+        lam, limit = _lazy_input("L12-2^15")
+        tracemalloc.start()
+        try:
+            seen = 0
+            for _, scores in lazy_candidate_blocks(lam):
+                seen += scores.shape[0]
+                if seen >= limit:
+                    break
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 << 20
 
 
 # --------------------------------------------------------------------------

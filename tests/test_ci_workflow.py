@@ -224,6 +224,9 @@ def test_thread_determinism_job_covers_one_and_default(workflow):
     assert "tests/test_tls_attack.py" in runs
     # And the §6 statistic sampler's multinomial rows.
     assert "tests/test_simulate.py" in runs
+    # The threaded per-TSC counting and keystream feed the §5 CRC walk.
+    assert "tests/test_tkip_attack.py" in runs
+    assert "tests/test_tkip_pertsc_injection.py" in runs
 
 
 def test_lint_job_runs_ruff(workflow):

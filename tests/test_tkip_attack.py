@@ -1,10 +1,17 @@
-"""The TKIP attack pipeline: likelihoods, CRC pruning, Michael inversion."""
+"""The TKIP attack pipeline: likelihoods, CRC pruning, Michael inversion.
+
+``TestBackendsAgree`` runs the §5 pipeline under the numpy fallback and
+the native backend at 1-3 threads and requires the same bits."""
+
+import hashlib
 
 import numpy as np
 import pytest
 
 from repro.config import ReproConfig
-from repro.errors import AttackError
+from repro.core import lazy_candidate_blocks
+from repro.errors import AttackError, CandidateError
+from repro.rc4 import _native
 from repro.simulate import WifiAttackSimulation, sampled_capture
 from repro.tkip import (
     decrypt_mic_icv,
@@ -14,6 +21,7 @@ from repro.tkip import (
     position_log_likelihoods,
 )
 from repro.tkip.attack import biased_position_strength
+from repro.tkip.crc import icv as compute_icv
 
 
 @pytest.fixture(scope="module")
@@ -103,8 +111,6 @@ class TestEndToEnd:
     def test_decrypt_mic_icv_finds_planted_candidate(self, rng):
         """With likelihoods that pin the exact MIC+ICV, the searcher must
         return it at rank 1 and flag correctness."""
-        from repro.tkip.crc import icv as compute_icv
-
         known = rng.integers(0, 256, 55, dtype=np.uint8).tobytes()
         mic = rng.integers(0, 256, 8, dtype=np.uint8).tobytes()
         icv_bytes = compute_icv(known + mic)
@@ -122,8 +128,6 @@ class TestEndToEnd:
     def test_crc_pruning_skips_bad_candidates(self, rng):
         """Make the wrong candidate more likely; CRC must reject it and
         the searcher must keep walking to the planted valid one."""
-        from repro.tkip.crc import icv as compute_icv
-
         known = b"\x00" * 55
         mic = b"\x11" * 8
         icv_bytes = compute_icv(known + mic)
@@ -176,3 +180,109 @@ class TestForgery:
         receiver.replay_window = frame.tsc - 1
         data = receiver.decapsulate(frame)
         assert b"injected payload" in data
+
+
+def _planted(rng, decoy: bool):
+    """Likelihoods pinning a CRC-valid (MIC, ICV) under known data; with
+    ``decoy``, a likelier candidate that fails the CRC sits above it."""
+    known = rng.integers(0, 256, 55, dtype=np.uint8).tobytes()
+    mic = rng.integers(0, 256, 8, dtype=np.uint8).tobytes()
+    truth = mic + compute_icv(known + mic)
+    loglik = np.full((12, 256), -10.0)
+    for row, byte in enumerate(truth):
+        loglik[row, byte] = -0.5 if decoy else 0.0
+    if decoy:
+        for row in range(12):
+            loglik[row, truth[row] ^ 0x5A] = 0.0
+    return loglik, known, mic
+
+
+#: The §5 pipeline's shape: 8 TSC values with 2^13 keys each for the
+#: per-TSC tables, 2^12 captured packets per TSC and a 2^14-candidate walk
+#: (which the capture is far too small to pass, so it spends its budget).
+_PIPELINE_BUDGET = 1 << 14
+
+
+def _pipeline(config: ReproConfig):
+    """Per-TSC tables -> batched capture -> likelihoods -> CRC walk.
+
+    Returns the likelihoods, a digest of the walk's rows and score bits
+    over the budget, and the outcome: the hit or the exhausted budget.
+    """
+    sim = WifiAttackSimulation(config)
+    tscs = default_tsc_space(8)
+    per_tsc = generate_per_tsc(config, tscs, 1 << 13, len(sim.true_plaintext))
+    capture = sim.batched_capture(tscs, 1 << 12)
+    known = sim.spec.msdu_data()
+    loglik = position_log_likelihoods(
+        capture, per_tsc, list(range(len(known) + 1, len(known) + 13))
+    )
+    walked = hashlib.sha256()
+    seen = 0
+    for rows, scores in lazy_candidate_blocks(loglik):
+        walked.update(rows.tobytes())
+        walked.update(scores.tobytes())
+        seen += rows.shape[0]
+        if seen >= _PIPELINE_BUDGET:
+            break
+    try:
+        result = decrypt_mic_icv(loglik, known, max_candidates=_PIPELINE_BUDGET)
+        outcome = ("hit", result.candidates_tried, result.mic, result.icv)
+    except AttackError as exc:
+        outcome = ("exhausted", str(exc))
+    return loglik, walked.hexdigest(), outcome
+
+
+@pytest.fixture(scope="module")
+def numpy_pipeline():
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_native, "available", lambda: False)
+        return _pipeline(ReproConfig(seed=77))
+
+
+class TestBackendsAgree:
+    """The numpy fallback and the native kernels (the threaded per-TSC
+    counting and keystream, the single-threaded walk) give one result."""
+
+    def test_pipeline(self, engine_threads, numpy_pipeline):
+        config = ReproConfig(seed=77, native_threads=engine_threads)
+        loglik, walked, outcome = _pipeline(config)
+        ref_loglik, ref_walked, ref_outcome = numpy_pipeline
+        np.testing.assert_array_equal(
+            loglik.view(np.int64), ref_loglik.view(np.int64)
+        )
+        assert walked == ref_walked
+        assert outcome == ref_outcome
+        assert outcome == (
+            "exhausted",
+            f"no CRC-valid candidate within {_PIPELINE_BUDGET} candidates",
+        )
+
+    def test_hit_below_a_decoy(self, engine_threads):
+        loglik, known, mic = _planted(np.random.default_rng(5), decoy=True)
+        result = decrypt_mic_icv(loglik, known, max_candidates=1 << 13)
+        assert result.mic == mic
+        # The 2^12 candidates mixing decoy and true bytes come first; only
+        # the all-true one passes the CRC.
+        assert result.candidates_tried == 1 << 12
+
+    @pytest.mark.parametrize("budget", [-5, 0])
+    def test_budget_below_one_rejected(self, engine_threads, budget):
+        loglik, known, _ = _planted(np.random.default_rng(6), decoy=False)
+        with pytest.raises(AttackError, match="max_candidates must be >= 1"):
+            decrypt_mic_icv(loglik, known, max_candidates=budget)
+
+    def test_budget_of_one(self, engine_threads):
+        loglik, known, mic = _planted(np.random.default_rng(6), decoy=False)
+        result = decrypt_mic_icv(loglik, known, max_candidates=1, true_mic=mic)
+        assert result.correct and result.candidates_tried == 1
+        loglik, known, _ = _planted(np.random.default_rng(6), decoy=True)
+        with pytest.raises(AttackError, match="within 1 candidates"):
+            decrypt_mic_icv(loglik, known, max_candidates=1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nan_and_plus_inf_rejected(self, engine_threads, bad):
+        loglik, known, _ = _planted(np.random.default_rng(7), decoy=False)
+        loglik[9, 0x10] = bad
+        with pytest.raises(CandidateError, match="NaN or \\+inf"):
+            decrypt_mic_icv(loglik, known, max_candidates=16)

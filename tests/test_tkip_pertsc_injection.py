@@ -66,6 +66,14 @@ class TestPerTscGeneration:
         assert loaded.tsc_values == [3, 9]
         assert np.allclose(loaded.dists, dists.dists)
 
+    def test_truncated_file_raises_dataset_error(self, config, tmp_path):
+        dists = generate_per_tsc(config, [3, 9], keys_per_tsc=256, length=4)
+        path = dists.save(tmp_path / "per_tsc.npz")
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        with pytest.raises(DatasetError, match="per_tsc.npz"):
+            PerTscDistributions.load(path)
+
     def test_determinism(self, config):
         a = generate_per_tsc(config, [5], keys_per_tsc=256, length=4)
         b = generate_per_tsc(config, [5], keys_per_tsc=256, length=4)
