@@ -32,15 +32,6 @@ count and backend knob in the library:
     capped exponential retry backoff, and the default local worker
     count for ``distributed`` experiment runs.
 
-``REPRO_CANDIDATE_MEM``
-    Peak scratch-memory budget in bytes for the selection passes of the
-    candidate-recovery engine's numpy fallback (Algorithm 2's pooled
-    top-N selection; see :mod:`repro.core.candidates.viterbi`; the
-    native k-way merge needs no such scratch).  Accepts a plain byte count
-    or a ``K``/``M``/``G`` suffix (e.g. ``512M``); default 2 GiB —
-    enough to run the paper's N=2^23 Fig 10 budget without segmented
-    selection while staying inside a CI-class machine.
-
 This module is the *only* place in ``src/repro`` that reads ``REPRO_*``
 environment variables.  Library code goes through :func:`get_config` (or
 the ``env_native_*`` accessors for the process-global backend), so tests
@@ -68,7 +59,6 @@ _ENV_FLEET_LEASE_TTL = "REPRO_FLEET_LEASE_TTL"
 _ENV_FLEET_RETRY_BUDGET = "REPRO_FLEET_RETRY_BUDGET"
 _ENV_FLEET_BACKOFF_BASE = "REPRO_FLEET_BACKOFF_BASE"
 _ENV_FLEET_WORKERS = "REPRO_FLEET_WORKERS"
-_ENV_CANDIDATE_MEM = "REPRO_CANDIDATE_MEM"
 
 #: Fleet defaults (see :mod:`repro.fleet`): a lease whose heartbeat is
 #: older than the TTL is stale and reclaimable; a shard is retried up to
@@ -76,11 +66,6 @@ _ENV_CANDIDATE_MEM = "REPRO_CANDIDATE_MEM"
 DEFAULT_FLEET_LEASE_TTL = 30.0
 DEFAULT_FLEET_RETRY_BUDGET = 3
 DEFAULT_FLEET_BACKOFF_BASE = 0.25
-
-#: Default candidate-engine scratch budget: 2 GiB covers the paper's
-#: full N=2^23 Algorithm 2 runs without falling back to segmented
-#: selection, and fits CI-class machines.
-DEFAULT_CANDIDATE_MEM = 1 << 31
 
 #: Values that switch a boolean knob off (matching the historical
 #: behaviour of REPRO_NATIVE=0 / REPRO_NATIVE_INTERLEAVE=0).
@@ -113,9 +98,6 @@ class ReproConfig:
             exponential retry backoff (>= 0).
         fleet_workers: default local worker count for ``distributed``
             experiment runs; ``None`` means ``os.cpu_count()``.
-        candidate_mem: peak scratch bytes the candidate-recovery
-            engine's numpy fallback may use per selection pass (>= 1;
-            default 2 GiB).
     """
 
     scale: float = 1.0
@@ -129,7 +111,6 @@ class ReproConfig:
     fleet_retry_budget: int = DEFAULT_FLEET_RETRY_BUDGET
     fleet_backoff_base: float = DEFAULT_FLEET_BACKOFF_BASE
     fleet_workers: int | None = None
-    candidate_mem: int = DEFAULT_CANDIDATE_MEM
 
     def __post_init__(self) -> None:
         if not (self.scale > 0.0):
@@ -161,11 +142,6 @@ class ReproConfig:
                     f"fleet_workers must be a positive int or None, "
                     f"got {self.fleet_workers!r}"
                 )
-        if not isinstance(self.candidate_mem, int) or self.candidate_mem < 1:
-            raise ConfigError(
-                f"candidate_mem must be a positive int (bytes), "
-                f"got {self.candidate_mem!r}"
-            )
 
     def scaled(
         self, count: int, *, minimum: int = 1, maximum: int | None = None
@@ -274,38 +250,6 @@ def env_fleet_workers() -> int | None:
     return _env_int(_ENV_FLEET_WORKERS, None)
 
 
-#: Byte-count suffixes accepted by ``REPRO_CANDIDATE_MEM``.
-_MEM_SUFFIXES = {"K": 1 << 10, "M": 1 << 20, "G": 1 << 30}
-
-
-def env_candidate_mem() -> int:
-    """``REPRO_CANDIDATE_MEM`` in bytes (default 2 GiB).
-
-    Accepts a plain integer byte count or a ``K``/``M``/``G``-suffixed
-    value such as ``512M``.
-    """
-    raw = os.environ.get(_ENV_CANDIDATE_MEM, "").strip()
-    if not raw:
-        return DEFAULT_CANDIDATE_MEM
-    unit = 1
-    body = raw
-    if raw[-1].upper() in _MEM_SUFFIXES:
-        unit = _MEM_SUFFIXES[raw[-1].upper()]
-        body = raw[:-1]
-    try:
-        value = int(float(body) * unit) if unit > 1 else int(body)
-    except ValueError as exc:
-        raise ConfigError(
-            f"{_ENV_CANDIDATE_MEM} must be a byte count "
-            f"(optionally K/M/G-suffixed), got {raw!r}"
-        ) from exc
-    if value < 1:
-        raise ConfigError(
-            f"{_ENV_CANDIDATE_MEM} must be >= 1 byte, got {raw!r}"
-        )
-    return value
-
-
 def get_config() -> ReproConfig:
     """Build a :class:`ReproConfig` from the environment (or defaults)."""
     raw_scale = os.environ.get(_ENV_SCALE, "1.0")
@@ -337,5 +281,4 @@ def get_config() -> ReproConfig:
         fleet_retry_budget=max(1, env_fleet_retry_budget()),
         fleet_backoff_base=max(0.0, env_fleet_backoff_base()),
         fleet_workers=fleet_workers,
-        candidate_mem=env_candidate_mem(),
     )

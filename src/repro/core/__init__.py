@@ -24,12 +24,11 @@ from .likelihood.single import single_byte_log_likelihoods
 from .candidates.single_list import algorithm1
 from .candidates.lazy import lazy_candidate_blocks, lazy_candidates
 from .candidates.matrix import CandidateMatrix, PlaintextView
-from .candidates.viterbi import CandidateList, algorithm2
+from .candidates.viterbi import algorithm2
 from .candidates.hmm import PlaintextHmm
 from .recovery import PlaintextRecovery
 
 __all__ = [
-    "CandidateList",
     "CandidateMatrix",
     "PlaintextHmm",
     "PlaintextView",

@@ -4,10 +4,9 @@ from .hmm import PlaintextHmm
 from .lazy import lazy_candidate_blocks, lazy_candidates
 from .matrix import CandidateMatrix, PlaintextView
 from .single_list import algorithm1
-from .viterbi import CandidateList, algorithm2
+from .viterbi import algorithm2
 
 __all__ = [
-    "CandidateList",
     "CandidateMatrix",
     "PlaintextHmm",
     "PlaintextView",

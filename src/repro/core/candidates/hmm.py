@@ -9,9 +9,11 @@ the same null observation (plaintext values leak no side channel).
 :class:`PlaintextHmm` makes that construction explicit.  It is the
 specification object: `viterbi` (1-best) and `n_best` delegate to the
 production implementation (:func:`repro.core.candidates.viterbi
-.algorithm2`), while `brute_force` enumerates the whole sequence space —
+.algorithm2`, a lazy list Viterbi), while `brute_force` enumerates the
+whole sequence space into the same :class:`CandidateMatrix` form —
 feasible only for tiny alphabets, which is exactly what the property
-tests use to verify the decoder.
+tests use to verify the decoder.  As in ``algorithm2``, only a ``None``
+charset means every byte value; an empty one is an error.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from ...errors import CandidateError
 from .matrix import CandidateMatrix
-from .viterbi import CandidateList, algorithm2
+from .viterbi import algorithm2
 
 
 class PlaintextHmm:
@@ -35,6 +37,10 @@ class PlaintextHmm:
         first_byte: known initial state m1.
         last_byte: known final state mL.
         charset: allowed values for the interior states (default: all).
+
+    Raises:
+        CandidateError: on a malformed likelihood array or an empty
+            charset.
     """
 
     def __init__(
@@ -53,7 +59,11 @@ class PlaintextHmm:
         self._lam = lam
         self._first = first_byte
         self._last = last_byte
-        self._charset = bytes(sorted(set(charset))) if charset else bytes(range(256))
+        if charset is None:
+            charset = range(256)
+        elif not charset:
+            raise CandidateError("charset must be non-empty")
+        self._charset = bytes(sorted(set(charset)))
 
     @property
     def num_unknown(self) -> int:
@@ -82,7 +92,7 @@ class PlaintextHmm:
             self._lam, self._first, self._last, n, charset=self._charset
         )
 
-    def brute_force(self, n: int | None = None) -> CandidateList:
+    def brute_force(self, n: int | None = None) -> CandidateMatrix:
         """Exhaustively rank the whole interior space (tiny alphabets only).
 
         Guarded at 2**20 sequences; used by tests as ground truth.
@@ -100,7 +110,9 @@ class PlaintextHmm:
         scored.sort(key=lambda item: (-item[0], item[1]))
         if n is not None:
             scored = scored[:n]
-        return CandidateList(
-            plaintexts=[seq for _, seq in scored],
+        return CandidateMatrix(
+            matrix=np.array(
+                [list(seq) for _, seq in scored], dtype=np.uint8
+            ).reshape(len(scored), self.num_unknown),
             log_likelihoods=np.array([score for score, _ in scored]),
         )

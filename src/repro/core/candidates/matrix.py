@@ -21,8 +21,8 @@ class PlaintextView:
     """Lazy ``list[bytes]``-compatible view over candidate matrix rows.
 
     Supports ``len``, integer and slice indexing, iteration, ``in`` and
-    ``index`` — the operations existing :class:`CandidateList` consumers
-    use — materialising ``bytes`` only for the rows actually touched.
+    ``index`` — the ``list[bytes]`` operations candidate consumers use —
+    materialising ``bytes`` only for the rows actually touched.
     """
 
     __slots__ = ("_matrix",)
@@ -81,10 +81,10 @@ def _row_index(matrix: np.ndarray, plaintext) -> int | None:
 class CandidateMatrix:
     """Ranked plaintext candidates as one contiguous array.
 
-    Drop-in replacement for :class:`CandidateList` (same ``len``/
-    iteration/`rank_of`` contract, ``plaintexts`` is a lazy view instead
-    of a ``list[bytes]``), with the batched consumers — pruner masks,
-    oracle blocks — operating on :attr:`matrix` directly.
+    Supports ``len``, iteration over ``(plaintext, score)`` pairs and
+    :meth:`rank_of`; ``plaintexts`` is a lazy ``list[bytes]``-compatible
+    view, and the batched consumers — pruner masks, oracle blocks —
+    operate on :attr:`matrix` directly.
 
     Attributes:
         matrix: uint8 (N, L); row i is the i-th best candidate.

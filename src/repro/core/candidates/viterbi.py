@@ -8,86 +8,48 @@ in the paper, the first and last plaintext bytes (m1, mL) are known, and
 the inner loops range only over an allowed character set — the RFC 6265
 cookie-charset restriction of §6.2 that tightens the ciphertext bound.
 
-This implementation keeps, for every allowed ending value mu, the N best
-partial plaintexts ending in mu — the "simplest form" of list Viterbi the
-paper describes — with three array-major refinements over the naive
-merge so N=2^23 (the paper's full Fig 10 budget) is routine:
+The "simplest form" of list Viterbi the paper describes keeps the N best
+partial plaintexts for every ending value at every step: O(A * N * L)
+scores, about 65 GiB for a 16-character cookie at N = 2^23 (the paper's
+full Fig 10 budget).  This module computes the same lists lazily (Huang
+and Chiang, "Better k-best parsing", IWPT 2005, Algorithm 3):
 
-* **Per-state k-way merge.**  Every per-ending-value extension row is a
-  concatenation of A blocks that are already sorted (the previous
-  step's lists), so its N best entries are the first N pops of an A-way
-  merge.  The native backend (:func:`repro.rc4._native.merge_topk`)
-  runs that merge with a loser tree per row, splitting rows across
-  threads; it needs O(threads * A) scratch.  Without the backend
-  (``REPRO_NATIVE=0`` or no C compiler) a threshold-pruned numpy
-  selection takes over: a small per-block sample (A*m ~ 2N scores)
-  lower-bounds the N-th best pooled value T, one ``searchsorted`` per
-  block counts exactly the entries that can still reach the top N
-  (value >= T), and selection runs on that gathered superset alone,
-  with scratch bounded by ``REPRO_CANDIDATE_MEM`` (see
-  :func:`_plan_chunk`).
-* **Packed backpointers.**  The flat pool index *is* the backpointer
-  pair ``prev_idx * K_prev + prev_rank``; storing it directly halves the
-  dominant allocation at 2^23 versus a ``(idx, rank)`` int32 pair, and
-  int32 suffices whenever ``A * K_prev < 2^31``.
-* **Step-major vectorized backtrack.**  One fancy-index gather per
-  plaintext position recovers all N candidates at once into the
-  ``(N, L)`` uint8 :class:`CandidateMatrix`, instead of a per-candidate
-  Python walk.
+* A *node* is a (step, ending value) pair.  One vectorised Viterbi pass
+  gives every node its best partial plaintext, rank 0.
+* A node computes its next partial plaintext only when a node of the
+  next step asks for it.  It pops that from a frontier heap holding, for
+  each predecessor, the best extension not yet taken; the successor of
+  the popped extension (same predecessor, next rank) is pushed only
+  when the node is next asked for a rank.  Asking may walk back through
+  the steps, on an explicit stack so that any L works.
+* Each node stores the extensions asked of it in compact arrays (a
+  float64 score, a uint8 predecessor index and a uint32 predecessor
+  rank), a few per output candidate in all, so N = 2^23 fits in about a
+  gigabyte.
+* A step-major backtrack gathers all N rows per plaintext position into
+  the ``(N, L)`` uint8 :class:`CandidateMatrix`.
 
-Selection is *canonical*: the N kept extensions are the largest by
-``(score desc, flat index asc)``, so the output is a pure function of
-the likelihoods — the same bits from either backend, at any thread
-count, chunking, pooling, or segmentation.  That order needs comparable
-scores, so NaN and +inf log-likelihoods are rejected; -inf (an
-impossible pair) is allowed.
+The order is *canonical*: a node's extensions come out by ``(score desc,
+flat index asc)``, the flat index being ``pred * K_prev + rank``, which
+is the heap's tuple order on ``(pooled, pred, rank)`` with ``pooled =
+neg_trans - score_prev`` (-0.0 and +0.0 tie and fall to the index).  A
+score is stored as ``-pooled``, never recomputed as ``score_prev +
+trans``, which would flip the sign of some zero scores.  So the output is
+a pure function of the likelihoods.  That order needs comparable scores,
+so NaN and +inf log-likelihoods are rejected; -inf (an impossible pair)
+is allowed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from array import array
+from heapq import heapify, heappop, heappushpop
+from itertools import repeat
 
 import numpy as np
 
 from ...errors import CandidateError
-from ...rc4 import _native
 from .matrix import CandidateMatrix
-
-#: Scratch bytes per pooled score during selection: the float64 negated
-#: pool, argpartition's intp index array, and selected-block temporaries.
-_SCRATCH_BYTES_PER_CELL = 24
-
-_INT32_MAX = np.iinfo(np.int32).max
-
-
-@dataclass(frozen=True)
-class CandidateList:
-    """Ranked plaintext candidates, materialised as ``bytes`` objects.
-
-    The single-byte pipeline (Algorithm 1, the lazy enumerator, brute
-    force ground truth) stays on this list form; Algorithm 2 returns the
-    array-major :class:`CandidateMatrix` with the same interface.
-
-    Attributes:
-        plaintexts: candidate unknown-part byte strings, best first.
-        log_likelihoods: matching scores, non-increasing.
-    """
-
-    plaintexts: list[bytes]
-    log_likelihoods: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.plaintexts)
-
-    def __iter__(self):
-        return iter(zip(self.plaintexts, self.log_likelihoods))
-
-    def rank_of(self, plaintext: bytes) -> int | None:
-        """0-based rank of ``plaintext``, or None if absent from the list."""
-        try:
-            return self.plaintexts.index(bytes(plaintext))
-        except ValueError:
-            return None
 
 
 def algorithm2(
@@ -97,7 +59,6 @@ def algorithm2(
     num_candidates: int,
     *,
     charset: bytes | None = None,
-    mem_budget: int | None = None,
 ) -> CandidateMatrix:
     """Generate the N most likely plaintexts from double-byte estimates.
 
@@ -110,11 +71,6 @@ def algorithm2(
         num_candidates: N.
         charset: allowed byte values for the L-2 unknown positions
             (default: all 256).  The known bytes need not be in it.
-        mem_budget: peak selection-scratch budget in bytes of the numpy
-            fallback (default: the ``REPRO_CANDIDATE_MEM`` configuration
-            knob).  Bounds the transient arrays only; the O(A * N)
-            scores/backpointer state is inherent to list Viterbi, and the
-            native merge needs no selection scratch.
 
     Returns:
         A :class:`CandidateMatrix` over the L-2 *unknown* bytes (the
@@ -144,245 +100,146 @@ def algorithm2(
         if not charset:
             raise CandidateError("charset must be non-empty")
         alphabet = np.asarray(sorted(set(charset)), dtype=np.intp)
-    a_size = alphabet.size
-    if mem_budget is None:
-        from ...config import get_config
 
-        mem_budget = get_config().candidate_mem
-    if mem_budget < 1:
-        raise CandidateError(f"mem_budget must be >= 1 byte, got {mem_budget}")
+    # Ending values per step: the unknown positions range over the
+    # alphabet; the last step's single node ends on mL.
+    ends = [alphabet] * (num_steps - 1) + [np.array([last_byte])]
 
-    # --- forward pass -----------------------------------------------------
-    # scores[s]: (a_size, K_s) partial log-likelihoods, row = ending value,
-    # sorted descending along axis 1.  back[s]: (a_size, K_s) packed flat
-    # backpointers prev_idx * K_{s-1} + prev_rank; back_k[s] = K_{s-1}.
-    scores = lam[0, first_byte, alphabet][:, None]  # K = 1
-    back: list[np.ndarray | None] = [None]
-    back_k: list[int] = [0]
+    # --- rank 0 of every node: one vectorised Viterbi pass ------------------
+    # best[s][v]: the best partial score ending in ends[s][v]; arg[s][v]: its
+    # predecessor index at step s - 1 (argmin keeps the lowest on ties).
+    best = [lam[0, first_byte, alphabet]]
+    arg = [np.zeros(alphabet.size, dtype=np.uint8)]
+    for step in range(1, num_steps):
+        pooled = -lam[step][np.ix_(alphabet, ends[step])].T - best[-1]
+        pred = np.argmin(pooled, axis=1)
+        best.append(-pooled[np.arange(pred.size), pred])
+        arg.append(pred.astype(np.uint8))
 
-    for step in range(1, num_steps - 1):
-        k_prev = scores.shape[1]
-        trans = lam[step][np.ix_(alphabet, alphabet)]  # (from, to)
-        k_new = min(num_candidates, a_size * k_prev)
-        ptr_dtype = np.int64 if a_size * k_prev > _INT32_MAX else np.int32
-        # ext[to, from, rank] = scores[from, rank] + trans[from, to];
-        # computed negated so selection never copies the pool again.
-        neg_trans_t = np.ascontiguousarray(-trans.T)  # (to, from)
-        sel_idx, sel_neg = _extend_topk(scores, neg_trans_t, k_new, mem_budget)
-        scores = -sel_neg
-        back.append(sel_idx.astype(ptr_dtype, copy=False))
-        back_k.append(k_prev)
+    levels = _lazy_lists(lam, alphabet, ends, best, arg, num_candidates)
 
-    # --- final step: ending value fixed to mL -----------------------------
-    k_prev = scores.shape[1]
-    trans_last = lam[num_steps - 1][alphabet, last_byte]  # (from,)
-    k_final = min(num_candidates, a_size * k_prev)
-    sel_idx, sel_neg = _extend_topk(
-        scores, -trans_last[None, :], k_final, mem_budget
-    )
-    top = sel_idx[0]
-    final_scores = -sel_neg[0]
-    from_idx, rank = np.divmod(top, k_prev)
-
-    # --- step-major vectorized backtrack -----------------------------------
+    # --- step-major vectorized backtrack -------------------------------------
     # One gather per plaintext position recovers all N candidates at once.
     length = num_steps - 1
-    out = np.empty((top.size, length), dtype=np.uint8)
+    final = levels[length][0]
+    if final is None:
+        final_scores = best[length].copy()
+    else:
+        final_scores = np.frombuffer(final.scores, dtype=np.float64).copy()
+    pred, rank, _ = _flatten(levels[length], arg[length])
+    out = np.empty((final_scores.size, length), dtype=np.uint8)
     alphabet_u8 = alphabet.astype(np.uint8)
-    idx, rnk = from_idx, rank
-    out[:, length - 1] = alphabet_u8[idx]
-    for step in range(num_steps - 2, 0, -1):
-        code = back[step][idx, rnk]
-        idx, rnk = np.divmod(code, back_k[step])
-        out[:, step - 1] = alphabet_u8[idx]
+    out[:, length - 1] = alphabet_u8[pred]
+    for step in range(length - 1, 0, -1):
+        preds, ranks, starts = _flatten(levels[step], arg[step])
+        flat = starts[pred] + rank
+        pred, rank = preds[flat], ranks[flat]
+        out[:, step - 1] = alphabet_u8[pred]
     return CandidateMatrix(matrix=out, log_likelihoods=final_scores)
 
 
-def _initial_pool_width(k: int, a_size: int, k_prev: int) -> int:
-    """Per-block sample width: 2x the even k/A split (so the sampled pool
-    holds >= k entries and its k-th value is a usable threshold), capped
-    at the full block length."""
-    return min(k_prev, max(-(-k // a_size) * 2, 1))
+class _Node:
+    """The extensions one (step, ending value) node has been asked for."""
+
+    __slots__ = (
+        "step", "prev", "scores", "preds", "ranks", "frontier",
+        "neg_trans", "done",
+    )
 
 
-def _extend_topk(
-    scores: np.ndarray,
-    neg_trans_rows: np.ndarray,
-    k: int,
-    mem_budget: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical top-k extensions for a batch of ending values.
+def _lazy_lists(
+    lam: np.ndarray,
+    alphabet: np.ndarray,
+    ends: list[np.ndarray],
+    best: list[np.ndarray],
+    arg: list[np.ndarray],
+    n: int,
+) -> list[list[_Node | None]]:
+    """Ask the last step's node for up to ``n`` extensions.
 
-    For each row r the pool is ``neg_trans_rows[r, b] - scores[b, i]``
-    over all blocks b and ranks i (negated scores: smaller is better),
-    and the canonical top-k is by ``(value asc, flat index asc)`` with
-    flat index ``b * k_prev + i``.
-
-    With the native backend each row is a k-way merge of its sorted
-    blocks (:func:`repro.rc4._native.merge_topk`).  The numpy fallback
-    is exact threshold pruning: the k-th best value T of a per-block
-    sample (the first m entries of every block, which are the per-block
-    best because rows of ``scores`` are sorted descending) is a lower
-    bound on the true k-th score, so every true top-k entry satisfies
-    ``pooled <= T``.  Counting those entries per block is a single
-    ``searchsorted``; selection then runs on the gathered superset only.
-
-    Args:
-        scores: (A, K_prev) previous lists, rows sorted descending.
-        neg_trans_rows: (R, A) negated transition weights into each
-            ending value.
-        k: entries to keep per row; must satisfy ``k <= A * K_prev``.
-        mem_budget: scratch budget in bytes of the numpy fallback (see
-            :func:`_plan_chunk`).
-
-    Returns:
-        ``(sel_idx, sel_neg)``: (R, k) int64 packed flat backpointers and
-        float64 negated scores, best first.
+    Returns, per step, the list of its nodes: a :class:`_Node` once the
+    node has been asked past rank 0, else None (its only extension is
+    ``best``/``arg``).  Every step-0 node is one shared exhausted node.
     """
-    if _native.available():
-        return _native.merge_topk(scores, neg_trans_rows, k)
-    a_size, k_prev = scores.shape
-    num_rows = neg_trans_rows.shape[0]
-    m = _initial_pool_width(k, a_size, k_prev)
-    block_ids = np.arange(a_size, dtype=np.intp)
-    sel_idx = np.empty((num_rows, k), dtype=np.int64)
-    sel_neg = np.empty((num_rows, k), dtype=np.float64)
-    chunk = _plan_chunk(a_size, m, mem_budget)
-    if m >= k_prev:
-        # The sample is the whole pool: select directly, in batches.
-        full_orig = (
-            block_ids[:, None] * k_prev + np.arange(k_prev, dtype=np.intp)[None, :]
-        ).reshape(-1)
-        for s in range(0, num_rows, chunk):
-            nt = neg_trans_rows[s : s + chunk]
-            pool = (nt[:, :, None] - scores[None, :, :]).reshape(nt.shape[0], -1)
-            si, sn = _select_desc(pool, full_orig, k, mem_budget)
-            sel_idx[s : s + chunk] = si
-            sel_neg[s : s + chunk] = sn
-        return sel_idx, sel_neg
-    neg_scores = -scores  # rows ascending; negation is exact
-    for s in range(0, num_rows, chunk):
-        nt = neg_trans_rows[s : s + chunk]  # (R_c, A)
-        sample = (nt[:, :, None] - scores[None, :, :m]).reshape(nt.shape[0], -1)
-        t_neg = np.partition(sample, k - 1, axis=1)[:, k - 1]  # (R_c,)
-        # pooled <= t  <=>  scores[b, i] >= nt[b] - t; count per block via
-        # one searchsorted on the (shared) ascending negated-score rows.
-        thr = nt - t_neg[:, None]  # (R_c, A)
-        counts = np.empty(nt.shape, dtype=np.intp)
-        for b in range(a_size):
-            counts[:, b] = np.searchsorted(neg_scores[b], -thr[:, b], side="right")
-        # thr is rounded, so the count can be short by an ulp-boundary
-        # entry; blocks are sorted, so checking each block's first
-        # excluded pooled value (its best excluded) restores exactness.
-        while True:
-            first_excl = nt - scores[
-                block_ids[None, :], np.minimum(counts, k_prev - 1)
-            ]
-            viol = (counts < k_prev) & (first_excl <= t_neg[:, None])
-            if not viol.any():
-                break
-            counts[viol] += 1
-        for r in range(nt.shape[0]):
-            # Ragged gather of the qualifying prefix of every block:
-            # O(sum(counts)) regardless of skew across blocks.
-            c = counts[r]
-            starts = np.cumsum(c) - c
-            total = int(starts[-1] + c[-1])
-            bid = np.repeat(block_ids, c)
-            pos = np.arange(total, dtype=np.intp) - np.repeat(starts, c)
-            pool = (nt[r][bid] - scores[bid, pos])[None, :]
-            orig = bid * k_prev + pos
-            si, sn = _select_desc(pool, orig, k, mem_budget)
-            sel_idx[s + r] = si[0]
-            sel_neg[s + r] = sn[0]
-    return sel_idx, sel_neg
+    # A node is asked for rank j only after a node of the next step popped
+    # its rank j - 1 and was asked for more, so no node holds more than n
+    # extensions and a rank fits in 32 bits while n does.
+    rank_code = "I" if n < 1 << 32 else "q"
+    start = _Node()
+    start.scores = ()
+    start.done = True
+    levels = [[start] * alphabet.size] + [[None] * len(end) for end in ends[1:]]
 
+    def expand(step: int, v: int) -> _Node:
+        # First ask past rank 0: the frontier holds every other
+        # predecessor's rank 0; the successor of rank 0 is pushed below.
+        node = levels[step][v] = _Node()
+        row = -lam[step][alphabet, ends[step][v]]
+        first = int(arg[step][v])
+        pooled = (row - best[step - 1]).tolist()
+        node.frontier = list(zip(pooled, range(len(pooled)), repeat(0)))
+        del node.frontier[first]
+        heapify(node.frontier)
+        node.neg_trans = row.tolist()
+        node.scores = array("d", [best[step][v]])
+        node.preds = array("B", [first])
+        node.ranks = array(rank_code, [0])
+        node.step = step
+        node.prev = levels[step - 1]
+        node.done = False
+        return node
 
-def _plan_chunk(a_size: int, pool_width: int, mem_budget: int) -> int:
-    """Ending values per selection batch.
-
-    One batch row materialises ``a_size * pool_width`` pooled scores and
-    selection scratch of :data:`_SCRATCH_BYTES_PER_CELL` bytes each, so
-    the batch height is ``mem_budget`` divided by that row cost, clamped
-    to [1, a_size].  (At chunk 1 a single row may still exceed the
-    budget; :func:`_select_desc` then segments along the pool axis.)
-    """
-    per_row = a_size * pool_width * _SCRATCH_BYTES_PER_CELL
-    return max(1, min(a_size, mem_budget // max(per_row, 1)))
-
-
-def _select_desc(
-    neg_values: np.ndarray,
-    orig_idx: np.ndarray,
-    k: int,
-    mem_budget: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical top-k per row of a negated score pool.
-
-    Selects, for every row, the k entries that are largest by
-    ``(score desc, original index asc)`` — a total order, so the result
-    is independent of how the pool was built or split.  ``orig_idx``
-    maps pool columns to original flat indices and must be strictly
-    increasing (pool order == index order, which makes the boundary
-    tie-break a prefix take).
-
-    Returns:
-        ``(sel_idx, sel_neg)``: original indices and negated scores of
-        the selected entries, ordered best first.
-    """
-    n = neg_values.shape[1]
-    if k >= n:
-        # Stable sort on the negated values orders ties by pool position
-        # == original index: already canonical.
-        order = np.argsort(neg_values, axis=1, kind="stable")
-        return orig_idx[order], np.take_along_axis(neg_values, order, axis=1)
-    if neg_values.shape[0] > 1 and n * _SCRATCH_BYTES_PER_CELL > mem_budget:
-        picked = [
-            _select_desc(neg_values[r : r + 1], orig_idx, k, mem_budget)
-            for r in range(neg_values.shape[0])
-        ]
-        return (
-            np.concatenate([p[0] for p in picked]),
-            np.concatenate([p[1] for p in picked]),
-        )
-    seg = max(k, mem_budget // _SCRATCH_BYTES_PER_CELL)
-    if n > seg and neg_values.shape[0] == 1:
-        # Segmented top-k: the canonical top-k of the union equals the
-        # canonical top-k of the per-segment canonical top-k's (any
-        # element beaten by k entries within its own segment is beaten
-        # by k entries globally).
-        parts: list[tuple[np.ndarray, np.ndarray]] = []
-        for s in range(0, n, seg):
-            parts.append(
-                _select_desc(
-                    neg_values[:, s : s + seg],
-                    orig_idx[s : s + seg],
-                    min(k, n - s) if n - s < k else k,
-                    mem_budget,
+    top = len(ends) - 1
+    if n > 1:
+        expand(top, 0)
+    for _ in range(n - 1):
+        stack = [levels[top][0]]
+        while stack:
+            node = stack[-1]
+            b = node.preds[-1]
+            r = node.ranks[-1] + 1
+            pred = node.prev[b]
+            if pred is None:
+                stack.append(expand(node.step - 1, b))
+                continue
+            if len(pred.scores) > r:
+                entry = heappushpop(
+                    node.frontier, (node.neg_trans[b] - pred.scores[r], b, r)
                 )
-            )
-        union_idx = np.concatenate([p[0][0] for p in parts])
-        union_neg = np.concatenate([p[1][0] for p in parts])
-        merge = np.lexsort((union_idx, union_neg))[:k]
-        return union_idx[merge][None, :], union_neg[merge][None, :]
+            elif not pred.done:
+                stack.append(pred)
+                continue
+            elif node.frontier:
+                entry = heappop(node.frontier)
+            else:
+                node.done = True
+                stack.pop()
+                continue
+            node.scores.append(-entry[0])
+            node.preds.append(entry[1])
+            node.ranks.append(entry[2])
+            stack.pop()
+        if levels[top][0].done:
+            break
+    return levels
 
-    part = np.argpartition(neg_values, k - 1, axis=1)[:, :k]
-    part_neg = np.take_along_axis(neg_values, part, axis=1)
-    order = np.lexsort((orig_idx[part], part_neg), axis=1)
-    sel = np.take_along_axis(part, order, axis=1)
-    sel_neg = np.take_along_axis(part_neg, order, axis=1)
-    # argpartition picks an unspecified subset of entries tied with the
-    # k-th value; canonicalise those rows to the lowest original indices.
-    kth = sel_neg[:, -1]
-    eq_pool = (neg_values == kth[:, None]).sum(axis=1)
-    eq_sel = (sel_neg == kth[:, None]).sum(axis=1)
-    for r in np.nonzero(eq_pool != eq_sel)[0]:
-        v = kth[r]
-        better = np.nonzero(neg_values[r] < v)[0]
-        tied = np.nonzero(neg_values[r] == v)[0][: k - better.size]
-        cols = np.concatenate([better, tied])
-        row_neg = neg_values[r, cols]
-        o = np.lexsort((orig_idx[cols], row_neg))
-        sel[r] = cols[o]
-        sel_neg[r] = row_neg[o]
-    return orig_idx[sel], sel_neg
+
+def _flatten(
+    nodes: list[_Node | None], arg: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One step's extensions concatenated across its nodes, in node order.
+
+    Returns ``(preds, ranks, starts)``: the predecessor indices and ranks
+    of every stored extension, and each node's offset into them.
+    """
+    preds, ranks, counts = [], [], []
+    for v, node in enumerate(nodes):
+        if node is None:
+            preds.append(arg[v : v + 1])
+            ranks.append(np.zeros(1, dtype=np.uint32))
+        else:
+            preds.append(np.frombuffer(node.preds, dtype=np.uint8))
+            ranks.append(np.frombuffer(node.ranks, dtype=node.ranks.typecode))
+        counts.append(preds[-1].size)
+    counts = np.asarray(counts)
+    return np.concatenate(preds), np.concatenate(ranks), np.cumsum(counts) - counts

@@ -47,10 +47,9 @@
  * cross-checks this in tests/test_dataset_equivalence.py across thread
  * counts, the interleaved vs scalar kernels, and the SIMD tier.
  *
- * Besides the RC4 kernels, the file holds three row kernels that split
+ * Besides the RC4 kernels, the file holds two row kernels that split
  * output rows across the same threads: the §6 capture's digraph rows
- * (digraph_rows), Algorithm 2's per-ending-value k-way merge
- * (merge_rows) and the §6 statistic sampler's multinomial rows
+ * (digraph_rows) and the §6 statistic sampler's multinomial rows
  * (multinomial_rows, which calls numpy's own C sampler on one bit
  * generator per row, the threads taking the rows one at a time).  Each
  * row owns its output, so they are bit-identical for any thread count
@@ -898,114 +897,6 @@ static void *rows_main(void *arg)
     return NULL;
 }
 
-/* ---- Algorithm 2 list extension: per-row k-way merge (§4.4) -------------- */
-
-/* Output row r's pool is v(b, i) = nt[r][b] - scores[b][i] over the `a`
- * blocks b and ranks i < kp.  Every scores row is sorted descending, and
- * rounding is monotone, so each block is ascending in v; the canonical
- * top-k, by (v asc, flat index b*kp + i asc), is then the first k pops
- * of an a-way merge whose heads compare by (v, b).  A loser tree holds
- * the heads: tree[1..a-1] are the losers of the matches at the internal
- * nodes (children 2n and 2n+1, leaf b at node a + b), so a pop replays
- * one leaf-to-root path of about log2(a) matches.
- *
- * A head is one merge_key: order_key(v) in the high half, which orders
- * as the doubles do (NaN excepted), and b in the low half.  Where the
- * compiler has 128-bit integers a match is then one integer compare and
- * two conditional moves; the outcomes are data-dependent, and this ran
- * 2x faster than comparing (double, block) pairs with or without
- * branches (2-CPU AVX2 Xeon, a = 90, k = 4096).  An exhausted block's
- * head is UINT64_MAX, behind every live block, including +inf ones. */
-#ifdef __SIZEOF_INT128__
-typedef unsigned __int128 merge_key;
-#define MERGE_KEY(key, b) (((merge_key)(key) << 64) | (uint64_t)(b))
-#define MERGE_BLOCK(x) ((ptrdiff_t)(uint64_t)(x))
-#define MERGE_LESS(x, y) ((x) < (y))
-#else
-typedef struct {
-    uint64_t key, b;
-} merge_key;
-static merge_key merge_key_make(uint64_t key, ptrdiff_t b)
-{
-    merge_key x;
-    x.key = key;
-    x.b = (uint64_t)b;
-    return x;
-}
-#define MERGE_KEY(key, b) merge_key_make((key), (b))
-#define MERGE_BLOCK(x) ((ptrdiff_t)(x).b)
-#define MERGE_LESS(x, y)                                                     \
-    ((x).key < (y).key || ((x).key == (y).key && (x).b < (y).b))
-#endif
-
-/* Unsigned key with the order of the double v: sign-magnitude flipped to
- * two's-complement order, with -0.0 folded onto +0.0 (they compare
- * equal, so their order falls to the block). */
-static inline uint64_t order_key(double v)
-{
-    uint64_t u;
-    v += 0.0;
-    memcpy(&u, &v, sizeof u);
-    return u ^ ((uint64_t)((int64_t)u >> 63) | ((uint64_t)1 << 63));
-}
-
-typedef struct {
-    const double *scores;
-    const double *nt;
-    ptrdiff_t a, kp, k;
-    int64_t *out_idx;
-    double *out_neg;
-    merge_key *heads; /* 3a: tree (a), winners of the build (2a) */
-    ptrdiff_t *pos;   /* a: next rank per block */
-    ptrdiff_t r0, r1; /* this job's rows */
-} merge_job;
-
-static void merge_rows(const merge_job *job)
-{
-    const ptrdiff_t a = job->a, kp = job->kp, k = job->k;
-    merge_key *tree = job->heads, *win = tree + a;
-    ptrdiff_t *pos = job->pos;
-    ptrdiff_t r, b, n, j;
-    for (r = job->r0; r < job->r1; r++) {
-        const double *nt = job->nt + r * a;
-        int64_t *oi = job->out_idx + r * k;
-        double *on = job->out_neg + r * k;
-        merge_key cur;
-        for (b = 0; b < a; b++) {
-            win[a + b] = MERGE_KEY(order_key(nt[b] - job->scores[b * kp]), b);
-            pos[b] = 0;
-        }
-        for (n = a - 1; n >= 1; n--) {
-            merge_key x = win[2 * n], y = win[2 * n + 1];
-            int y_wins = MERGE_LESS(y, x);
-            win[n] = y_wins ? y : x;
-            tree[n] = y_wins ? x : y;
-        }
-        cur = win[1]; /* the root; for a == 1, leaf 0 itself */
-        for (j = 0; j < k; j++) {
-            ptrdiff_t w = MERGE_BLOCK(cur);
-            const double *head = job->scores + w * kp + pos[w];
-            oi[j] = (int64_t)(w * kp + pos[w]);
-            on[j] = nt[w] - head[0];
-            cur = MERGE_KEY(++pos[w] < kp ? order_key(nt[w] - head[1])
-                                          : UINT64_MAX,
-                            w);
-            for (n = (a + w) >> 1; n >= 1; n >>= 1) {
-                merge_key o = tree[n];
-                int o_wins = MERGE_LESS(o, cur);
-                tree[n] = o_wins ? cur : o;
-                cur = o_wins ? o : cur;
-            }
-        }
-    }
-}
-
-static void *merge_main(void *arg)
-{
-    merge_rows((const merge_job *)arg);
-    return NULL;
-}
-
 /* ---- multinomial rows through numpy's own sampler (§6 statistics) -------- */
 
 /* numpy's binomial_t, laid out as numpy/random/distributions.h declares
@@ -1179,56 +1070,6 @@ void rc4_count_digraph_rows(const uint8_t *cols, ptrdiff_t ld, ptrdiff_t n,
     }
     spawn_join(rows_main, (char *)jobs, sizeof(rows_job), threads);
     free(jobs);
-}
-
-/* Canonical top-k of `rows` pooled rows (see merge_rows above) into the
- * (rows, k) arrays out_idx (flat indices b*kp + i) and out_neg (pooled
- * values), best first; k <= a*kp.  Rows split across `threads` POSIX
- * threads as contiguous ranges, each with its own O(a) merge scratch, so
- * the output is bit-identical for any thread count.  Returns 0, or -1
- * (nothing written) when the scratch cannot be allocated. */
-int rc4_merge_topk(const double *scores, ptrdiff_t a, ptrdiff_t kp,
-                   const double *nt, ptrdiff_t rows, ptrdiff_t k,
-                   int64_t *out_idx, double *out_neg, int threads)
-{
-    merge_job *jobs;
-    merge_key *heads;
-    ptrdiff_t *pos;
-    ptrdiff_t base, extra, start;
-    int t;
-
-    if (threads > rows)
-        threads = (int)(rows > 0 ? rows : 1);
-    if (threads < 1)
-        threads = 1;
-    jobs = malloc((size_t)threads * sizeof(merge_job));
-    heads = malloc((size_t)threads * 3 * (size_t)a * sizeof(merge_key));
-    pos = malloc((size_t)threads * (size_t)a * sizeof(ptrdiff_t));
-    if (!jobs || !heads || !pos) {
-        free(jobs);
-        free(heads);
-        free(pos);
-        return -1;
-    }
-    base = rows / threads;
-    extra = rows % threads;
-    start = 0;
-    for (t = 0; t < threads; t++) {
-        merge_job job = {scores, nt, a, kp, k, out_idx, out_neg,
-                         heads + (ptrdiff_t)t * 3 * a,
-                         pos + (ptrdiff_t)t * a, start, 0};
-        start += base + (t < extra ? 1 : 0);
-        job.r1 = start;
-        jobs[t] = job;
-    }
-    if (threads == 1)
-        merge_rows(&jobs[0]);
-    else
-        spawn_join(merge_main, (char *)jobs, sizeof(merge_job), threads);
-    free(jobs);
-    free(heads);
-    free(pos);
-    return 0;
 }
 
 /* Multinomial rows (see multinomial_rows above) drawn by the calling

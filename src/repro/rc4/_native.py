@@ -1,13 +1,11 @@
 """Optional compiled backend for the RC4 statistics pipeline.
 
 ``_native.c`` (next to this module) implements per-key RC4 with the
-256-byte state in L1, fused generate-and-count kernels, and three row
+256-byte state in L1, fused generate-and-count kernels, and two row
 kernels: the §6 capture's (:func:`count_digraph_rows`: FM digraph and
 ABSAB differential codes of a transposed keystream block, each row XORed
 with its template constant and counted straight into its own 65536
-int64 cells), Algorithm 2's list extension (:func:`merge_topk`: per
-ending value, a k-way merge of the previous step's sorted lists into the
-canonical top N) and the §6 statistic sampler's
+int64 cells) and the §6 statistic sampler's
 (:func:`multinomial_rows`: numpy's own C ``random_multinomial``, one bit
 generator per row, so the draws are numpy's bit for bit), plus the §5
 CRC search's best-first walk (:func:`lazy_walk`: single-threaded, over
@@ -41,16 +39,16 @@ on the calling thread:
 The backend is strictly optional: if no compiler is present, compilation
 fails, or ``REPRO_NATIVE=0`` is set, :func:`available` returns False and
 callers (``repro.rc4.batch``, ``repro.datasets.generate``,
-``repro.core.candidates.viterbi``, ``repro.core.candidates.lazy``,
-``repro.simulate.sampling``) fall back to the pure-numpy paths.
+``repro.core.candidates.lazy``, ``repro.simulate.sampling``) fall back
+to the pure-numpy paths.
 An unexpected failure (as opposed to an explicit disable) emits a single
 :class:`RuntimeWarning` so slow runs are diagnosable;
 ``REPRO_NATIVE_CC`` pins the compiler for tests that simulate a broken
 toolchain.  Both paths are bit-exact with :mod:`repro.rc4.reference`;
 tests/test_dataset_equivalence.py compares them cell-for-cell,
-tests/test_candidate_equivalence.py compares the merge with the numpy
-selection and the walk with its ``heapq`` loop, and tests/test_simulate.py
-the multinomial rows with ``Generator.multinomial``.
+tests/test_candidate_equivalence.py compares the walk with its
+``heapq`` loop, and tests/test_simulate.py the multinomial rows with
+``Generator.multinomial``.
 
 No third-party dependency is involved — only :mod:`ctypes` and a C
 compiler that the pure-python fallback makes optional.  All ``REPRO_*``
@@ -247,16 +245,12 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         ctypes.POINTER(i64p), cint,
     ]
     lib.rc4_count_digraph_rows.restype = None
-    f64p = ctypes.POINTER(ctypes.c_double)
-    lib.rc4_merge_topk.argtypes = [
-        f64p, ssize, ssize, f64p, ssize, ssize, i64p, f64p, cint,
-    ]
-    lib.rc4_merge_topk.restype = cint
     ptrs = ctypes.POINTER(ctypes.c_void_p)
     lib.rc4_multinomial_rows.argtypes = [
         ctypes.c_void_p, ctypes.c_int64, ssize, ssize, ptrs, ptrs, ptrs, cint,
     ]
     lib.rc4_multinomial_rows.restype = None
+    f64p = ctypes.POINTER(ctypes.c_double)
     lib.rc4_lazy_walk.argtypes = [
         f64p, ssize, u8p, ssize, ctypes.POINTER(ssize), ssize, u8p, f64p,
     ]
@@ -554,51 +548,6 @@ def count_digraph_rows(
         xor.ctypes.data_as(ctypes.POINTER(ctypes.c_uint16)),
         pointers.ctypes.data_as(rows_p), threads,
     )
-
-
-def merge_topk(
-    scores: np.ndarray,
-    neg_trans_rows: np.ndarray,
-    k: int,
-    *,
-    threads: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical top-k list extensions of Algorithm 2 by k-way merge.
-
-    Row r's pool is ``neg_trans_rows[r, b] - scores[b, i]`` over blocks
-    b and ranks i of the float64 ``(A, K_prev)`` ``scores``, whose rows
-    must be sorted descending; the k kept entries are the smallest by
-    ``(value, flat index b * K_prev + i)``, best first.  Each row is an
-    A-way merge of its already-sorted blocks (a loser tree of A heads,
-    one float64 subtraction per pooled value), so scratch is O(threads
-    * A) whatever k is.  Rows split across threads as disjoint ranges,
-    so the result is bit-exact for any thread count.  Values must not
-    be NaN, where the order is undefined.
-
-    Returns:
-        ``(sel_idx, sel_neg)``: (R, k) int64 flat indices and float64
-        pooled values.
-    """
-    lib = _load()
-    assert lib is not None, "call available() first"
-    scores = np.ascontiguousarray(scores, dtype=np.float64)
-    neg_trans_rows = np.ascontiguousarray(neg_trans_rows, dtype=np.float64)
-    a_size, k_prev = scores.shape
-    rows = neg_trans_rows.shape[0]
-    assert a_size >= 1 and neg_trans_rows.shape == (rows, a_size)
-    assert 0 <= k <= a_size * k_prev
-    sel_idx = np.empty((rows, k), dtype=np.int64)
-    sel_neg = np.empty((rows, k), dtype=np.float64)
-    f64p = ctypes.POINTER(ctypes.c_double)
-    status = lib.rc4_merge_topk(
-        scores.ctypes.data_as(f64p), a_size, k_prev,
-        neg_trans_rows.ctypes.data_as(f64p), rows, k,
-        _i64p(sel_idx), sel_neg.ctypes.data_as(f64p),
-        resolve_threads(threads),
-    )
-    if status != 0:
-        raise MemoryError("native merge_topk could not allocate its scratch")
-    return sel_idx, sel_neg
 
 
 @functools.cache

@@ -1,27 +1,30 @@
-"""The vectorized candidate-recovery engine against its scalar references.
+"""The candidate-recovery engine against its scalar references.
 
-Four equivalence layers:
+Five equivalence layers:
 
-1. **Golden ordering** — the rewritten Algorithm 2 (pooled selection,
-   packed backpointers, vectorized backtrack) against a pinned copy of
-   the seed per-row argpartition decoder, bit-identical scores *and*
-   plaintexts on continuous inputs (where the seed's tie handling is
-   immaterial), charset-restricted and full-alphabet, across memory
-   budgets that force chunking and segmented selection.
-2. **Ground truth** — hypothesis property tests against
+1. **Golden ordering** — Algorithm 2 (lazy list Viterbi, vectorized
+   backtrack) against a pinned copy of the seed per-row argpartition
+   decoder, bit-identical scores *and* plaintexts on continuous inputs
+   (where the seed's tie handling is immaterial), charset-restricted and
+   full-alphabet.
+2. **Canonical order** — Algorithm 2 against a stable-argsort reference
+   in the same arithmetic, rows and score bits, on inputs full of exact
+   ties: integer scores, signed zeros, ``-inf`` transitions and partial
+   scores, lists cut at N = 1 or running past the sequence space, one
+   unknown byte, the full alphabet and L = 1100; plus a memory bound.
+3. **Ground truth** — hypothesis property tests against
    :meth:`PlaintextHmm.brute_force` on tiny alphabets, including
    integer-valued likelihoods that force exact score ties.
-3. **Streams** — ``lazy_candidate_blocks`` against ``lazy_candidates``
+4. **Streams** — ``lazy_candidate_blocks`` against ``lazy_candidates``
    against ``algorithm1``, and the native walk against the ``heapq``
    fallback: the same rows, score bits and block sizes.
-4. **Accounting** — the batched oracle/pruner walk
+5. **Accounting** — the batched oracle/pruner walk
    (:meth:`BruteForceOracle.search_matrix`) against the scalar
    generator pipeline ``search(pruner.filter(...))``: same attempts,
    same pruned counts, same errors, for hits, budgets and exhaustion.
 
-Layers 1 to 3 run under the numpy fallback and the native backend at
-1-3 threads, and the merge is compared bit for bit with the fallback's
-threshold-pruned selection at its edge cases.
+Layers 1, 3 and 4 run under the numpy fallback and the native backend
+at 1-3 threads.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import ReproConfig, ConfigError
 from repro.core import (
     CandidateMatrix,
     PlaintextHmm,
@@ -44,12 +46,6 @@ from repro.core import (
     lazy_candidate_blocks,
     lazy_candidates,
 )
-from repro.core.candidates.viterbi import (
-    _extend_topk,
-    _initial_pool_width,
-    _plan_chunk,
-    _select_desc,
-)
 from repro.errors import AttackError, CandidateError
 from repro.rc4 import _native
 from repro.tls.bruteforce import BruteForceOracle, CandidatePruner
@@ -57,8 +53,9 @@ from repro.tls.bruteforce import BruteForceOracle, CandidatePruner
 
 @pytest.fixture
 def backend(engine_threads, monkeypatch):
-    """Algorithm 2 under the numpy fallback and the native merge at 1-3
-    threads (the merge takes its thread count from the environment)."""
+    """The suites under the numpy fallback and the native backend at 1-3
+    threads (the kernels take their thread count from the environment).
+    Algorithm 2 itself is pure Python, so it must not notice."""
     monkeypatch.setenv("REPRO_NATIVE_THREADS", str(engine_threads))
 
 # --------------------------------------------------------------------------
@@ -147,9 +144,9 @@ _COOKIE_CHARSET = bytes(
 )
 
 
-def _assert_matches_seed(lam, first, last, n, charset, mem_budget=None):
+def _assert_matches_seed(lam, first, last, n, charset):
     ref_p, ref_s = seed_algorithm2(lam, first, last, n, charset=charset)
-    got = algorithm2(lam, first, last, n, charset=charset, mem_budget=mem_budget)
+    got = algorithm2(lam, first, last, n, charset=charset)
     assert isinstance(got, CandidateMatrix)
     np.testing.assert_array_equal(got.log_likelihoods, ref_s)
     assert list(got.plaintexts) == ref_p
@@ -175,21 +172,117 @@ class TestGoldenOrdering:
         lam = rng.normal(size=(4, 256, 256))
         _assert_matches_seed(lam, 0, 255, 10_000, b"abcde")
 
-    def test_tiny_memory_budget_forces_chunking(self, rng):
-        """A starved budget (chunked rows + segmented selection) changes
-        the shape of every intermediate but not a single output bit."""
-        lam = rng.normal(size=(5, 256, 256))
-        _assert_matches_seed(
-            lam, 0x41, 0x3B, 512, _COOKIE_CHARSET, mem_budget=20_000
-        )
 
-    def test_mem_budget_from_config(self, rng, monkeypatch):
-        monkeypatch.setenv("REPRO_CANDIDATE_MEM", "40000")
+# --------------------------------------------------------------------------
+# Canonical reference: every whole pooled row stably argsorted, in the
+# engine's arithmetic, so exact ties anywhere come out in flat-index order.
+# --------------------------------------------------------------------------
+
+
+def canonical_algorithm2(lam, first, last, n, charset=None):
+    """Rows and scores of the N best plaintexts, each step's list the
+    first N of a stable argsort of its whole pooled row ``neg_trans[v, b]
+    - score[b, i]`` (flat index ``b * K_prev + i``), scores kept as
+    ``-pooled``."""
+    lam = np.asarray(lam, dtype=np.float64)
+    if charset is None:
+        alphabet = np.arange(256)
+    else:
+        alphabet = np.array(sorted(set(charset)))
+    last_step = lam.shape[0] - 1
+    scores = lam[0, first, alphabet][:, None]  # (ending value, rank)
+    paths = alphabet.astype(np.uint8)[:, None, None]  # (value, rank, byte)
+    for step in range(1, last_step + 1):
+        ends = alphabet if step < last_step else np.array([last])
+        neg_trans = -lam[step][np.ix_(alphabet, ends)].T  # (to, from)
+        pooled = neg_trans[:, :, None] - scores[None, :, :]
+        pooled = pooled.reshape(ends.size, -1)
+        order = np.argsort(pooled, axis=1, kind="stable")[:, :n]
+        pred, rank = np.divmod(order, scores.shape[1])
+        scores = -np.take_along_axis(pooled, order, axis=1)
+        paths = paths[pred, rank]
+        if step < last_step:
+            ending = np.broadcast_to(
+                ends.astype(np.uint8)[:, None, None], paths.shape[:2] + (1,)
+            )
+            paths = np.concatenate([paths, ending], axis=2)
+    return paths[0], scores[0]
+
+
+def _assert_matches_reference(lam, first, last, n, charset):
+    rows, scores = canonical_algorithm2(lam, first, last, n, charset)
+    got = algorithm2(lam, first, last, n, charset=charset)
+    np.testing.assert_array_equal(got.matrix, rows)
+    np.testing.assert_array_equal(
+        got.log_likelihoods.view(np.uint64), scores.view(np.uint64)
+    )
+    return got
+
+
+class TestCanonicalReference:
+    """Rows and score bits equal the reference wherever scores tie."""
+
+    @pytest.mark.parametrize("n", [1, 7, 40, 97, 200])
+    def test_integer_ties_across_the_nth_boundary(self, rng, n):
+        # Scores in {0, 1, 2}: the N-th value is shared by extensions
+        # from many predecessors, so the cut falls inside a tie group.
+        lam = rng.integers(0, 3, size=(4, 256, 256)).astype(np.float64)
+        _assert_matches_reference(lam, 0x41, 0x3B, n, b"abcdefghi")
+
+    @pytest.mark.parametrize(
+        "values", [(-0.0, 0.0), (-1.0, -0.0, 0.0, 1.0)], ids=["zeros", "cancel"]
+    )
+    def test_signed_zeros(self, rng, values):
+        # -0.0 and +0.0 tie and fall to the flat index; each keeps the sign
+        # bit of -(neg_trans - score), which score + trans would flip for
+        # zero sums of opposite signs.
+        lam = rng.choice(values, size=(4, 256, 256))
+        for n in (1, 25, 300):
+            _assert_matches_reference(lam, 0x41, 0x3B, n, b"abcdef")
+
+    def test_minus_inf_transitions_and_partial_scores(self, rng):
         lam = rng.normal(size=(4, 256, 256))
-        got = algorithm2(lam, 3, 9, 256, charset=_COOKIE_CHARSET)
-        ref = algorithm2(lam, 3, 9, 256, charset=_COOKIE_CHARSET, mem_budget=1 << 31)
-        np.testing.assert_array_equal(got.log_likelihoods, ref.log_likelihoods)
-        np.testing.assert_array_equal(got.matrix, ref.matrix)
+        lam[rng.random(size=lam.shape) < 0.3] = -np.inf
+        lam[0, 0x41, [0x61, 0x62]] = -np.inf  # -inf partial scores
+        lam[2][:, 0x63] = -np.inf  # no way into 'c' at the last unknown
+        for n in (5, 40, 216, 300):
+            _assert_matches_reference(lam, 0x41, 0x3B, n, b"abcdef")
+
+    @pytest.mark.parametrize("n", [1, 6**4, 6**4 + 5])
+    def test_n_one_and_beyond_the_sequence_space(self, rng, n):
+        lam = rng.integers(0, 3, size=(5, 256, 256)).astype(np.float64)
+        got = _assert_matches_reference(lam, 1, 2, n, b"uvwxyz")
+        assert len(got) == min(n, 6**4)
+
+    def test_one_unknown_byte(self, rng):
+        lam = rng.integers(0, 2, size=(2, 256, 256)).astype(np.float64)
+        for n in (1, 50, len(_COOKIE_CHARSET) + 3):
+            _assert_matches_reference(lam, 7, 9, n, _COOKIE_CHARSET)
+
+    def test_full_alphabet(self, rng):
+        lam = rng.integers(0, 3, size=(3, 256, 256)).astype(np.float64)
+        for n in (1, 97, 1000):
+            _assert_matches_reference(lam, 7, 201, n, None)
+
+    def test_long_plaintext(self, rng):
+        """L = 1100: requests walk back over a thousand steps without
+        Python recursion."""
+        lam = np.broadcast_to(rng.normal(size=(256, 256)), (1100, 256, 256))
+        _assert_matches_reference(lam, 7, 9, 64, b"abc")
+
+    def test_memory_follows_the_outputs(self):
+        """N = 2^16 for a 16-byte cookie: the lazy lists keep a few
+        extensions per output (about 21 MiB), where N of them per node
+        and step would take about 500 MiB."""
+        lam = np.random.default_rng(7).normal(size=(17, 256, 256))
+        tracemalloc.start()
+        try:
+            got = algorithm2(lam, 0x3D, 0x3B, 1 << 16, charset=_COOKIE_CHARSET)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(got) == 1 << 16
+        assert peak < 64 << 20
 
 
 # --------------------------------------------------------------------------
@@ -253,105 +346,10 @@ class TestBruteForceGroundTruth:
         _assert_matches_brute_force(hmm, n)
 
 
-# --------------------------------------------------------------------------
-# Native k-way merge against the numpy threshold-pruned selection.
-# --------------------------------------------------------------------------
-
-
-def _sorted_desc(values: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(np.sort(values, axis=1)[:, ::-1])
-
-
-class TestNativeMerge:
-    """``_extend_topk``'s two backends emit the same bits."""
-
-    @pytest.fixture(autouse=True)
-    def _need_native(self):
-        if not _native.available():
-            pytest.skip("native backend unavailable (no C compiler?)")
-
-    @staticmethod
-    def _assert_backends_agree(monkeypatch, scores, neg_trans, k):
-        with monkeypatch.context() as m:
-            m.setattr(_native, "available", lambda: False)
-            ref_idx, ref_neg = _extend_topk(scores, neg_trans, k, 1 << 30)
-        assert ref_idx.shape == (neg_trans.shape[0], k)
-        for threads in (1, 2, 3):
-            got_idx, got_neg = _native.merge_topk(
-                scores, neg_trans, k, threads=threads
-            )
-            assert got_idx.dtype == np.int64 and got_neg.dtype == np.float64
-            np.testing.assert_array_equal(got_idx, ref_idx)
-            np.testing.assert_array_equal(
-                got_neg.view(np.int64), ref_neg.view(np.int64)
-            )
-
-    @pytest.mark.parametrize("k", [1, 7, 40, 97, 200])
-    def test_integer_ties_across_the_kth_boundary(self, monkeypatch, rng, k):
-        # Scores in {0, 1, 2} and transitions in {0, 1}: every boundary
-        # value is shared by many blocks, so the cut falls inside a tie
-        # group that spans blocks.
-        scores = _sorted_desc(rng.integers(0, 3, size=(9, 30)).astype(np.float64))
-        neg_trans = rng.integers(0, 2, size=(9, 9)).astype(np.float64)
-        self._assert_backends_agree(monkeypatch, scores, neg_trans, k)
-
-    def test_signed_zero_ties(self, monkeypatch, rng):
-        # -0.0 and +0.0 compare equal, so they tie and fall to the flat
-        # index; each keeps its own sign bit in the output.
-        scores = np.where(rng.random(size=(6, 10)) < 0.5, -0.0, 0.0)
-        neg_trans = rng.choice([-0.0, 0.0, 1.0], size=(6, 6))
-        self._assert_backends_agree(monkeypatch, scores, neg_trans, 25)
-
-    def test_impossible_transitions(self, monkeypatch, rng):
-        # -inf transitions (+inf negated) and -inf partial scores.
-        scores = rng.normal(size=(6, 12))
-        scores[rng.random(size=scores.shape) < 0.2] = -np.inf
-        scores = _sorted_desc(scores)
-        neg_trans = rng.normal(size=(6, 6))
-        neg_trans[rng.random(size=neg_trans.shape) < 0.3] = np.inf
-        neg_trans[0] = np.inf
-        for k in (5, 40, 72):
-            self._assert_backends_agree(monkeypatch, scores, neg_trans, k)
-
-    def test_whole_pool(self, monkeypatch, rng):
-        scores = _sorted_desc(rng.normal(size=(5, 8)))
-        neg_trans = rng.normal(size=(5, 5))
-        self._assert_backends_agree(monkeypatch, scores, neg_trans, 5 * 8)
-
-    def test_first_step_lists_of_one(self, monkeypatch, rng):
-        scores = rng.normal(size=(90, 1))
-        neg_trans = rng.normal(size=(90, 90))
-        for k in (1, 30, 90):
-            self._assert_backends_agree(monkeypatch, scores, neg_trans, k)
-
-    def test_single_final_row(self, monkeypatch, rng):
-        scores = _sorted_desc(rng.normal(size=(90, 64)))
-        neg_trans = rng.normal(size=(1, 90))
-        self._assert_backends_agree(monkeypatch, scores, neg_trans, 1000)
-
-    def test_threads_keep_their_own_merge_state(self, rng):
-        # Rows long enough for the threads to overlap, repeated: a merge
-        # state shared between threads corrupts some of them.
-        scores = _sorted_desc(rng.normal(size=(90, 2048)))
-        neg_trans = rng.normal(size=(90, 90))
-        ref_idx, _ = _native.merge_topk(scores, neg_trans, 2048, threads=1)
-        for _ in range(4):
-            for threads in (2, 3):
-                got_idx, _ = _native.merge_topk(
-                    scores, neg_trans, 2048, threads=threads
-                )
-                np.testing.assert_array_equal(got_idx, ref_idx)
-
-    def test_fewer_rows_than_threads(self, monkeypatch, rng):
-        scores = _sorted_desc(rng.integers(0, 4, size=(7, 16)).astype(np.float64))
-        neg_trans = rng.integers(0, 3, size=(2, 7)).astype(np.float64)
-        self._assert_backends_agree(monkeypatch, scores, neg_trans, 50)
-
-
 @pytest.mark.usefixtures("backend")
 class TestNonFiniteLikelihoods:
     """The canonical order needs comparable scores: NaN and +inf are
-    rejected on both backends; -inf (an impossible pair) is allowed."""
+    rejected; -inf (an impossible pair) is allowed."""
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejected(self, rng, bad):
@@ -669,86 +667,3 @@ class TestBatchedOracleParity:
         assert batched == scalar
         assert scalar[0] == "fail" and "after 2 attempts" in scalar[1]
         assert scalar[3] == 1  # the dropped true cookie was counted
-
-
-# --------------------------------------------------------------------------
-# Selection / planning internals pinned at their boundaries.
-# --------------------------------------------------------------------------
-
-
-class TestSelectionInternals:
-    def test_plan_chunk_boundaries(self):
-        per_row = 90 * 64 * 24  # a_size=90, pool=64
-        assert _plan_chunk(90, 64, per_row * 7) == 7
-        assert _plan_chunk(90, 64, per_row * 7 - 1) == 6
-        assert _plan_chunk(90, 64, 1) == 1  # floor: never zero rows
-        assert _plan_chunk(90, 64, 1 << 40) == 90  # cap: a_size rows
-
-    def test_initial_pool_width(self):
-        assert _initial_pool_width(256, 90, 4096) == 6  # ceil(256/90)*2
-        assert _initial_pool_width(1, 90, 4096) == 2
-        assert _initial_pool_width(4096, 2, 64) == 64  # capped at k_prev
-
-    def test_select_desc_canonical_ties(self):
-        neg = np.array([[1.0, 3.0, 1.0, 2.0, 1.0]])
-        idx = np.arange(5)
-        sel_idx, sel_neg = _select_desc(neg, idx, 2, 1 << 20)
-        # Three entries tie at the best (negated) value 1.0: the
-        # canonical order keeps the lowest original indices.
-        assert sel_idx.tolist() == [[0, 2]]
-        assert sel_neg.tolist() == [[1.0, 1.0]]
-
-    def test_select_desc_segmented_equals_direct(self, rng):
-        neg = -rng.normal(size=(1, 5000))
-        idx = np.arange(5000)
-        direct = _select_desc(neg, idx, 64, 1 << 30)
-        # Budget small enough that the row is processed in segments.
-        seg = _select_desc(neg, idx, 64, 64 * 24 * 4)
-        np.testing.assert_array_equal(direct[0], seg[0])
-        np.testing.assert_array_equal(direct[1], seg[1])
-
-
-# --------------------------------------------------------------------------
-# REPRO_CANDIDATE_MEM parsing.
-# --------------------------------------------------------------------------
-
-
-class TestCandidateMemConfig:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CANDIDATE_MEM", raising=False)
-        from repro.config import env_candidate_mem, DEFAULT_CANDIDATE_MEM
-
-        assert env_candidate_mem() == DEFAULT_CANDIDATE_MEM
-
-    @pytest.mark.parametrize(
-        "raw,expected",
-        [
-            ("123456", 123456),
-            ("64K", 64 << 10),
-            ("256M", 256 << 20),
-            ("2G", 2 << 30),
-            ("1.5G", int(1.5 * (1 << 30))),
-        ],
-    )
-    def test_suffixes(self, monkeypatch, raw, expected):
-        monkeypatch.setenv("REPRO_CANDIDATE_MEM", raw)
-        from repro.config import env_candidate_mem
-
-        assert env_candidate_mem() == expected
-
-    @pytest.mark.parametrize("raw", ["zero", "-1", "0", "12Q", ""])
-    def test_rejects_garbage(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_CANDIDATE_MEM", raw)
-        from repro.config import env_candidate_mem
-
-        if raw == "":
-            from repro.config import DEFAULT_CANDIDATE_MEM
-
-            assert env_candidate_mem() == DEFAULT_CANDIDATE_MEM
-        else:
-            with pytest.raises(ConfigError):
-                env_candidate_mem()
-
-    def test_dataclass_validation(self):
-        with pytest.raises(ConfigError):
-            ReproConfig(candidate_mem=0)

@@ -219,7 +219,8 @@ def test_thread_determinism_job_covers_one_and_default(workflow):
     # The threaded capture kernel splits counter rows across threads.
     assert "tests/test_capture_equivalence.py" in runs
     assert "tests/test_campaign.py" in runs
-    # So does Algorithm 2's native merge (candidate lists, §6 recovery).
+    # The candidate suite holds the native §5 walk to its heapq fallback,
+    # and the HTTPS suite runs Algorithm 2 on the threaded sampler's rows.
     assert "tests/test_candidate_equivalence.py" in runs
     assert "tests/test_tls_attack.py" in runs
     # And the §6 statistic sampler's multinomial rows.

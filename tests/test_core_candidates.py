@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import PlaintextHmm, algorithm1, algorithm2, lazy_candidates
+from repro.core import (
+    CandidateMatrix,
+    PlaintextHmm,
+    algorithm1,
+    algorithm2,
+    lazy_candidates,
+)
 from repro.errors import CandidateError
 
 
@@ -161,6 +167,22 @@ class TestHmmModel:
         hmm = PlaintextHmm(lam, 0, 0, charset=bytes(range(64)))
         with pytest.raises(CandidateError):
             hmm.brute_force()
+
+    @pytest.mark.parametrize("decode", ["n_best", "brute_force"])
+    def test_empty_charset_rejected(self, rng, decode):
+        # Only None means every byte value, as in algorithm2.
+        lam = rng.normal(size=(3, 256, 256))
+        with pytest.raises(CandidateError, match="charset must be non-empty"):
+            getattr(PlaintextHmm(lam, 1, 2, charset=b""), decode)(5)
+
+    def test_brute_force_is_a_candidate_matrix(self, rng):
+        lam = rng.normal(size=(3, 256, 256))
+        hmm = PlaintextHmm(lam, 1, 2, charset=b"zyx")
+        brute = hmm.brute_force(4)
+        assert isinstance(brute, CandidateMatrix)
+        assert brute.matrix.shape == (4, 2)
+        assert list(brute.plaintexts) == list(hmm.n_best(4).plaintexts)
+        assert brute.rank_of(brute.plaintexts[3]) == 3
 
     def test_sequence_length_check(self, rng):
         lam = rng.normal(size=(3, 256, 256))
