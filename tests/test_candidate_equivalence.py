@@ -10,8 +10,12 @@ Five equivalence layers:
 2. **Canonical order** — Algorithm 2 against a stable-argsort reference
    in the same arithmetic, rows and score bits, on inputs full of exact
    ties: integer scores, signed zeros, ``-inf`` transitions and partial
-   scores, lists cut at N = 1 or running past the sequence space, one
-   unknown byte, the full alphabet and L = 1100; plus a memory bound.
+   scores, lists cut at N = 1, at the sequence space or past it, one
+   unknown byte, first-step lists of one, known bytes in or out of the
+   charset, the full alphabet, L = 1100 and random tie-heavy inputs
+   (hypothesis).  Besides: all-tied inputs come out colexicographic,
+   shorter lists are prefixes of longer ones, concurrent calls share no
+   state, and memory follows the outputs.
 3. **Ground truth** — hypothesis property tests against
    :meth:`PlaintextHmm.brute_force` on tiny alphabets, including
    integer-valued likelihoods that force exact score ties.
@@ -30,14 +34,18 @@ at 1-3 threads.
 from __future__ import annotations
 
 import functools
+import sys
+import threading
+import time
 import tracemalloc
-from itertools import islice
+from itertools import islice, product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import get_config
 from repro.core import (
     CandidateMatrix,
     PlaintextHmm,
@@ -172,6 +180,16 @@ class TestGoldenOrdering:
         lam = rng.normal(size=(4, 256, 256))
         _assert_matches_seed(lam, 0, 255, 10_000, b"abcde")
 
+    def test_stale_candidate_mem_is_ignored(self, rng, monkeypatch):
+        """Algorithm 2 has no memory knob: a ``REPRO_CANDIDATE_MEM`` left
+        in the environment, even a value the removed parser rejected,
+        raises nothing and changes no output bit."""
+        lam = rng.normal(size=(4, 256, 256))
+        for raw in ("40000", "12Q", "-1", ""):
+            monkeypatch.setenv("REPRO_CANDIDATE_MEM", raw)
+            get_config()
+            _assert_matches_seed(lam, 3, 9, 256, _COOKIE_CHARSET)
+
 
 # --------------------------------------------------------------------------
 # Canonical reference: every whole pooled row stably argsorted, in the
@@ -207,6 +225,19 @@ def canonical_algorithm2(lam, first, last, n, charset=None):
             )
             paths = np.concatenate([paths, ending], axis=2)
     return paths[0], scores[0]
+
+
+#: Tie-heavy value kinds for whole likelihood arrays.
+_VALUE_KINDS = {
+    "normal": lambda rng, shape: rng.normal(size=shape),
+    "integers": lambda rng, shape: rng.integers(0, 3, size=shape).astype(
+        np.float64
+    ),
+    "signed-zeros": lambda rng, shape: rng.choice([-1.0, -0.0, 0.0, 1.0], size=shape),
+    "minus-inf": lambda rng, shape: np.where(
+        rng.random(size=shape) < 0.3, -np.inf, rng.normal(size=shape)
+    ),
+}
 
 
 def _assert_matches_reference(lam, first, last, n, charset):
@@ -263,6 +294,143 @@ class TestCanonicalReference:
         lam = rng.integers(0, 3, size=(3, 256, 256)).astype(np.float64)
         for n in (1, 97, 1000):
             _assert_matches_reference(lam, 7, 201, n, None)
+
+    def test_first_step_lists_of_one(self, rng):
+        # Two unknown bytes: the inner step extends the step-0 nodes,
+        # each a list of one, and the last step draws on those lists.
+        lam = rng.integers(0, 3, size=(3, 256, 256)).astype(np.float64)
+        charset = bytes(range(0x21, 0x21 + 90))
+        for n in (1, 30, 90, 91, 2000):
+            _assert_matches_reference(lam, 0x3D, 0x3B, n, charset)
+
+    def test_whole_pool(self, rng):
+        """N equal to the sequence space: every node runs out of
+        extensions just as the last row is taken."""
+        lam = rng.normal(size=(4, 256, 256))
+        got = _assert_matches_reference(lam, 3, 4, 5**3, b"vwxyz")
+        assert len(set(got.plaintexts)) == 5**3
+
+    def test_single_final_row(self, rng):
+        """The one node of the last step (ending on mL) is asked for more
+        rows than any of its predecessors holds."""
+        lam = rng.normal(size=(3, 256, 256))
+        charset = bytes(range(0x21, 0x21 + 90))
+        got = _assert_matches_reference(lam, 0x3D, 0x3B, 1000, charset)
+        assert len(got) == 1000
+
+    @pytest.mark.parametrize(
+        ("first", "last"),
+        [(0, 255), (255, 0), (0x61, 0x66)],
+        ids=["low-high", "high-low", "in-charset"],
+    )
+    def test_known_bytes_in_or_out_of_the_charset(self, rng, first, last):
+        lam = rng.integers(0, 3, size=(4, 256, 256)).astype(np.float64)
+        for n in (1, 50, 216):
+            _assert_matches_reference(lam, first, last, n, b"abcdef")
+
+    @pytest.mark.parametrize(
+        "charset", [b"fedcba", b"aabbccddeeffcab"], ids=["reversed", "repeated"]
+    )
+    def test_charset_is_a_set(self, rng, charset):
+        lam = rng.integers(0, 3, size=(4, 256, 256)).astype(np.float64)
+        ref = algorithm2(lam, 1, 2, 150, charset=b"abcdef")
+        got = algorithm2(lam, 1, 2, 150, charset=charset)
+        np.testing.assert_array_equal(got.matrix, ref.matrix)
+        np.testing.assert_array_equal(
+            got.log_likelihoods.view(np.uint64), ref.log_likelihoods.view(np.uint64)
+        )
+
+    @pytest.mark.parametrize(
+        "value", [0.0, -0.0, -np.inf], ids=["zero", "minus-zero", "minus-inf"]
+    )
+    def test_all_tied_comes_out_colexicographic(self, value):
+        """When every plaintext scores the same, each node lists its
+        extensions by predecessor, then by the predecessor's rank: the
+        plaintexts in colexicographic order (last byte most significant)."""
+        lam = np.full((4, 256, 256), value)
+        charset = b"zyx!"
+        got = _assert_matches_reference(lam, 0x41, 0x3B, 4**3 + 5, charset)
+        expected = [
+            bytes(reversed(p)) for p in product(sorted(charset), repeat=3)
+        ]
+        assert list(got.plaintexts) == expected
+
+    @pytest.mark.parametrize("kind", list(_VALUE_KINDS))
+    def test_shorter_lists_are_prefixes(self, kind):
+        """The N best are the first N of any longer list, bit for bit: a
+        walk stopped early leaves no trace in the rows it did produce."""
+        lam = _VALUE_KINDS[kind](np.random.default_rng(11), (5, 256, 256))
+        full = algorithm2(lam, 0x41, 0x3B, 700, charset=b"abcdefg")
+        for n in (1, 2, 7, 49, 300, 699):
+            got = algorithm2(lam, 0x41, 0x3B, n, charset=b"abcdefg")
+            np.testing.assert_array_equal(got.matrix, full.matrix[:n])
+            np.testing.assert_array_equal(
+                got.log_likelihoods.view(np.uint64),
+                full.log_likelihoods[:n].view(np.uint64),
+            )
+
+    @pytest.mark.parametrize("kind", list(_VALUE_KINDS))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_random_inputs(self, kind, data):
+        """Random charsets of 2-30 bytes, 1-5 unknown bytes and N from 1
+        to past the sequence space."""
+        a_size = data.draw(st.sampled_from([2, 3, 5, 9, 30]), label="a_size")
+        unknown = data.draw(
+            st.integers(1, 5 if a_size < 30 else 3), label="unknown"
+        )
+        space = a_size**unknown
+        n = data.draw(st.integers(1, min(space + 3, 400)), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        charset = rng.choice(256, size=a_size, replace=False).astype(np.uint8)
+        first, last = (int(b) for b in rng.integers(0, 256, size=2))
+        lam = _VALUE_KINDS[kind](rng, (unknown + 1, 256, 256))
+        got = _assert_matches_reference(lam, first, last, n, charset.tobytes())
+        assert len(got) == min(n, space)
+
+    def test_concurrent_calls_keep_their_own_state(self):
+        """Calls from several threads interleave inside the walk (the
+        interpreter switches between them, here every few microseconds)
+        but share no state.  A walk corrupted by shared state can spin
+        forever, so the threads are daemons given a minute in all."""
+        inputs = [
+            np.random.default_rng(seed)
+            .integers(0, 3, size=(5, 256, 256))
+            .astype(np.float64)
+            for seed in range(3)
+        ] * 2
+
+        def decode(lam):
+            return algorithm2(lam, 1, 2, 2000, charset=b"abcdefgh")
+
+        serial = [decode(lam) for lam in inputs[:3]]
+        results = {}
+        workers = [
+            threading.Thread(
+                target=lambda i=i, lam=lam: results.update({i: decode(lam)}),
+                daemon=True,
+            )
+            for i, lam in enumerate(inputs)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for worker in workers:
+                worker.start()
+            deadline = time.monotonic() + 60
+            for worker in workers:
+                worker.join(max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert sorted(results) == list(range(len(inputs)))
+        for i, got in results.items():
+            ref = serial[i % 3]
+            np.testing.assert_array_equal(got.matrix, ref.matrix)
+            np.testing.assert_array_equal(
+                got.log_likelihoods.view(np.uint64),
+                ref.log_likelihoods.view(np.uint64),
+            )
 
     def test_long_plaintext(self, rng):
         """L = 1100: requests walk back over a thousand steps without

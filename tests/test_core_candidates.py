@@ -152,6 +152,13 @@ class TestAlgorithm2:
         with pytest.raises(CandidateError):
             algorithm2(rng.normal(size=(3, 256, 255)), 0, 0, 5)
 
+    @pytest.mark.parametrize(
+        ("first", "last"), [(-1, 0), (256, 0), (0, -1), (0, 256)]
+    )
+    def test_known_bytes_must_be_bytes(self, rng, first, last):
+        with pytest.raises(CandidateError, match="0..255"):
+            algorithm2(rng.normal(size=(3, 256, 256)), first, last, 5)
+
 
 class TestHmmModel:
     def test_viterbi_is_top_candidate(self, rng):
