@@ -8,17 +8,21 @@ rides the same batched, vectorized machinery as keystream generation:
   ``(batch, stream_len)`` keystream blocks through
   :func:`repro.rc4.batch.batch_keystream` (native backend when
   available), XOR broadcast plaintext templates, and count
-  digraph/ABSAB-differential/single-byte cells with the grouped
-  flat-bincount kernels of :mod:`repro.datasets.generate` — no
-  per-request Python loop on the hot path;
+  digraph/ABSAB-differential/single-byte cells with the kernels of
+  :mod:`repro.datasets.generate` — no per-request Python loop on the
+  hot path.  The §6 sources generate only the keystream rows their
+  counters read and count every batch up to the next checkpoint in one
+  kernel call;
 - **sufficient statistics** (:mod:`.protocol`): a common protocol
-  (snapshot / exact int64 merge / canonical-JSON summary / NPZ
-  persistence) implemented by :class:`repro.tls.attack.CookieStatistics`
-  and :class:`repro.tkip.injection.CaptureSet`, making captures
+  (snapshot / exact merge / canonical-JSON summary / NPZ persistence)
+  implemented by :class:`repro.tls.attack.CookieStatistics` (uint32
+  counters, fewer than 2^32 requests per object) and
+  :class:`repro.tkip.injection.CaptureSet` (int64), making captures
   shardable across processes and resumable across sessions;
 - **orchestration** (:mod:`.engine`): :func:`run_capture` walks
-  deterministic per-batch key derivations, checkpoints every N batches,
-  and reproduces uninterrupted counts bit-exactly on resume.
+  deterministic per-batch key derivations, hands the source each run of
+  batches up to the next checkpoint, and reproduces uninterrupted counts
+  bit-exactly on resume.
 
 The per-request reference paths (``CookieStatistics.ingest_fragment``,
 ``CaptureSet.add_frame``) remain as bit-exact oracles; see
@@ -34,13 +38,16 @@ from .engine import (
     shard_batches,
     source_fingerprint,
 )
-from .https import HttpsCaptureSource, ingest_cipher_rows
+from .https import (
+    HttpsCaptureSource,
+    ingest_cipher_rows,
+    ingest_keystream_columns,
+)
 from .multi import (
     MultiHttpsCaptureSource,
     MultiTemplateStatistics,
     MultiTkipCaptureSource,
     MultiTkipStatistics,
-    ingest_keystream_columns,
 )
 from .protocol import SufficientStatistics
 from .tkip import TkipCaptureSource

@@ -4,22 +4,24 @@ A :class:`CaptureSource` describes one capture campaign as a
 deterministic sequence of batches: batch b always derives the same keys
 (child-seeded by batch index, never by sequential RNG state) and
 accumulates the same counts, so any subsequence of batches is
-reproducible in isolation.  :func:`run_capture` walks a batch range,
-checkpointing the sufficient statistics every ``checkpoint_every``
-batches; rerunning with the same arguments resumes from the last
-checkpoint and produces counters bit-identical to an uninterrupted run.
+reproducible in isolation.  :func:`run_capture` walks a batch range in
+runs that end at each checkpoint, handing each run to the source in one
+call (the §6 sources count it with one kernel call), and checkpoints the
+sufficient statistics every ``checkpoint_every`` batches; rerunning with
+the same arguments resumes from the last checkpoint and produces
+counters bit-identical to an uninterrupted run.
 
 Sharding rides the same property: :func:`shard_batches` splits the batch
 space into disjoint ranges, each shard runs ``run_capture(source,
 batches=...)`` in its own process, and :func:`merge_shards` combines the
-results with the exact int64 merge of the
-:class:`~repro.capture.protocol.SufficientStatistics` protocol.
+results with the exact merge of the
+:class:`~repro.capture.protocol.SufficientStatistics` protocol (uint32
+§6 counters refuse a merge past 2^32 - 1 requests).
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import warnings
 import zipfile
 from dataclasses import dataclass
@@ -27,7 +29,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Protocol, Sequence
 
 from ..errors import CaptureError, DatasetError
-from ..utils.serialization import canonical_json
+from ..utils.serialization import canonical_json, durable_replace
 from .protocol import SufficientStatistics
 
 #: Default batches between checkpoint writes.
@@ -49,8 +51,14 @@ class CaptureSource(Protocol):
 
     def empty(self) -> SufficientStatistics: ...
 
-    def capture_batch(self, stats: SufficientStatistics, index: int) -> int:
-        """Accumulate batch ``index`` into ``stats``; returns requests added."""
+    def capture_batches(
+        self, stats: SufficientStatistics, indices: Sequence[int]
+    ) -> list[int]:
+        """Accumulate the batches ``indices`` into ``stats``.
+
+        Returns the requests each batch added, in order.  The counters
+        must equal accumulating the batches one at a time.
+        """
         ...
 
     def load(self, path: str | Path) -> tuple[SufficientStatistics, dict]:
@@ -112,7 +120,7 @@ def shard_batches(num_batches: int, num_shards: int) -> list[range]:
 
 
 def merge_shards(shards: Iterable[SufficientStatistics]) -> SufficientStatistics:
-    """Combine shard statistics with the exact int64 merge."""
+    """Combine shard statistics with the exact merge (first shard's dtype)."""
     iterator = iter(shards)
     try:
         total = next(iterator).snapshot()
@@ -131,15 +139,6 @@ def batch_digest(batch_list: list[int]) -> str:
     """
     payload = canonical_json(batch_list).encode("utf-8")
     return hashlib.sha256(payload).hexdigest()
-
-
-def fsync_file(path: str | Path) -> None:
-    """Flush file contents to stable storage (crash-durable checkpoints)."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 #: Exceptions a truncated/corrupted checkpoint NPZ surfaces as: short or
@@ -169,13 +168,14 @@ def run_capture(
     progress: ProgressCallback | None = None,
     resume: bool = True,
 ) -> SufficientStatistics:
-    """Run a capture campaign batch by batch.
+    """Run a capture campaign in runs of batches between checkpoints.
 
     The single-process streaming loop every capture consumer builds on:
-    acquire one batch of ciphertexts, fold it into the campaign's
-    :class:`SufficientStatistics`, optionally checkpoint, repeat.  Fleet
-    shards call this with disjoint ``batches`` ranges and merge the
-    results bit-exactly.
+    hand the source the batches up to the next checkpoint boundary
+    (:meth:`CaptureSource.capture_batches` folds their ciphertexts into
+    the campaign's :class:`SufficientStatistics`), optionally
+    checkpoint, repeat.  Fleet shards call this with disjoint
+    ``batches`` ranges and merge the results bit-exactly.
 
     Example:
 
@@ -194,14 +194,16 @@ def run_capture(
             pass disjoint ranges from :func:`shard_batches`.
         checkpoint_path: where to persist the statistics every
             ``checkpoint_every`` batches as uncompressed NPZ (temp file,
-            fsync, atomic replace; ``.npz`` appended when missing).
-            Compressed checkpoints from older runs still resume.
-            ``None`` disables checkpointing.
-        checkpoint_every: batches between checkpoint writes; the final
-            batch always checkpoints so a completed capture resumes as
-            a no-op.
+            fsync, atomic replace, directory fsync; ``.npz`` appended
+            when missing).  Compressed and int64 checkpoints from older
+            runs still resume.  ``None`` disables checkpointing.
+        checkpoint_every: batches between checkpoint writes, and the
+            longest run handed to the source at once; the final batch
+            always checkpoints so a completed capture resumes as a
+            no-op.
         progress: optional callback receiving :class:`CaptureProgress`
-            after every batch.
+            for every batch, in order, once its run is counted (and
+            checkpointed).
         resume: when the checkpoint file exists, continue from it after
             validating the source fingerprint and batch range; pass
             ``False`` to start over (overwriting the checkpoint).
@@ -230,6 +232,7 @@ def run_capture(
             "batches contains duplicate indices — counts would double"
         )
     fingerprint = source.fingerprint()
+    digest = batch_digest(batch_list)
     path = _checkpoint_path(checkpoint_path) if checkpoint_path else None
 
     stats: SufficientStatistics | None = None
@@ -269,7 +272,7 @@ def run_capture(
                     f"{path} was written by a different capture campaign "
                     "(source fingerprint mismatch)"
                 )
-            if cursor.get("batch_digest") != batch_digest(batch_list):
+            if cursor.get("batch_digest") != digest:
                 raise CaptureError(
                     f"{path} covers a different batch range than this run"
                 )
@@ -279,32 +282,35 @@ def run_capture(
     def write_checkpoint() -> None:
         cursor = {
             "fingerprint": fingerprint,
-            "batch_digest": batch_digest(batch_list),
+            "batch_digest": digest,
             "batches_done": done,
             "requests_done": requests_done,
         }
         tmp = path.with_name(path.name[: -len(".npz")] + ".tmp.npz")
         stats.save(tmp, extra={"capture_checkpoint": cursor})
-        fsync_file(tmp)
-        os.replace(tmp, path)
+        durable_replace(tmp, path)
 
-    for position in range(done, len(batch_list)):
-        requests_done += source.capture_batch(stats, batch_list[position])
-        done = position + 1
-        wrote = False
-        if path is not None and (
-            done % checkpoint_every == 0 or done == len(batch_list)
-        ):
+    while done < len(batch_list):
+        # One run: every batch up to the next checkpoint boundary.
+        first, reported = done, requests_done
+        stop = min(
+            len(batch_list), (first // checkpoint_every + 1) * checkpoint_every
+        )
+        added = source.capture_batches(stats, batch_list[first:stop])
+        done, requests_done = stop, requests_done + sum(added)
+        wrote = path is not None
+        if wrote:
             write_checkpoint()
-            wrote = True
         if progress is not None:
-            progress(
-                CaptureProgress(
-                    batches_done=done,
-                    num_batches=len(batch_list),
-                    requests_done=requests_done,
-                    total_requests=source.total_requests,
-                    checkpointed=wrote,
+            for position, requests in enumerate(added, first + 1):
+                reported += requests
+                progress(
+                    CaptureProgress(
+                        batches_done=position,
+                        num_batches=len(batch_list),
+                        requests_done=reported,
+                        total_requests=source.total_requests,
+                        checkpointed=wrote and position == stop,
+                    )
                 )
-            )
     return stats

@@ -2,17 +2,22 @@
 
 The §6 statistics only depend on the ciphertext bytes of each request at
 the layout's positions, and each request's ciphertext is keystream XOR a
-*constant* plaintext template.  So a capture batch is three vectorized
-steps, with no per-request Python loop anywhere:
+*constant* plaintext template.  So a capture is three vectorized steps,
+with no per-request Python loop anywhere:
 
-1. generate a ``(connections, stream_len)`` keystream block through
-   :func:`repro.rc4.batch.batch_keystream` (native backend when
+1. generate a ``(connections, stream_len)`` keystream block per batch
+   through :func:`repro.rc4.batch.batch_keystream` (native backend when
    available) — one RC4 instance per simulated TLS connection, streamed
-   deep enough to cover ``reconnect_every`` requests per connection;
-2. XOR the broadcast plaintext template;
-3. count Fluhrer–McGrew digraph and ABSAB differential cells with
-   :func:`repro.datasets.generate.templated_digraph_counts` (a threaded
-   native row kernel, or grouped flat bincounts without it).
+   deep enough to cover ``reconnect_every`` requests per connection, but
+   only over the rows the counters read (:func:`keystream_window`);
+2. write those rows of every batch up to the next checkpoint into one
+   column block;
+3. count Fluhrer–McGrew digraph and ABSAB differential cells of the
+   block, the plaintext template folded in, with one
+   :func:`ingest_keystream_columns` call
+   (:func:`repro.datasets.generate.templated_digraph_counts`: a threaded
+   native row kernel, or grouped flat bincounts without it) into uint32
+   counters.
 
 ``reconnect_every`` models record churn (§6.3): every connection carries
 that many requests before the victim rekeys.  ``reconnect_every=1`` is
@@ -28,17 +33,159 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from ..config import ReproConfig
+from ..datasets.generate import templated_digraph_counts
 from ..errors import AttackError, CaptureError
 from ..rc4.batch import batch_keystream
 from ..rc4.keygen import derive_keys
-from ..tls.attack import CookieLayout, CookieStatistics
+from ..tls.attack import MAX_CAPTURE_REQUESTS, CookieLayout, CookieStatistics
 from ..tls.record import MAC_LEN
 from ..utils.serialization import canonical_json
-from .multi import ingest_keystream_columns
+
+#: Bytes of keystream columns one counting call takes at most: a fixed
+#: budget, not a knob.  A capture counts every batch up to its next
+#: checkpoint in one call, and splits the run only past this.
+COLUMN_BUDGET = 64 << 20
+
+
+def _row_spec(
+    layout: CookieLayout, alignments: Sequence[tuple[int, int, str]]
+) -> tuple[np.ndarray, np.ndarray, slice]:
+    """The counter rows' keystream rows and the window they fall in.
+
+    Row spec: FM rows (digraph at r, r+1), then ABSAB rows (differential
+    of the digraph at r against the known digraph at the partner p).
+    The window is the smallest ``slice(lo, hi)`` of request rows holding
+    every pair (r, r+1) and (p, p+1); ``first`` and ``partner`` index
+    rows of that window (``partner < 0``: a plain digraph row).
+    """
+    base = layout.base_offset
+    transitions = layout.transitions()
+    first = [r - base for r in transitions]
+    partner = [-1] * len(transitions)
+    for (t, gap, side) in alignments:
+        r = transitions[t]
+        first.append(r - base)
+        partner.append((r + 2 + gap if side == "after" else r - 2 - gap) - base)
+    first = np.asarray(first, dtype=np.intp)
+    partner = np.asarray(partner, dtype=np.intp)
+    used = np.concatenate([first, partner[partner >= 0]])
+    lo, hi = int(used.min()), int(used.max()) + 2
+    return first - lo, np.where(partner >= 0, partner - lo, -1), slice(lo, hi)
+
+
+def keystream_window(layout: CookieLayout, max_gap: int) -> slice:
+    """Request rows the §6 counters read, as ``slice(lo, hi)``.
+
+    The smallest range of layout rows covering every Fluhrer–McGrew pair
+    ``(r, r+1)`` and every ABSAB partner pair ``(p, p+1)`` up to
+    ``max_gap`` — the only keystream bytes a capture needs to generate.
+    """
+    alignments = CookieStatistics.alignment_keys(layout, max_gap=max_gap)
+    return _row_spec(layout, alignments)[2]
+
+
+def ingest_keystream_columns(
+    stats_list: Sequence[CookieStatistics],
+    columns: np.ndarray,
+    templates: np.ndarray,
+    *,
+    offset: int = 1,
+    threads: int | None = None,
+) -> None:
+    """Score one keystream column block against many plaintext templates.
+
+    The multi-victim core of the §6 capture: ``columns[k, j]`` is the
+    keystream byte at row ``lo + k`` of request ``j``, where
+    ``slice(lo, hi)`` is :func:`keystream_window` (or the ciphertext
+    byte — any constant XOR folds into the templates), and victim v's
+    ciphertext is ``columns[k] ^ templates[v, lo + k]``.  Every
+    Fluhrer–McGrew digraph row and every ABSAB differential row of every
+    victim goes through one call of
+    :func:`~repro.datasets.generate.templated_digraph_counts`, which
+    counts into each victim's own uint32
+    :class:`~repro.tls.attack.CookieStatistics`.
+
+    Args:
+        stats_list: one statistics object per victim; all must share one
+            layout and alignment set (same ``max_gap``).
+        columns: uint8 ``(hi - lo, n)`` keystream columns of the window.
+        templates: uint8 ``(len(stats_list), request_len)`` plaintext
+            templates, one row per victim.
+        offset: keystream position of each request's first byte,
+            congruent to the layout base modulo 256 (the record-padding
+            invariant, §6.3).
+        threads: native-kernel thread count (``None``: the configured
+            default); the counters do not depend on it.
+
+    Raises:
+        AttackError: on mismatched shapes or statistics, or before ``n``
+            more requests would pass what a victim's counters hold.
+    """
+    if not stats_list:
+        raise AttackError("multi-template ingestion needs at least one victim")
+    stats0 = stats_list[0]
+    layout = stats0.layout
+    if (offset - layout.base_offset) % 256 != 0:
+        raise AttackError(
+            f"row offset {offset} incompatible with layout base "
+            f"{layout.base_offset} modulo 256 — add request padding"
+        )
+    alignments = list(stats0.absab_counts)
+    first, partner, window = _row_spec(layout, alignments)
+    height = window.stop - window.start
+    if columns.ndim != 2 or columns.shape[0] != height:
+        raise AttackError(
+            f"columns must be the ({height}, n) keystream window "
+            f"{window.start}..{window.stop - 1}, got {columns.shape}"
+        )
+    templates = np.asarray(templates, dtype=np.uint8)
+    if templates.shape != (len(stats_list), layout.request_len):
+        raise AttackError(
+            f"templates must be ({len(stats_list)}, {layout.request_len}), "
+            f"got {templates.shape}"
+        )
+    for stats in stats_list:
+        if stats.layout != layout or list(stats.absab_counts) != alignments:
+            raise AttackError(
+                "multi-template ingestion needs statistics sharing one "
+                "layout and alignment set"
+            )
+        if stats.absab_matrix is None:
+            raise AttackError(
+                "batched ingestion needs the absab_matrix backing store "
+                "(build statistics with CookieStatistics.empty)"
+            )
+        if stats.fm_counts.dtype != np.uint32:
+            raise AttackError(
+                "batched ingestion needs uint32 counters (build statistics "
+                "with CookieStatistics.empty)"
+            )
+        # The fm_counts reshape below must be a view, not a copy.
+        if not (
+            stats.fm_counts.flags.c_contiguous
+            and stats.absab_matrix.flags.c_contiguous
+        ):
+            raise AttackError("batched ingestion needs C-contiguous counters")
+        stats.check_room(columns.shape[1])
+
+    templated_digraph_counts(
+        columns,
+        templates[:, window],
+        first,
+        partner,
+        [
+            (stats.fm_counts.reshape(-1, 65536), stats.absab_matrix)
+            for stats in stats_list
+        ],
+        threads=threads,
+    )
+    for stats in stats_list:
+        stats.num_requests += columns.shape[1]
 
 
 def ingest_cipher_rows(
@@ -47,37 +194,103 @@ def ingest_cipher_rows(
     """Vectorized equivalent of per-row ``ingest_fragment`` calls.
 
     A single-victim facade over the multi-template core
-    (:func:`repro.capture.multi.ingest_keystream_columns`): ciphertext
-    rows are keystream rows with the template already folded in, so the
-    zero template reproduces the historical counts bit-exactly.
+    (:func:`ingest_keystream_columns`): ciphertext rows are keystream
+    rows with the template already folded in, so the zero template
+    reproduces the historical counts bit-exactly.
 
     Args:
-        stats: the statistics to accumulate into (its ``absab_matrix``
-            backing store must be present — :meth:`CookieStatistics.empty`
-            always builds it).
+        stats: the statistics to accumulate into (uint32 counters with
+            the ``absab_matrix`` backing store —
+            :meth:`CookieStatistics.empty` always builds both).
         rows: uint8 ciphertext rows ``(n, >= request_len)``; row k is one
             encrypted request starting at keystream position ``offset``.
         offset: keystream position of column 0, congruent to the layout
             base modulo 256 (the record-padding invariant, §6.3).
     """
     layout = stats.layout
-    if (offset - layout.base_offset) % 256 != 0:
-        raise AttackError(
-            f"row offset {offset} incompatible with layout base "
-            f"{layout.base_offset} modulo 256 — add request padding"
-        )
     if rows.ndim != 2 or rows.shape[1] < layout.request_len:
         raise AttackError(
             f"rows must be (n, >= {layout.request_len}), got {rows.shape}"
         )
-    if stats.absab_matrix is None:
-        raise AttackError(
-            "batched ingestion needs the absab_matrix backing store "
-            "(build statistics with CookieStatistics.empty)"
-        )
-    columns = np.ascontiguousarray(rows.T)
+    window = _row_spec(layout, list(stats.absab_counts))[2]
+    columns = np.ascontiguousarray(rows[:, window].T)
     template = np.zeros((1, layout.request_len), dtype=np.uint8)
     ingest_keystream_columns([stats], columns, template, offset=offset)
+
+
+def count_https_batches(
+    source: "HttpsCaptureSource",
+    stats_list: Sequence[CookieStatistics],
+    templates: np.ndarray,
+    indices: Sequence[int],
+) -> list[int]:
+    """Count the batches ``indices`` of an HTTPS source into ``stats_list``.
+
+    Shared by :class:`HttpsCaptureSource` and
+    :class:`~repro.capture.multi.MultiHttpsCaptureSource`, which carry
+    the same batching fields.  Every batch keeps its own keys
+    (``derive_keys(config, f"{label}/batch{i}")``) and generates only the
+    :func:`keystream_window` rows of its requests; the batches' rows go
+    into one column block counted by one :func:`ingest_keystream_columns`
+    call per :data:`COLUMN_BUDGET` bytes.  Integer addition commutes, so
+    the counters equal batch-by-batch counting for any grouping.
+
+    Returns:
+        The requests each batch added per victim, in order.
+    """
+    counts = []
+    for index in indices:
+        if not 0 <= index < source.num_batches:
+            raise CaptureError(f"batch {index} is beyond the campaign")
+        first = index * source.batch_size
+        counts.append(min(source.batch_size, source.num_requests - first))
+    if not counts:
+        return counts
+    window = source._window
+    height = window.stop - window.start
+    per_conn = source.reconnect_every
+    stride = source._stride
+    config = source.config
+    # A batch is never split: the block holds at least the largest one.
+    capacity = max(max(counts), COLUMN_BUDGET // height)
+    block = np.empty((height, min(capacity, sum(counts))), dtype=np.uint8)
+    filled = 0
+
+    def count_block() -> None:
+        ingest_keystream_columns(
+            stats_list,
+            block[:, :filled],
+            templates,
+            offset=source.layout.base_offset,
+            threads=config.native_threads,
+        )
+
+    for index, count in zip(indices, counts):
+        if filled + count > block.shape[1]:
+            count_block()
+            filled = 0
+        keys = derive_keys(
+            config, f"{source.label}/batch{index}", -(-count // per_conn)
+        )
+        stream = batch_keystream(
+            keys, (per_conn - 1) * stride + height, drop=window.start,
+            threads=config.native_threads, simd=config.native_simd,
+        )
+        # Request q of every connection: with more than one request per
+        # connection the stride is a multiple of 256, so every request
+        # shares the layout base's PRGA counters and one block holds all.
+        for q in range(per_conn):
+            # Connections whose q-th request exists (the final connection
+            # of the final batch may carry fewer than per_conn requests).
+            rows = -(-(count - q) // per_conn)
+            if rows <= 0:
+                break
+            block[:, filled : filled + rows] = stream[
+                :rows, q * stride : q * stride + height
+            ].T
+            filled += rows
+    count_block()
+    return counts
 
 
 @dataclass
@@ -111,6 +324,7 @@ class HttpsCaptureSource:
     record_overhead: int = MAC_LEN
     label: str = "https-capture"
     _plaintext_arr: np.ndarray = field(init=False, repr=False)
+    _window: slice = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.plaintext) != self.layout.request_len:
@@ -118,9 +332,10 @@ class HttpsCaptureSource:
                 f"plaintext is {len(self.plaintext)} bytes, layout expects "
                 f"{self.layout.request_len}"
             )
-        if self.num_requests < 1:
+        if not 1 <= self.num_requests <= MAX_CAPTURE_REQUESTS:
             raise CaptureError(
-                f"num_requests must be positive, got {self.num_requests}"
+                f"num_requests must be in 1..{MAX_CAPTURE_REQUESTS} (uint32 "
+                f"counters), got {self.num_requests}"
             )
         if self.reconnect_every < 1:
             raise CaptureError(
@@ -137,6 +352,7 @@ class HttpsCaptureSource:
                 "multi-request connections — add request padding (§6.3)"
             )
         self._plaintext_arr = np.frombuffer(self.plaintext, dtype=np.uint8)
+        self._window = keystream_window(self.layout, self.max_gap)
 
     @property
     def _stride(self) -> int:
@@ -221,41 +437,13 @@ class HttpsCaptureSource:
         return CookieStatistics.load(path)
 
     def capture_batch(self, stats: CookieStatistics, index: int) -> int:
-        """One batch: keystream block -> XOR template -> count cells."""
-        first = index * self.batch_size
-        count = min(self.batch_size, self.num_requests - first)
-        if count <= 0:
-            raise CaptureError(f"batch {index} is beyond the campaign")
-        per_conn = self.reconnect_every
-        connections = -(-count // per_conn)
-        keys = derive_keys(
-            self.config, f"{self.label}/batch{index}", connections
+        """One batch on its own: :meth:`capture_batches` of ``[index]``."""
+        return self.capture_batches(stats, [index])[0]
+
+    def capture_batches(
+        self, stats: CookieStatistics, indices: Sequence[int]
+    ) -> list[int]:
+        """Windowed keystream of each batch -> one column block -> count."""
+        return count_https_batches(
+            self, [stats], self._plaintext_arr[np.newaxis, :], indices
         )
-        length = (per_conn - 1) * self._stride + self.layout.request_len
-        stream = batch_keystream(
-            keys, length, threads=self.config.native_threads,
-            simd=self.config.native_simd,
-        )
-        # One transpose for the whole block; each request window is a
-        # column view and the template folds into the counting kernel's
-        # per-row constants (bit-identical to XOR-then-count).
-        columns = np.ascontiguousarray(stream.T)
-        template = self._plaintext_arr[np.newaxis, :]
-        for q in range(per_conn):
-            # Connections whose q-th request exists (the final connection
-            # of the final batch may carry fewer than per_conn requests).
-            rows = -(-(count - q) // per_conn)
-            if rows <= 0:
-                break
-            start = q * self._stride
-            window = columns[
-                start : start + self.layout.request_len, :rows
-            ]
-            ingest_keystream_columns(
-                [stats],
-                window,
-                template,
-                offset=self.layout.base_offset + start,
-                threads=self.config.native_threads,
-            )
-        return count

@@ -8,14 +8,16 @@ Ciphertext is ``keystream XOR template``, so the expensive part of a
 capture batch (RC4 keystream generation) is shared and only the cheap
 template fold is per-victim:
 
-- **HTTPS** (:func:`ingest_keystream_columns`): the ABSAB differential
-  ``C[r] ^ C[p] = (Z[r] ^ Z[p]) ^ (T[r] ^ T[p])`` is the keystream
-  differential XOR a *scalar* template differential per alignment, and
-  a Fluhrer–McGrew digraph row likewise folds its template into one
-  16-bit constant.  Every row of every victim goes through
-  :func:`~repro.datasets.generate.templated_digraph_counts`: a threaded
-  native kernel counting each row straight into its counters, or the
-  numpy fallback sharing keystream differential blocks across victims.
+- **HTTPS** (:func:`~repro.capture.https.ingest_keystream_columns`):
+  the ABSAB differential ``C[r] ^ C[p] = (Z[r] ^ Z[p]) ^ (T[r] ^ T[p])``
+  is the keystream differential XOR a *scalar* template differential per
+  alignment, and a Fluhrer–McGrew digraph row likewise folds its
+  template into one 16-bit constant.  Every row of every victim goes
+  through :func:`~repro.datasets.generate.templated_digraph_counts`: a
+  threaded native kernel counting each row straight into its uint32
+  counters, or the numpy fallback sharing keystream differential blocks
+  across victims.  The batches up to each checkpoint share one such
+  call (:func:`~repro.capture.https.count_https_batches`).
 - **TKIP** (:class:`MultiTkipStatistics`): XOR with a constant permutes
   the 256 histogram bins, so the shared keystream columns are bincounted
   once (:func:`~repro.datasets.generate.bytewise_row_counts`) and every
@@ -23,10 +25,10 @@ template fold is per-victim:
   permutation (:func:`~repro.datasets.generate.templated_row_counts`) —
   O(P·n + V·P·256) instead of O(V·P·n).
 
-Both paths produce int64 counters bit-identical to N independent
-single-template captures run with the same key-derivation label
-(`tests/test_campaign.py` holds this cell-for-cell on both
-``REPRO_NATIVE`` legs); the single-victim
+Both paths produce counters (uint32 for HTTPS, int64 for TKIP)
+bit-identical to N independent single-template captures run with the
+same key-derivation label (`tests/test_campaign.py` holds this
+cell-for-cell on both ``REPRO_NATIVE`` legs); the single-victim
 :class:`~repro.capture.https.HttpsCaptureSource` is the V=1 case of the
 same kernel.
 """
@@ -41,113 +43,20 @@ from typing import Sequence
 import numpy as np
 
 from ..config import ReproConfig
-from ..datasets.generate import (
-    templated_digraph_counts,
-    templated_row_counts,
-)
+from ..datasets.generate import templated_row_counts
 from ..errors import AttackError, CaptureError
 from ..rc4.batch import batch_keystream
-from ..rc4.keygen import derive_keys
 from ..tkip.injection import CaptureSet
 from ..tkip.keymix import simplified_key_batch
-from ..tls.attack import CookieLayout, CookieStatistics
+from ..tls.attack import (
+    MAX_CAPTURE_REQUESTS,
+    CookieLayout,
+    CookieStatistics,
+    capture_counters,
+)
 from ..tls.record import MAC_LEN
 from ..utils.serialization import canonical_json
-
-
-def ingest_keystream_columns(
-    stats_list: Sequence[CookieStatistics],
-    columns: np.ndarray,
-    templates: np.ndarray,
-    *,
-    offset: int = 1,
-    threads: int | None = None,
-) -> None:
-    """Score one keystream column block against many plaintext templates.
-
-    The multi-victim core of the §6 capture: ``columns[p, k]`` is the
-    keystream byte at request position ``p`` of request ``k`` (or the
-    ciphertext byte — any constant XOR folds into the templates), and
-    victim v's ciphertext is ``columns[p] ^ templates[v, p]``.  Every
-    Fluhrer–McGrew digraph row and every ABSAB differential row of every
-    victim goes through one call of
-    :func:`~repro.datasets.generate.templated_digraph_counts`, which
-    counts into each victim's own
-    :class:`~repro.tls.attack.CookieStatistics`.
-
-    Args:
-        stats_list: one statistics object per victim; all must share one
-            layout and alignment set (same ``max_gap``).
-        columns: uint8 ``(>= request_len, n)`` keystream columns.
-        templates: uint8 ``(len(stats_list), request_len)`` plaintext
-            templates, one row per victim.
-        offset: keystream position of row 0, congruent to the layout
-            base modulo 256 (the record-padding invariant, §6.3).
-        threads: native-kernel thread count (``None``: the configured
-            default); the counters do not depend on it.
-    """
-    if not stats_list:
-        raise AttackError("multi-template ingestion needs at least one victim")
-    stats0 = stats_list[0]
-    layout = stats0.layout
-    if (offset - layout.base_offset) % 256 != 0:
-        raise AttackError(
-            f"row offset {offset} incompatible with layout base "
-            f"{layout.base_offset} modulo 256 — add request padding"
-        )
-    if columns.ndim != 2 or columns.shape[0] < layout.request_len:
-        raise AttackError(
-            f"columns must be (>= {layout.request_len}, n), "
-            f"got {columns.shape}"
-        )
-    templates = np.asarray(templates, dtype=np.uint8)
-    if templates.shape != (len(stats_list), layout.request_len):
-        raise AttackError(
-            f"templates must be ({len(stats_list)}, {layout.request_len}), "
-            f"got {templates.shape}"
-        )
-    alignments = list(stats0.absab_counts)
-    for stats in stats_list:
-        if stats.layout != layout or list(stats.absab_counts) != alignments:
-            raise AttackError(
-                "multi-template ingestion needs statistics sharing one "
-                "layout and alignment set"
-            )
-        if stats.absab_matrix is None:
-            raise AttackError(
-                "batched ingestion needs the absab_matrix backing store "
-                "(build statistics with CookieStatistics.empty)"
-            )
-        # The fm_counts reshape below must be a view, not a copy.
-        if not (
-            stats.fm_counts.flags.c_contiguous
-            and stats.absab_matrix.flags.c_contiguous
-        ):
-            raise AttackError("batched ingestion needs C-contiguous counters")
-
-    # Row spec: FM rows (digraph at r, r+1), then ABSAB rows (differential
-    # of the digraph at r against the known digraph at the partner p1).
-    base = layout.base_offset
-    transitions = layout.transitions()
-    first = [r - base for r in transitions]
-    partner = [-1] * len(transitions)
-    for (t, gap, side) in alignments:
-        r = transitions[t]
-        first.append(r - base)
-        partner.append((r + 2 + gap if side == "after" else r - 2 - gap) - base)
-    templated_digraph_counts(
-        columns[: layout.request_len],
-        templates,
-        np.asarray(first, dtype=np.intp),
-        np.asarray(partner, dtype=np.intp),
-        [
-            (stats.fm_counts.reshape(-1, 65536), stats.absab_matrix)
-            for stats in stats_list
-        ],
-        threads=threads,
-    )
-    for stats in stats_list:
-        stats.num_requests += columns.shape[1]
+from .https import count_https_batches, keystream_window
 
 
 def _layout_meta(layout: CookieLayout) -> dict:
@@ -173,11 +82,11 @@ class MultiTemplateStatistics:
     """Per-victim :class:`CookieStatistics` behind one statistics facade.
 
     Implements the :class:`repro.capture.SufficientStatistics` protocol
-    (snapshot / exact int64 merge / canonical-JSON summary / one-NPZ
-    persistence), so multi-victim captures shard, checkpoint, and fleet
-    exactly like single-victim ones.  Victim v's counters are an
-    ordinary :class:`CookieStatistics` — the per-victim attack code
-    needs no multi-victim awareness at all.
+    (snapshot / exact merge of the uint32 counters / canonical-JSON
+    summary / one-NPZ persistence), so multi-victim captures shard,
+    checkpoint, and fleet exactly like single-victim ones.  Victim v's
+    counters are an ordinary :class:`CookieStatistics` — the per-victim
+    attack code needs no multi-victim awareness at all.
     """
 
     layout: CookieLayout
@@ -231,6 +140,9 @@ class MultiTemplateStatistics:
                 "cannot merge multi-template statistics of different "
                 "victim sets or layouts"
             )
+        # Every bound first, so a refused merge changes no victim.
+        for mine, theirs in zip(self.victims, other.victims):
+            mine.check_room(theirs.num_requests)
         for mine, theirs in zip(self.victims, other.victims):
             mine.merge(theirs)
         return self
@@ -270,8 +182,8 @@ class MultiTemplateStatistics:
             fm = np.stack([s.fm_counts for s in self.victims])
             absab = np.stack([s.absab_matrix for s in self.victims])
         else:
-            fm = np.zeros((0, transitions, 256, 256), dtype=np.int64)
-            absab = np.zeros((0, alignments, 65536), dtype=np.int64)
+            fm = np.zeros((0, transitions, 256, 256), dtype=np.uint32)
+            absab = np.zeros((0, alignments, 65536), dtype=np.uint32)
         requests = np.asarray(
             [s.num_requests for s in self.victims], dtype=np.int64
         )
@@ -296,8 +208,10 @@ class MultiTemplateStatistics:
         layout = _layout_from_meta(meta["layout"])
         max_gap = int(meta["max_gap"])
         victim_ids = tuple(meta["victim_ids"])
-        fm, absab = arrays["fm_counts"], arrays["absab_matrix"]
         requests = arrays["num_requests"]
+        most = int(requests.max()) if len(requests) else 0
+        fm = capture_counters(arrays["fm_counts"], most)
+        absab = capture_counters(arrays["absab_matrix"], most)
         if not len(victim_ids) == len(fm) == len(absab) == len(requests):
             raise AttackError(f"{path}: victim count mismatch")
         # Victim v's counters are views into the loaded stacks: 1x memory.
@@ -352,6 +266,7 @@ class MultiHttpsCaptureSource:
     record_overhead: int = MAC_LEN
     label: str = "multi-https-capture"
     _template_matrix: np.ndarray = field(init=False, repr=False)
+    _window: slice = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.templates = tuple(self.templates)
@@ -369,9 +284,10 @@ class MultiHttpsCaptureSource:
                     f"victim {victim_id!r}: template is {len(template)} "
                     f"bytes, layout expects {self.layout.request_len}"
                 )
-        if self.num_requests < 1:
+        if not 1 <= self.num_requests <= MAX_CAPTURE_REQUESTS:
             raise CaptureError(
-                f"num_requests must be positive, got {self.num_requests}"
+                f"num_requests must be in 1..{MAX_CAPTURE_REQUESTS} (uint32 "
+                f"counters), got {self.num_requests}"
             )
         if self.reconnect_every < 1:
             raise CaptureError(
@@ -390,6 +306,7 @@ class MultiHttpsCaptureSource:
         self._template_matrix = np.stack(
             [np.frombuffer(t, dtype=np.uint8) for t in self.templates]
         )
+        self._window = keystream_window(self.layout, self.max_gap)
 
     @property
     def _stride(self) -> int:
@@ -457,38 +374,18 @@ class MultiHttpsCaptureSource:
     def capture_batch(
         self, stats: MultiTemplateStatistics, index: int
     ) -> int:
-        """One batch: shared keystream block -> per-victim template folds."""
-        first = index * self.batch_size
-        count = min(self.batch_size, self.num_requests - first)
-        if count <= 0:
-            raise CaptureError(f"batch {index} is beyond the campaign")
-        per_conn = self.reconnect_every
-        connections = -(-count // per_conn)
-        keys = derive_keys(
-            self.config, f"{self.label}/batch{index}", connections
+        """One batch on its own: :meth:`capture_batches` of ``[index]``."""
+        return self.capture_batches(stats, [index])[0]
+
+    def capture_batches(
+        self, stats: MultiTemplateStatistics, indices: Sequence[int]
+    ) -> list[int]:
+        """Shared windowed keystream -> one column block -> per-victim
+        template folds; returns requests per batch over all victims."""
+        counts = count_https_batches(
+            self, stats.victims, self._template_matrix, indices
         )
-        length = (per_conn - 1) * self._stride + self.layout.request_len
-        stream = batch_keystream(
-            keys, length, threads=self.config.native_threads,
-            simd=self.config.native_simd,
-        )
-        columns = np.ascontiguousarray(stream.T)
-        for q in range(per_conn):
-            rows = -(-(count - q) // per_conn)
-            if rows <= 0:
-                break
-            start = q * self._stride
-            window = columns[
-                start : start + self.layout.request_len, :rows
-            ]
-            ingest_keystream_columns(
-                stats.victims,
-                window,
-                self._template_matrix,
-                offset=self.layout.base_offset + start,
-                threads=self.config.native_threads,
-            )
-        return count * len(self.templates)
+        return [count * len(self.templates) for count in counts]
 
 
 @dataclass
@@ -795,6 +692,13 @@ class MultiTkipCaptureSource:
 
     def load(self, path: str | Path) -> tuple[MultiTkipStatistics, dict]:
         return MultiTkipStatistics.load(path)
+
+    def capture_batches(
+        self, stats: MultiTkipStatistics, indices: Sequence[int]
+    ) -> list[int]:
+        """Batch by batch: TKIP counters are small, so grouping buys
+        nothing."""
+        return [self.capture_batch(stats, index) for index in indices]
 
     def capture_batch(self, stats: MultiTkipStatistics, index: int) -> int:
         """One batch: shared keystream -> per-victim permutation gather."""

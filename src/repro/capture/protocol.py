@@ -1,14 +1,16 @@
 """The ``SufficientStatistics`` protocol unifying capture counters.
 
-Both attacks reduce their captures to small families of int64 count
-arrays — digraph/ABSAB cells for §6 (:class:`repro.tls.attack
-.CookieStatistics`), per-TSC byte cells for §5
+Both attacks reduce their captures to small families of integer count
+arrays — uint32 digraph/ABSAB cells for §6 (:class:`repro.tls.attack
+.CookieStatistics`), int64 per-TSC byte cells for §5
 (:class:`repro.tkip.injection.CaptureSet`).  The paper's capture scale
 (9·2^27 requests, 2^30 packets) makes two properties non-negotiable:
 
-- **mergeable**: int64 addition is exact, associative and commutative,
-  so captures shard across processes (the paper's per-worker counters,
-  §3.2) and merge to bit-identical totals in any order;
+- **mergeable**: integer addition is exact, associative and
+  commutative, so captures shard across processes (the paper's
+  per-worker counters, §3.2) and merge to bit-identical totals in any
+  order.  A uint32 object holds fewer than 2^32 requests, so no cell
+  can wrap; merges and ingestion refuse to pass that bound;
 - **resumable**: a checkpoint is just the counters plus a progress
   cursor, so a multi-hour capture survives session restarts exactly.
 
@@ -33,7 +35,8 @@ class SufficientStatistics(Protocol):
         ...
 
     def merge(self, other: "SufficientStatistics") -> "SufficientStatistics":
-        """Exact in-place int64 merge of another shard's counts."""
+        """Exact in-place merge of another shard's counts; ``self`` keeps
+        its counter dtype."""
         ...
 
     def to_jsonable(self) -> dict[str, Any]:

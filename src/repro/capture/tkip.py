@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -148,6 +149,13 @@ class TkipCaptureSource:
 
     def load(self, path: str | Path) -> tuple[CaptureSet, dict]:
         return CaptureSet.load(path)
+
+    def capture_batches(
+        self, stats: CaptureSet, indices: Sequence[int]
+    ) -> list[int]:
+        """Batch by batch: TKIP counters are small, so grouping buys
+        nothing."""
+        return [self.capture_batch(stats, index) for index in indices]
 
     def capture_batch(self, stats: CaptureSet, index: int) -> int:
         """One batch: per-TSC keys -> keystream block -> XOR -> count."""

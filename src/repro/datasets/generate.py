@@ -2,9 +2,12 @@
 
 Each kernel derives counts straight from a key batch and updates int64
 counters.  Like the paper's workers we accumulate into per-chunk counters
-and merge afterwards; unlike the paper we can afford int64 everywhere
-(their 16-bit counters were a cache optimisation at 2**30 keystreams per
-worker).
+and merge afterwards; unlike the paper we can afford int64 here (their
+16-bit counters were a cache optimisation at 2**30 keystreams per
+worker).  The §6 capture's row kernel, :func:`templated_digraph_counts`,
+counts into uint32 instead: its statistics hold fewer than 2**32
+requests, so no cell can wrap, and the narrower counters halve the
+memory each counting pass streams at paper gaps.
 
 Two implementations sit behind every kernel:
 
@@ -126,8 +129,10 @@ def digraph_row_counts(
     ciphertext rows).  ``first``/``second`` are uint8 ``(m, n)``;
     ``row_offsets[r]`` is the flat offset of row r's 65536-bin block
     (non-contiguous offsets are fine — the long-term kernel bins by PRGA
-    counter).  Streaming callers pass a hoisted ``(group, n)`` int32
-    ``scratch`` so per-window calls stay allocation-free.
+    counter).  ``flat_out`` is int64, or uint32 for the capture counters,
+    whose callers keep every cell below 2^32.  Streaming callers pass a
+    hoisted ``(group, n)`` int32 ``scratch`` so per-window calls stay
+    allocation-free.
     """
     m, n = first.shape
     width = min(group, m)
@@ -144,7 +149,8 @@ def digraph_row_counts(
         counts = counts.reshape(g, 65536)
         for idx in range(g):
             offset = row_offsets[start + idx]
-            flat_out[offset : offset + 65536] += counts[idx]
+            cells = flat_out[offset : offset + 65536]
+            np.add(cells, counts[idx], out=cells, casting="unsafe")
 
 
 def templated_row_counts(
@@ -209,10 +215,11 @@ def templated_digraph_counts(
 
     ``columns`` is uint8 ``(L, n)`` keystream with unit column stride;
     ``templates`` is uint8 ``(V, L)``; ``first``/``partner`` are ``(R,)``
-    row indices.  ``out[v]`` lists template v's C-contiguous int64
+    row indices.  ``out[v]`` lists template v's C-contiguous uint32
     ``(rows, 65536)`` counter blocks, whose rows in order are rows
     0..R-1 (e.g. the FM block, then the ABSAB block); every template
-    uses the same block split.
+    uses the same block split.  No cell may reach 2^32: the capture
+    statistics bound their requests below that.
 
     With the native backend one threaded C kernel counts all V·R rows,
     each template folded into a per-row 16-bit XOR constant, straight
@@ -249,12 +256,12 @@ def templated_digraph_counts(
         for block in blocks:
             # A reshape of a strided block would count into a copy.
             if (
-                block.dtype != np.int64
+                block.dtype != np.uint32
                 or block.shape[1:] != (65536,)
                 or not block.flags.c_contiguous
             ):
                 raise ValueError(
-                    "counter blocks must be C-contiguous int64 (rows, 65536)"
+                    "counter blocks must be C-contiguous uint32 (rows, 65536)"
                 )
     if sum(splits) != first.shape[0]:
         raise ValueError(

@@ -16,11 +16,11 @@ saturate one core or a thousand machines mounting the same filesystem
 
 The manifest is written once and never mutated; every piece of mutable
 state is per-shard, written only by the current lease holder (single
-writer), via write-to-temp + fsync + atomic rename.  A shard's effective
-state is *derived* — ``done``/``failed`` from the state file, ``leased``
-from a fresh lease file, ``pending`` otherwise — so a crashed worker
-never wedges the job: its lease goes stale and the shard becomes
-claimable again.
+writer), via write-to-temp + fsync + atomic rename + directory fsync.  A
+shard's effective state is *derived* — ``done``/``failed`` from the
+state file, ``leased`` from a fresh lease file, ``pending`` otherwise —
+so a crashed worker never wedges the job: its lease goes stale and the
+shard becomes claimable again.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from ..config import (
     DEFAULT_FLEET_RETRY_BUDGET,
 )
 from ..errors import ManifestError
-from ..utils.serialization import canonical_json
+from ..utils.serialization import canonical_json, durable_replace
 
 MANIFEST_VERSION = 1
 MANIFEST_NAME = "manifest.json"
@@ -71,21 +71,12 @@ STATE_DESCRIPTIONS = {
 }
 
 
-def fsync_path(path: str | Path) -> None:
-    """Flush a written file to stable storage before renaming it."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
 def atomic_write_json(path: Path, payload: dict[str, Any]) -> None:
-    """Durably replace ``path`` with ``payload`` (temp + fsync + rename)."""
+    """Durably replace ``path`` with ``payload`` (temp + fsync + rename +
+    directory fsync)."""
     tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
     tmp.write_text(canonical_json(payload))
-    fsync_path(tmp)
-    os.replace(tmp, path)
+    durable_replace(tmp, path)
 
 
 def read_json(path: Path) -> dict[str, Any]:

@@ -7,6 +7,9 @@ lease, run :func:`~repro.capture.engine.run_capture` over the shard's
 batch range (heartbeating the lease from the progress callback, reusing
 any checkpoint a dead predecessor left behind), fsync-promote the
 finished checkpoint NPZ to the shard result, and record ``done``.
+Progress arrives once a run of ``checkpoint_every`` batches is counted,
+so the heartbeats come once per run: a run must finish within the
+lease TTL (the defaults are 4 batches against 30 s).
 
 Failures are per-shard, never per-worker: a retryable error puts the
 shard back to ``pending`` with a capped-exponential ``not_before``
@@ -26,6 +29,7 @@ from typing import Callable
 
 from ..config import ReproConfig, get_config
 from ..errors import LeaseError, ManifestError
+from ..utils.serialization import durable_replace
 from .manifest import (
     DONE,
     FAILED,
@@ -67,13 +71,9 @@ def _promote(paths: JobPaths, index: int) -> None:
 
     ``run_capture`` always checkpoints the final batch, so the finished
     checkpoint NPZ *is* the shard result — same statistics, same cursor
-    — and an fsync'd rename publishes it without a rewrite.
+    — and a durable rename publishes it without a rewrite.
     """
-    from ..capture.engine import fsync_file
-
-    ckpt = paths.checkpoint(index)
-    fsync_file(ckpt)
-    os.replace(ckpt, paths.result(index))
+    durable_replace(paths.checkpoint(index), paths.result(index))
 
 
 def run_worker(

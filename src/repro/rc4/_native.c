@@ -49,7 +49,8 @@
  *
  * Besides the RC4 kernels, the file holds two row kernels that split
  * output rows across the same threads: the §6 capture's digraph rows
- * (digraph_rows) and the §6 statistic sampler's multinomial rows
+ * (digraph_rows, into uint32 counters) and the §6 statistic sampler's
+ * multinomial rows
  * (multinomial_rows, which calls numpy's own C sampler on one bit
  * generator per row, the threads taking the rows one at a time).  Each
  * row owns its output, so they are bit-identical for any thread count
@@ -847,7 +848,10 @@ static void run_threaded(const rc4_job *template, int threads,
  * partner[r]+1 — an ABSAB differential — or zero when partner[r] < 0, a
  * plain Fluhrer-McGrew digraph.  tmpl[r] is the row's plaintext template
  * constant folded into one 16-bit code.  Every row writes only its own
- * 65536 int64 cells out[r], so a range of rows is an independent job. */
+ * 65536 uint32 cells out[r], so a range of rows is an independent job.
+ * A cell never exceeds the requests its statistics object holds, which
+ * the caller keeps below 2^32, so the increments never wrap; the 256 KiB
+ * row is half the int64 row's cache and memory traffic. */
 typedef struct {
     const uint8_t *cols;
     ptrdiff_t ld;
@@ -855,7 +859,7 @@ typedef struct {
     const ptrdiff_t *first;
     const ptrdiff_t *partner;
     const uint16_t *tmpl;
-    int64_t *const *out;
+    uint32_t *const *out;
     ptrdiff_t r0, r1; /* this job's rows */
 } rows_job;
 
@@ -867,7 +871,7 @@ static void digraph_rows(const rows_job *job)
         const uint8_t *a = job->cols + job->first[r] * job->ld;
         const uint8_t *b = a + job->ld;
         const uint8_t *p = NULL, *q = NULL;
-        int64_t *row = job->out[r];
+        uint32_t *row = job->out[r];
         unsigned x = job->tmpl[r];
         ptrdiff_t k0, k;
         if (job->partner[r] >= 0) {
@@ -1045,7 +1049,7 @@ void rc4_count_longterm(const uint8_t *keys, ptrdiff_t n, ptrdiff_t keylen,
 void rc4_count_digraph_rows(const uint8_t *cols, ptrdiff_t ld, ptrdiff_t n,
                             ptrdiff_t rows, const ptrdiff_t *first,
                             const ptrdiff_t *partner, const uint16_t *tmpl,
-                            int64_t *const *out, int threads)
+                            uint32_t *const *out, int threads)
 {
     rows_job whole = {cols, ld, n, first, partner, tmpl, out, 0, rows};
     rows_job *jobs;

@@ -5,7 +5,7 @@
 kernels: the §6 capture's (:func:`count_digraph_rows`: FM digraph and
 ABSAB differential codes of a transposed keystream block, each row XORed
 with its template constant and counted straight into its own 65536
-int64 cells) and the §6 statistic sampler's
+uint32 cells) and the §6 statistic sampler's
 (:func:`multinomial_rows`: numpy's own C ``random_multinomial``, one bit
 generator per row, so the draws are numpy's bit for bit), plus the §5
 CRC search's best-first walk (:func:`lazy_walk`: single-threaded, over
@@ -242,7 +242,7 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.rc4_count_digraph_rows.argtypes = [
         u8p, ssize, ssize, ssize, ctypes.POINTER(ssize),
         ctypes.POINTER(ssize), ctypes.POINTER(ctypes.c_uint16),
-        ctypes.POINTER(i64p), cint,
+        ctypes.POINTER(ctypes.POINTER(ctypes.c_uint32)), cint,
     ]
     lib.rc4_count_digraph_rows.restype = None
     ptrs = ctypes.POINTER(ctypes.c_void_p)
@@ -514,10 +514,11 @@ def count_digraph_rows(
     0`` drops the ``c[p]`` terms (a plain digraph row).  ``columns`` is a
     uint8 ``(L, n)`` block with unit column stride (row views of a wider
     block are fine) and every index must lie in ``0..L-2``; every
-    ``out`` block is a C-contiguous int64 ``(rows, 65536)`` array.  Rows
-    split across threads as disjoint ranges with no private counters, so
-    the result is bit-exact for any thread count; a row that appears
-    twice (two views of one counter) runs serially.
+    ``out`` block is a C-contiguous uint32 ``(rows, 65536)`` array whose
+    cells the caller keeps below 2^32.  Rows split across threads as
+    disjoint ranges with no private counters, so the result is bit-exact
+    for any thread count; a row that appears twice (two views of one
+    counter) runs serially.
     """
     lib = _load()
     assert lib is not None, "call available() first"
@@ -528,7 +529,7 @@ def count_digraph_rows(
     xor = np.ascontiguousarray(xor, dtype=np.uint16)
     pointers = []
     for block in out:
-        assert block.dtype == np.int64 and block.flags.c_contiguous
+        assert block.dtype == np.uint32 and block.flags.c_contiguous
         assert block.ndim == 2 and block.shape[1] == 65536
         pointers.append(
             block.ctypes.data
@@ -541,7 +542,7 @@ def count_digraph_rows(
     if np.unique(pointers).shape[0] != rows:
         threads = 1
     ssize_p = ctypes.POINTER(ctypes.c_ssize_t)
-    rows_p = ctypes.POINTER(ctypes.POINTER(ctypes.c_int64))
+    rows_p = ctypes.POINTER(ctypes.POINTER(ctypes.c_uint32))
     lib.rc4_count_digraph_rows(
         _u8p(columns), columns.strides[0], columns.shape[1], rows,
         first.ctypes.data_as(ssize_p), partner.ctypes.data_as(ssize_p),

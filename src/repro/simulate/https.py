@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
 
 from ..biases.fluhrer_mcgrew import fm_digraph_distribution, position_to_counter
 from ..config import ReproConfig, child_seed
@@ -189,14 +190,22 @@ class HttpsAttackSimulation:
         num_requests = check_trials(num_requests)
         layout = self.layout
         plaintext = self.campaign.request_plaintext()
-        stats = CookieStatistics.empty(layout, max_gap=self.max_gap)
-        stats.num_requests = num_requests
+        transitions = layout.transitions()
+        alignments = CookieStatistics.alignment_keys(
+            layout, max_gap=self.max_gap
+        )
+        # int64, not the capture's uint32: up to 2^63 - 1 sampled requests.
+        stats = CookieStatistics.from_counters(
+            layout,
+            np.zeros((len(transitions), 256, 256), dtype=np.int64),
+            np.zeros((len(alignments), 65536), dtype=np.int64),
+            max_gap=self.max_gap,
+            num_requests=num_requests,
+        )
         labels = ("https-sim", "sampled", num_requests)
 
         def pbyte(position: int) -> int:
             return plaintext[position - layout.base_offset]
-
-        transitions = layout.transitions()
 
         def rows():
             for t, r in enumerate(transitions):

@@ -35,6 +35,11 @@ from .connection import RecordSniffer
 from .cookies import COOKIE_CHARSET
 from .http import HttpRequestTemplate
 
+#: Most requests one statistics object with uint32 counters holds.  A
+#: request adds at most one to a cell, so no cell can wrap below it; the
+#: paper's 9·2^27 requests fit with room to spare.
+MAX_CAPTURE_REQUESTS = 2**32 - 1
+
 
 @dataclass(frozen=True)
 class CookieLayout:
@@ -111,20 +116,29 @@ class CookieStatistics:
     """Sufficient statistics for the §6 attack.
 
     Implements the :class:`repro.capture.SufficientStatistics` protocol:
-    snapshots, exact int64 :meth:`merge` (so captures shard across
-    processes), canonical-JSON summaries, and NPZ persistence (so
-    captures checkpoint and resume across sessions).
+    snapshots, exact :meth:`merge` (so captures shard across processes),
+    canonical-JSON summaries, and NPZ persistence (so captures
+    checkpoint and resume across sessions).
+
+    Capture counters are uint32 (:meth:`empty`, and :meth:`load` of any
+    archive that fits): such an object holds at most
+    :data:`MAX_CAPTURE_REQUESTS` requests, and ingestion and
+    :meth:`merge` raise before passing that.  The sampled statistics of
+    :mod:`repro.simulate` keep int64 counters for up to 2^63 - 1
+    requests.  The likelihoods read either through exact float64
+    conversions, so their bits do not depend on the dtype.
 
     Attributes:
         layout: the request layout these counts belong to.
-        fm_counts: int64 (num_transitions, 256, 256) ciphertext digraph
+        fm_counts: (num_transitions, 256, 256) ciphertext digraph
             counts; row t is the digraph at transitions()[t].
-        absab_counts: maps (transition_index, gap, side) -> int64 65536
+        absab_counts: maps (transition_index, gap, side) -> 65536-entry
             vector of ciphertext differential counts.  The vectors are
-            row views into ``absab_matrix``, one backing int64 array of
-            shape (num_alignments, 65536), so the batched capture engine
-            and the merge/persistence paths operate on a single
-            contiguous block while per-request code keeps the dict API.
+            row views into ``absab_matrix``, one backing array of shape
+            (num_alignments, 65536) and the same dtype as ``fm_counts``,
+            so the batched capture engine and the merge/persistence
+            paths operate on a single contiguous block while
+            per-request code keeps the dict API.
         num_requests: requests accumulated.
         max_gap: ABSAB gap cap the alignment set was built with.
     """
@@ -143,8 +157,8 @@ class CookieStatistics:
         alignments = len(cls.alignment_keys(layout, max_gap=max_gap))
         return cls.from_counters(
             layout,
-            np.zeros((len(layout.transitions()), 256, 256), dtype=np.int64),
-            np.zeros((alignments, 65536), dtype=np.int64),
+            np.zeros((len(layout.transitions()), 256, 256), dtype=np.uint32),
+            np.zeros((alignments, 65536), dtype=np.uint32),
             max_gap=max_gap,
         )
 
@@ -158,10 +172,11 @@ class CookieStatistics:
         max_gap: int = MAX_GAP,
         num_requests: int = 0,
     ) -> "CookieStatistics":
-        """Statistics backed by the given int64 counter arrays, uncopied.
+        """Statistics backed by the given counter arrays, uncopied.
 
-        ``absab_counts`` becomes row views into ``absab_matrix``, so a
-        loaded checkpoint resumes at 1x its counter memory.
+        Two uint32 arrays stay uint32; any other integer arrays become
+        int64.  ``absab_counts`` becomes row views into ``absab_matrix``,
+        so a loaded checkpoint resumes at 1x its counter memory.
 
         Raises:
             AttackError: if a counter's shape does not match the layout.
@@ -177,11 +192,16 @@ class CookieStatistics:
                 f"absab_matrix shape {absab_matrix.shape} != expected "
                 f"{(len(keys), 65536)}"
             )
-        # Same casting rule as adding the arrays into int64 zeros: integer
-        # counters convert, float ones raise.
+        # Anything but two uint32 arrays converts as adding it into int64
+        # zeros would: integer counters convert, float ones raise.
+        dtype = (
+            np.uint32
+            if fm_counts.dtype == absab_matrix.dtype == np.uint32
+            else np.int64
+        )
         fm_counts, absab_matrix = (
             np.ascontiguousarray(
-                array.astype(np.int64, casting="same_kind", copy=False)
+                array.astype(dtype, casting="same_kind", copy=False)
             )
             for array in (fm_counts, absab_matrix)
         )
@@ -209,35 +229,65 @@ class CookieStatistics:
         return keys
 
     def snapshot(self) -> "CookieStatistics":
-        """Independent deep copy (checkpointing / shard seeds)."""
-        copy = CookieStatistics.empty(self.layout, max_gap=self.max_gap)
-        copy.fm_counts += self.fm_counts
-        if self.absab_matrix is not None:
-            copy.absab_matrix += self.absab_matrix
-        else:
-            for key, counts in self.absab_counts.items():
-                copy.absab_counts[key] += counts
-        copy.num_requests = self.num_requests
-        return copy
+        """Independent deep copy with the same counter dtype
+        (checkpointing / shard seeds)."""
+        return CookieStatistics.from_counters(
+            self.layout,
+            self.fm_counts.copy(),
+            self._matrix().copy(),
+            max_gap=self.max_gap,
+            num_requests=self.num_requests,
+        )
+
+    def check_room(self, requests: int) -> None:
+        """Raise before ``requests`` more would overfill the counters.
+
+        Raises:
+            AttackError: if ``num_requests + requests`` passes what the
+                counter dtype holds (:data:`MAX_CAPTURE_REQUESTS` for
+                uint32).
+        """
+        limit = int(np.iinfo(self.fm_counts.dtype).max)
+        if self.num_requests + requests > limit:
+            raise AttackError(
+                f"{self.num_requests} + {requests} requests exceed the "
+                f"{limit} that {self.fm_counts.dtype} counters hold"
+            )
 
     def merge(self, other: "CookieStatistics") -> "CookieStatistics":
-        """Exact int64 merge of shard counts into ``self`` (in place).
+        """Exact merge of shard counts into ``self`` (in place).
 
         Associative and commutative — shards captured by independent
-        processes combine to the same counters in any order.
+        processes combine to the same counters in any order.  ``self``
+        keeps its counter dtype, and the request bound is checked before
+        any counter changes.
         """
         if self.layout != other.layout or self.max_gap != other.max_gap:
             raise AttackError("cannot merge statistics of different layouts")
         if list(self.absab_counts) != list(other.absab_counts):
             raise AttackError("cannot merge statistics with different alignments")
-        self.fm_counts += other.fm_counts
-        if self.absab_matrix is not None and other.absab_matrix is not None:
-            self.absab_matrix += other.absab_matrix
+        self.check_room(other.num_requests)
+        # No cell exceeds its object's requests, so within the bound the
+        # cast into a narrower dtype cannot wrap.
+        np.add(self.fm_counts, other.fm_counts, out=self.fm_counts,
+               casting="unsafe")
+        if self.absab_matrix is not None:
+            np.add(self.absab_matrix, other._matrix(), out=self.absab_matrix,
+                   casting="unsafe")
         else:
             for key, counts in other.absab_counts.items():
-                self.absab_counts[key] += counts
+                mine = self.absab_counts[key]
+                np.add(mine, counts, out=mine, casting="unsafe")
         self.num_requests += other.num_requests
         return self
+
+    def _matrix(self) -> np.ndarray:
+        """The ABSAB rows as one (num_alignments, 65536) array."""
+        if self.absab_matrix is not None:
+            return self.absab_matrix
+        if not self.absab_counts:
+            return np.zeros((0, 65536), dtype=self.fm_counts.dtype)
+        return np.stack(list(self.absab_counts.values()))
 
     def to_jsonable(self) -> dict:
         """Canonical-JSON-ready summary (counters stay in NPZ files)."""
@@ -264,11 +314,6 @@ class CookieStatistics:
         captures; see :func:`~repro.datasets.store.save_statistics`)."""
         from ..datasets.store import save_statistics
 
-        matrix = self.absab_matrix
-        if matrix is None:
-            matrix = np.stack(list(self.absab_counts.values())) if (
-                self.absab_counts
-            ) else np.zeros((0, 65536), dtype=np.int64)
         meta = {
             "layout": {
                 "prefix": self.layout.prefix.decode("latin-1"),
@@ -283,13 +328,17 @@ class CookieStatistics:
         return save_statistics(
             path,
             "cookie-statistics",
-            {"fm_counts": self.fm_counts, "absab_matrix": matrix},
+            {"fm_counts": self.fm_counts, "absab_matrix": self._matrix()},
             meta,
         )
 
     @classmethod
     def load(cls, path) -> tuple["CookieStatistics", dict]:
-        """Load statistics saved by :meth:`save`; returns (stats, extra)."""
+        """Load statistics saved by :meth:`save`; returns (stats, extra).
+
+        int64 counters of at most :data:`MAX_CAPTURE_REQUESTS` requests,
+        as older checkpoints hold, load narrowed to uint32.
+        """
         from ..datasets.store import load_statistics
 
         arrays, meta = load_statistics(path, "cookie-statistics")
@@ -300,13 +349,14 @@ class CookieStatistics:
             cookie_len=fields["cookie_len"],
             base_offset=fields["base_offset"],
         )
+        num_requests = meta["num_requests"]
         try:
             stats = cls.from_counters(
                 layout,
-                arrays["fm_counts"],
-                arrays["absab_matrix"],
+                capture_counters(arrays["fm_counts"], num_requests),
+                capture_counters(arrays["absab_matrix"], num_requests),
                 max_gap=meta["max_gap"],
-                num_requests=meta["num_requests"],
+                num_requests=num_requests,
             )
         except AttackError as exc:
             raise AttackError(f"{path}: {exc}") from None
@@ -334,6 +384,7 @@ class CookieStatistics:
             )
         if len(fragment) < layout.request_len:
             raise AttackError("fragment shorter than the request layout")
+        self.check_room(1)
 
         def cbyte(position: int) -> int:
             return fragment[position - layout.base_offset]
@@ -356,6 +407,19 @@ class CookieStatistics:
         """Ingest every fragment a passive observer collected."""
         for fragment, offset in zip(sniffer.fragments, sniffer.offsets):
             self.ingest_fragment(fragment, offset)
+
+
+def capture_counters(counters: np.ndarray, num_requests: int) -> np.ndarray:
+    """Loaded counters as uint32 when ``num_requests`` fits the bound.
+
+    Capture archives written before the counters became uint32 hold
+    int64 cells; narrowing them is exact below
+    :data:`MAX_CAPTURE_REQUESTS`, so older checkpoints resume into the
+    uint32 counting kernel.  Anything else is returned unchanged.
+    """
+    if counters.dtype == np.int64 and num_requests <= MAX_CAPTURE_REQUESTS:
+        return counters.astype(np.uint32)
+    return counters
 
 
 #: Flat differential index (mu1 << 8) | mu2 of every (mu1, mu2) cell;

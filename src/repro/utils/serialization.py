@@ -109,6 +109,28 @@ def append_jsonl(path: str | Path, record: Any) -> str:
     return line
 
 
+def durable_replace(tmp: str | Path, path: str | Path) -> None:
+    """Atomically publish the written file ``tmp`` as ``path``.
+
+    fsyncs ``tmp``, renames it over ``path`` and then fsyncs the parent
+    directory, which records the rename: after a crash ``path`` is the
+    old file or the whole new one, and once this returns it stays the
+    new one.
+    """
+    _fsync(tmp)
+    os.replace(tmp, path)
+    _fsync(Path(path).parent)
+
+
+def _fsync(path: str | Path) -> None:
+    """Flush a file's or a directory's entries to stable storage."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def iter_jsonl(
     path: str | Path, *, label: str = "record"
 ) -> Iterator[tuple[int, Any]]:

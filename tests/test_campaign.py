@@ -36,7 +36,9 @@ from repro.capture import (
     HttpsCaptureSource,
     MultiHttpsCaptureSource,
     TkipCaptureSource,
+    merge_shards,
     run_capture,
+    shard_batches,
 )
 from repro.config import ReproConfig
 from repro.errors import CampaignError
@@ -227,26 +229,20 @@ class TestMultiTemplateKernelMatrix:
     37 requests in batches of 12 end on a partial batch and connection.
     """
 
-    @pytest.mark.parametrize(
-        "max_gap,reconnect_every", [(8, 1), (32, 2), (128, 1), (128, 2)]
-    )
-    @pytest.mark.parametrize("victims", [1, 3])
-    def test_group_matches_per_request(
-        self, config, engine_threads, victims, max_gap, reconnect_every
-    ):
+    @staticmethod
+    def _source(config, threads, victims, max_gap, reconnect_every):
         rng = np.random.default_rng(max_gap + victims)
         layout = CookieLayout(
             prefix=b"id=", suffix=bytes(rng.integers(1, 256, 130, np.uint8)),
             cookie_len=1,
         )
-        templates = tuple(
-            layout.prefix + bytes([65 + v]) + layout.suffix
-            for v in range(victims)
-        )
-        source = MultiHttpsCaptureSource(
-            config=dataclasses.replace(config, native_threads=engine_threads),
+        return MultiHttpsCaptureSource(
+            config=dataclasses.replace(config, native_threads=threads),
             layout=layout,
-            templates=templates,
+            templates=tuple(
+                layout.prefix + bytes([65 + v]) + layout.suffix
+                for v in range(victims)
+            ),
             victim_ids=tuple(f"v{v}" for v in range(victims)),
             num_requests=37,
             batch_size=12,
@@ -255,14 +251,47 @@ class TestMultiTemplateKernelMatrix:
             record_overhead=122,
             label="kernel-group",
         )
-        stats = run_capture(source)
-        for victim_id, template in zip(source.victim_ids, templates):
+
+    @staticmethod
+    def _assert_matches_per_request(source, stats):
+        for victim_id, template in zip(source.victim_ids, source.templates):
             mine = stats.victim(victim_id)
             alone = _per_request_reference(source, template)
             assert mine.num_requests == alone.num_requests == 37
+            assert mine.fm_counts.dtype == np.uint32
             assert np.array_equal(mine.fm_counts, alone.fm_counts)
             assert list(mine.absab_counts) == list(alone.absab_counts)
             assert np.array_equal(mine.absab_matrix, alone.absab_matrix)
+
+    @pytest.mark.parametrize(
+        "max_gap,reconnect_every", [(8, 1), (32, 2), (128, 1), (128, 2)]
+    )
+    @pytest.mark.parametrize("victims", [1, 3])
+    def test_group_matches_per_request(
+        self, config, engine_threads, victims, max_gap, reconnect_every
+    ):
+        source = self._source(
+            config, engine_threads, victims, max_gap, reconnect_every
+        )
+        self._assert_matches_per_request(source, run_capture(source))
+
+    @pytest.mark.parametrize("checkpoint_every", [1, 3])
+    def test_runs_and_shards_match_per_request(
+        self, config, engine_threads, checkpoint_every, tmp_path
+    ):
+        """Runs that end at each checkpoint, and shards merged, count
+        every victim's cells as the per-request reference does."""
+        source = self._source(config, engine_threads, 3, 128, 2)
+        whole = run_capture(
+            source, checkpoint_path=tmp_path / "group.npz",
+            checkpoint_every=checkpoint_every,
+        )
+        self._assert_matches_per_request(source, whole)
+        shards = merge_shards(
+            run_capture(source, batches=r, checkpoint_every=checkpoint_every)
+            for r in shard_batches(source.num_batches, 3)
+        )
+        self._assert_matches_per_request(source, shards)
 
 
 # --------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from repro.capture import (
     run_capture,
     shard_batches,
 )
+from repro.capture.https import keystream_window
 from repro.config import ReproConfig
 from repro.datasets.generate import templated_digraph_counts
 from repro.errors import AttackError, CaptureError, ExperimentParamError
@@ -187,6 +188,149 @@ class TestHttpsKernelMatrix:
         _assert_cookie_stats_equal(stats, _https_reference(source))
 
 
+_REFERENCES: dict[str, CookieStatistics] = {}
+
+
+def _cached_reference(source):
+    """The per-request reference, once per campaign (threads excluded)."""
+    key = source.fingerprint()
+    if key not in _REFERENCES:
+        _REFERENCES[key] = _https_reference(source)
+    return _REFERENCES[key]
+
+
+def _per_batch(source):
+    """Every batch counted on its own, as the perfbench self-test does."""
+    stats = source.empty()
+    for index in range(source.num_batches):
+        source.capture_batch(stats, index)
+    return stats
+
+
+class TestGroupedCapture:
+    """A run of batches counted in one kernel call, over only the
+    keystream rows the counters read, == the per-batch and per-request
+    references, wherever the runs and shards end.  37 requests in
+    batches of 12 end on a one-request batch."""
+
+    @pytest.mark.parametrize("checkpoint_every", [1, 3, 16])
+    @pytest.mark.parametrize("reconnect_every", [1, 2])
+    @pytest.mark.parametrize("max_gap", [8, 32, 128])
+    def test_runs_match_references(
+        self, config, engine_threads, max_gap, reconnect_every,
+        checkpoint_every, tmp_path,
+    ):
+        source = _wide_gap_source(
+            config, max_gap=max_gap, reconnect_every=reconnect_every,
+            threads=engine_threads,
+        )
+        stats = run_capture(
+            source, checkpoint_path=tmp_path / "run.npz",
+            checkpoint_every=checkpoint_every,
+        )
+        assert stats.fm_counts.dtype == stats.absab_matrix.dtype == np.uint32
+        _assert_cookie_stats_equal(stats, _cached_reference(source))
+        _assert_cookie_stats_equal(stats, _per_batch(source))
+
+    def test_column_budget_splits_a_run(self, config, engine_threads, monkeypatch):
+        """A run past the column budget is counted in several calls."""
+        from repro.capture import https
+
+        source = _wide_gap_source(
+            config, max_gap=128, reconnect_every=2, threads=engine_threads
+        )
+        calls = []
+        ingest = https.ingest_keystream_columns
+
+        def counting(stats_list, columns, *args, **kwargs):
+            calls.append(columns.shape[1])
+            return ingest(stats_list, columns, *args, **kwargs)
+
+        height = source._window.stop - source._window.start
+        monkeypatch.setattr(https, "COLUMN_BUDGET", 20 * height)
+        monkeypatch.setattr(https, "ingest_keystream_columns", counting)
+        stats = run_capture(source)
+        assert calls == [12, 12, 13]
+        _assert_cookie_stats_equal(stats, _cached_reference(source))
+
+    @pytest.mark.parametrize("checkpoint_every", [1, 3])
+    def test_shards_merge_to_references(
+        self, config, engine_threads, checkpoint_every
+    ):
+        source = _wide_gap_source(
+            config, max_gap=32, reconnect_every=2, threads=engine_threads
+        )
+        shards = [
+            run_capture(source, batches=r, checkpoint_every=checkpoint_every)
+            for r in shard_batches(source.num_batches, 3)
+        ]
+        _assert_cookie_stats_equal(
+            merge_shards(shards), _cached_reference(source)
+        )
+        # Out-of-order batch lists count the same cells too.
+        reordered = run_capture(source, batches=[3, 1, 0, 2])
+        _assert_cookie_stats_equal(reordered, _cached_reference(source))
+
+    def test_resume_from_a_mid_run_checkpoint(self, config, tmp_path):
+        """A checkpoint after batch 2 resumed at a cadence of 3: the first
+        resumed run is batch 2 alone, then the rest."""
+        source = _wide_gap_source(
+            config, max_gap=128, reconnect_every=2, threads=2
+        )
+        path = tmp_path / "mid.npz"
+        with pytest.raises(RuntimeError):
+            run_capture(
+                _FailAfter(source, 3), checkpoint_path=path, checkpoint_every=2
+            )
+        events = []
+        resumed = run_capture(
+            source, checkpoint_path=path, checkpoint_every=3,
+            progress=events.append,
+        )
+        _assert_cookie_stats_equal(resumed, _cached_reference(source))
+        assert [
+            (e.batches_done, e.requests_done, e.checkpointed) for e in events
+        ] == [(3, 36, True), (4, 37, True)]
+
+    def test_progress_fires_per_batch_in_order(self, config, tmp_path):
+        source = _wide_gap_source(
+            config, max_gap=8, reconnect_every=1, threads=1
+        )
+        events = []
+        run_capture(
+            source, checkpoint_path=tmp_path / "p.npz", checkpoint_every=3,
+            progress=events.append,
+        )
+        assert [
+            (e.batches_done, e.requests_done, e.checkpointed) for e in events
+        ] == [(1, 12, False), (2, 24, False), (3, 36, True), (4, 37, True)]
+
+    def test_batch_digest_is_computed_once_per_run(
+        self, config, tmp_path, monkeypatch
+    ):
+        from repro.capture import engine
+
+        calls = []
+        digest = engine.batch_digest
+
+        def counting(batch_list):
+            calls.append(len(batch_list))
+            return digest(batch_list)
+
+        monkeypatch.setattr(engine, "batch_digest", counting)
+        source = _wide_gap_source(
+            config, max_gap=8, reconnect_every=1, threads=1
+        )
+        path = tmp_path / "digest.npz"
+        with pytest.raises(RuntimeError):
+            run_capture(
+                _FailAfter(source, 3), checkpoint_path=path, checkpoint_every=1
+            )
+        assert calls == [4]
+        run_capture(source, checkpoint_path=path, checkpoint_every=1)
+        assert calls == [4, 4]
+
+
 def _cell_reference(columns, templates, first, partner, counts):
     """Per-cell oracle for templated_digraph_counts (np.add.at)."""
     for template, rows in zip(templates, counts):
@@ -216,7 +360,7 @@ class TestTemplatedDigraphKernel:
         partner = rng.integers(0, length - 1, rows)
         partner[::3] = -1
         first[1], partner[1] = 2, 200
-        start = rng.integers(0, 5, (victims, rows, 65536))
+        start = rng.integers(0, 5, (victims, rows, 65536), dtype=np.uint32)
         got, expected = start.copy(), start.copy()
         split = rows // 2
         templated_digraph_counts(
@@ -233,7 +377,8 @@ class TestTemplatedDigraphKernel:
         two threads on the same row would lose updates; repeated calls
         make an overlap of the threads all but certain."""
         rng = np.random.default_rng(3)
-        columns = np.full((_LAYOUT.request_len, 1 << 17), 7, np.uint8)
+        rows = np.full((_LAYOUT.request_len, 1 << 17), 7, np.uint8)
+        columns = rows[keystream_window(_LAYOUT, 3)]
         templates = rng.integers(0, 256, (2, _LAYOUT.request_len), np.uint8)
         templates[1] = templates[0]
         twice = CookieStatistics.empty(_LAYOUT, max_gap=3)
@@ -250,7 +395,7 @@ class TestTemplatedDigraphKernel:
     def test_rejects_rows_outside_the_block(self):
         columns = np.zeros((10, 4), np.uint8)
         templates = np.zeros((1, 10), np.uint8)
-        out = [(np.zeros((1, 65536), np.int64),)]
+        out = [(np.zeros((1, 65536), np.uint32),)]
         for first, partner in [(-1, -1), (9, -1), (0, 9)]:
             with pytest.raises(ValueError, match="outside"):
                 templated_digraph_counts(
@@ -260,9 +405,10 @@ class TestTemplatedDigraphKernel:
     def test_rejects_strided_counters(self):
         stats = CookieStatistics.empty(_LAYOUT, max_gap=3)
         stats.absab_matrix = np.zeros(
-            (stats.absab_matrix.shape[0], 2 * 65536), np.int64
+            (stats.absab_matrix.shape[0], 2 * 65536), np.uint32
         )[:, ::2]
         columns = np.zeros((_LAYOUT.request_len, 4), np.uint8)
+        columns = columns[keystream_window(_LAYOUT, 3)]
         with pytest.raises(AttackError, match="C-contiguous"):
             ingest_keystream_columns(
                 [stats], columns, np.zeros((1, _LAYOUT.request_len), np.uint8)
@@ -409,10 +555,13 @@ class _FailAfter:
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
-    def capture_batch(self, stats, index):
-        if index >= self._fail_after:
-            raise RuntimeError("simulated crash")
-        return self._inner.capture_batch(stats, index)
+    def capture_batches(self, stats, indices):
+        added = []
+        for index in indices:
+            if index >= self._fail_after:
+                raise RuntimeError("simulated crash")
+            added += self._inner.capture_batches(stats, [index])
+        return added
 
 
 class TestCheckpointResume:
@@ -549,6 +698,129 @@ class TestCheckpointResume:
             run_capture(source, batches=[0, 0])
 
 
+class TestCaptureBounds:
+    """uint32 counters: an object holds at most 2^32 - 1 requests, and
+    older int64 checkpoints still resume."""
+
+    def test_sources_reject_requests_past_uint32(self, config, https_sim):
+        from repro.capture import MultiHttpsCaptureSource
+
+        plaintext = https_sim.campaign.request_plaintext()
+        _https_source(https_sim, config, num_requests=2**32 - 1)
+        with pytest.raises(CaptureError, match="uint32"):
+            _https_source(https_sim, config, num_requests=2**32)
+        with pytest.raises(CaptureError, match="uint32"):
+            MultiHttpsCaptureSource(
+                config=config, layout=https_sim.layout,
+                templates=(plaintext,), victim_ids=("v",),
+                num_requests=2**32,
+            )
+
+    def test_ingest_past_the_bound_changes_nothing(self):
+        stats = CookieStatistics.empty(_LAYOUT, max_gap=3)
+        stats.num_requests = 2**32 - 4
+        window = keystream_window(_LAYOUT, 3)
+        columns = np.ones((window.stop - window.start, 3), np.uint8)
+        template = np.zeros((1, _LAYOUT.request_len), np.uint8)
+        ingest_keystream_columns([stats], columns, template)
+        assert stats.num_requests == 2**32 - 1
+        before = stats.snapshot()
+        with pytest.raises(AttackError, match="4294967295"):
+            ingest_keystream_columns([stats], columns[:, :1], template)
+        _assert_cookie_stats_equal(stats, before)
+        with pytest.raises(AttackError):
+            stats.ingest_fragment(bytes(_LAYOUT.request_len))
+        _assert_cookie_stats_equal(stats, before)
+
+    def test_merge_past_the_bound_changes_nothing(self):
+        from repro.capture import MultiTemplateStatistics
+
+        big, small = _random_cookie_stats(1), _random_cookie_stats(2)
+        big.num_requests, small.num_requests = 2**32 - 10, 10
+        before = big.snapshot()
+        with pytest.raises(AttackError, match="exceed"):
+            big.merge(small)
+        _assert_cookie_stats_equal(big, before)
+        small.num_requests = 9
+        big.merge(small)
+        assert big.num_requests == 2**32 - 1
+        assert big.fm_counts.dtype == np.uint32
+
+        # Victim b's bound fails, so victim a is not merged either.
+        multi = MultiTemplateStatistics.empty(_LAYOUT, ["a", "b"], max_gap=3)
+        other = multi.snapshot()
+        other.victims = [_random_cookie_stats(3), _random_cookie_stats(4)]
+        multi.victim("b").num_requests = 2**32 - 1
+        with pytest.raises(AttackError):
+            multi.merge(other)
+        assert not multi.victim("a").fm_counts.any()
+        assert multi.victim("a").num_requests == 0
+
+    def test_snapshot_and_merge_keep_the_dtype(self):
+        capture = _random_cookie_stats(5)
+        wide = CookieStatistics.from_counters(
+            _LAYOUT, capture.fm_counts.astype(np.int64),
+            capture.absab_matrix.astype(np.int64), max_gap=3,
+            num_requests=capture.num_requests,
+        )
+        assert wide.fm_counts.dtype == np.int64
+        assert capture.snapshot().absab_matrix.dtype == np.uint32
+        assert wide.snapshot().absab_matrix.dtype == np.int64
+        merged = capture.snapshot().merge(wide)
+        assert merged.fm_counts.dtype == np.uint32
+        _assert_cookie_stats_equal(merged, wide.snapshot().merge(capture))
+
+    def test_int64_checkpoint_resumes_bit_exactly(
+        self, config, https_sim, tmp_path
+    ):
+        """A checkpoint in the older int64 format resumes into uint32
+        counters with the same cells."""
+        path = tmp_path / "https.npz"
+        source = _https_source(
+            https_sim, config, num_requests=96, batch_size=32
+        )
+        with pytest.raises(RuntimeError):
+            run_capture(
+                _FailAfter(source, 1), checkpoint_path=path, checkpoint_every=1
+            )
+        with np.load(path) as archive:
+            members = {name: archive[name] for name in archive.files}
+        for name in ("fm_counts", "absab_matrix"):
+            members[name] = members[name].astype(np.int64)
+        np.savez(path, **members)
+        loaded, _ = CookieStatistics.load(path)
+        assert loaded.fm_counts.dtype == loaded.absab_matrix.dtype == np.uint32
+        resumed = run_capture(source, checkpoint_path=path, checkpoint_every=1)
+        _assert_cookie_stats_equal(resumed, run_capture(source))
+
+    def test_int64_multi_template_archive_loads_narrowed(self, tmp_path):
+        from repro.capture import MultiTemplateStatistics
+
+        stats = MultiTemplateStatistics.empty(_LAYOUT, ["a", "b"], max_gap=3)
+        stats.victims = [_random_cookie_stats(6), _random_cookie_stats(7)]
+        path = stats.save(tmp_path / "multi.npz")
+        with np.load(path) as archive:
+            members = {name: archive[name] for name in archive.files}
+        for name in ("fm_counts", "absab_matrix"):
+            members[name] = members[name].astype(np.int64)
+        np.savez(path, **members)
+        loaded, _ = MultiTemplateStatistics.load(path)
+        for mine, theirs in zip(loaded.victims, stats.victims):
+            assert mine.fm_counts.dtype == np.uint32
+            _assert_cookie_stats_equal(mine, theirs)
+
+    def test_int64_archive_past_the_bound_stays_int64(self, tmp_path):
+        capture = _random_cookie_stats(8)
+        wide = CookieStatistics.from_counters(
+            _LAYOUT, capture.fm_counts.astype(np.int64),
+            capture.absab_matrix.astype(np.int64), max_gap=3,
+            num_requests=2**32,
+        )
+        loaded, _ = CookieStatistics.load(wide.save(tmp_path / "wide.npz"))
+        assert loaded.fm_counts.dtype == np.int64
+        _assert_cookie_stats_equal(loaded, wide)
+
+
 class TestSharding:
     """Disjoint batch ranges merged == one uninterrupted capture."""
 
@@ -599,8 +871,10 @@ _LAYOUT = CookieLayout(prefix=b"known-ab", suffix=b"cd-known", cookie_len=2)
 def _random_cookie_stats(seed: int) -> CookieStatistics:
     stats = CookieStatistics.empty(_LAYOUT, max_gap=3)
     rng = np.random.default_rng(seed)
-    stats.fm_counts += rng.integers(0, 50, stats.fm_counts.shape)
-    stats.absab_matrix += rng.integers(0, 50, stats.absab_matrix.shape)
+    stats.fm_counts += rng.integers(0, 50, stats.fm_counts.shape, np.uint32)
+    stats.absab_matrix += rng.integers(
+        0, 50, stats.absab_matrix.shape, np.uint32
+    )
     stats.num_requests = int(rng.integers(0, 1000))
     return stats
 

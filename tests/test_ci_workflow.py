@@ -196,6 +196,30 @@ def test_verify_job_smokes_recovery_at_scale(workflow):
     ).exists(), "CI references tests/spot_check_recovery.py"
 
 
+def test_verify_job_runs_the_capture_benchmark_self_test(workflow):
+    """Every verify leg runs one traced perfbench https-capture pass and
+    fails unless its last line reports correct outputs and no failed
+    repetition, so a capture change that breaks the benchmark's checks
+    or its self-test fails CI."""
+    job = workflow["jobs"]["verify"]
+    assert sorted(job["strategy"]["matrix"]["native"]) == ["0", "1"]
+    steps = [
+        s for s in _steps(job) if "perfbench/run.py" in s.get("run", "")
+    ]
+    assert len(steps) == 1, "verify job must run perfbench once"
+    step = steps[0]
+    assert not step.get("continue-on-error"), "the step must gate the job"
+    command = " ".join(step["run"].replace("\\\n", " ").split())
+    assert (
+        "python3 perfbench/run.py --workload https-capture --seed 1 "
+        "--seconds 0 --trace 1" in command
+    )
+    assert "pipefail" in command, "a crashed run must fail the step"
+    assert "tail -n 1" in command, "the summary is the last line"
+    assert "r['correct'] is True" in command
+    assert "r['failed'] == 0" in command
+
+
 def test_verify_job_has_soft_fail_regression_step(workflow):
     job = workflow["jobs"]["verify"]
     check_steps = [

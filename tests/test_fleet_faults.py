@@ -19,10 +19,13 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.capture.engine import run_capture, shard_batches, source_fingerprint
+from repro.capture.multi import MultiHttpsCaptureSource
 from repro.capture.tkip import TkipCaptureSource
 from repro.config import ReproConfig
 from repro.errors import CaptureError, FleetError, ManifestError
@@ -41,6 +44,7 @@ from repro.fleet.manifest import (
 from repro.fleet.retry import backoff_delay, backoff_delays, retry_call
 from repro.fleet.sources import build_source, register_source
 from repro.fleet.worker import run_worker
+from repro.tls.attack import CookieLayout
 from repro.utils.serialization import canonical_json
 
 
@@ -177,6 +181,70 @@ class TestCheckpointHardening:
 # --------------------------------------------------------------------------
 
 
+class TestDurableWrites:
+    """Every writer that publishes a file by rename fsyncs the directory
+    after the rename, so a crash cannot lose the rename itself."""
+
+    @pytest.fixture
+    def fs_events(self, monkeypatch):
+        """("fsync", path) and ("replace", destination) in call order."""
+        events: list[tuple[str, Path]] = []
+        opened: dict[int, Path] = {}
+        real_open, real_fsync, real_replace = os.open, os.fsync, os.replace
+
+        def record_open(path, flags, *args, **kwargs):
+            fd = real_open(path, flags, *args, **kwargs)
+            opened[fd] = Path(path)
+            return fd
+
+        def record_fsync(fd):
+            events.append(("fsync", opened.get(fd)))
+            return real_fsync(fd)
+
+        def record_replace(src, dst, *args, **kwargs):
+            events.append(("replace", Path(dst)))
+            return real_replace(src, dst, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", record_open)
+        monkeypatch.setattr(os, "fsync", record_fsync)
+        monkeypatch.setattr(os, "replace", record_replace)
+        return events
+
+    @staticmethod
+    def _assert_durable(events, destination: Path) -> None:
+        renames = [
+            i for i, event in enumerate(events)
+            if event == ("replace", destination)
+        ]
+        assert renames, f"{destination} was never renamed into place"
+        for i in renames:
+            assert events[i - 1][0] == "fsync", "file not flushed before rename"
+            assert events[i + 1 : i + 2] == [("fsync", destination.parent)]
+
+    def test_capture_checkpoint(self, tmp_path, fs_events):
+        path = tmp_path / "capture.npz"
+        run_capture(
+            _tkip_source(_fleet_config(), packets_per_tsc=256),
+            checkpoint_path=path, checkpoint_every=3,
+        )
+        self._assert_durable(fs_events, path)
+
+    def test_fleet_manifest_state_and_promoted_shard(
+        self, tmp_path, fs_events
+    ):
+        config = _fleet_config()
+        coordinator = Coordinator.create(
+            _tkip_source(config, packets_per_tsc=256), tmp_path,
+            num_shards=2, config=config,
+        )
+        coordinator.execute(workers=1)
+        paths = coordinator.paths
+        self._assert_durable(fs_events, paths.manifest)
+        for index in range(2):
+            self._assert_durable(fs_events, paths.state(index))
+            self._assert_durable(fs_events, paths.result(index))
+
+
 class TestManifestAndLease:
     def test_manifest_roundtrip_and_idempotent_write(self, tmp_path):
         config = _fleet_config()
@@ -265,10 +333,13 @@ class FlakyTkipSource:
     def load(self, path):
         return self.inner.load(path)
 
-    def capture_batch(self, stats, index: int) -> int:
-        if index in self.poison:
-            raise RuntimeError(f"injected fault at batch {index}")
-        return self.inner.capture_batch(stats, index)
+    def capture_batches(self, stats, indices) -> list[int]:
+        added = []
+        for index in indices:
+            if index in self.poison:
+                raise RuntimeError(f"injected fault at batch {index}")
+            added += self.inner.capture_batches(stats, [index])
+        return added
 
 
 def _flaky_factory(descriptor: dict, config: ReproConfig) -> FlakyTkipSource:
@@ -286,6 +357,39 @@ register_source("test-flaky-tkip", _flaky_factory)
 class TestFleetFaults:
     def _single(self, source):
         return run_capture(source)
+
+    @pytest.mark.parametrize("checkpoint_every", [1, 3])
+    def test_multi_victim_https_job_merges_cell_for_cell(
+        self, tmp_path, checkpoint_every
+    ):
+        """Shards count their batch runs in one kernel call each and
+        merge to the single-process uint32 counters of every victim."""
+        config = _fleet_config()
+        layout = CookieLayout(prefix=b"id=", suffix=b";path=/x", cookie_len=2)
+        source = MultiHttpsCaptureSource(
+            config=config,
+            layout=layout,
+            templates=tuple(
+                layout.prefix + cookie + layout.suffix
+                for cookie in (b"ab", b"Q7", b"zz")
+            ),
+            victim_ids=("a", "b", "c"),
+            num_requests=700,
+            batch_size=64,
+            max_gap=16,
+        )
+        coordinator = Coordinator.create(
+            source, tmp_path, num_shards=4, config=config,
+            checkpoint_every=checkpoint_every,
+        )
+        stats, report = coordinator.execute(workers=1)
+        assert report.complete
+        single = self._single(source)
+        for mine, theirs in zip(stats.victims, single.victims):
+            assert mine.fm_counts.dtype == np.uint32
+            assert mine.num_requests == theirs.num_requests == 700
+            assert np.array_equal(mine.fm_counts, theirs.fm_counts)
+            assert np.array_equal(mine.absab_matrix, theirs.absab_matrix)
 
     def test_uninterrupted_inline_job_is_bit_identical(self, tmp_path):
         config = _fleet_config()

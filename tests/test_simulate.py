@@ -312,6 +312,21 @@ class TestSampledStatistics:
             )
             np.testing.assert_array_equal(small.absab_counts[t, gap, side], want)
 
+    def test_counters_stay_int64_past_the_capture_bound(self):
+        """Sampled statistics keep int64 counters (the capture's are
+        uint32), so 2^32 requests, as the Fig 10 benchmark samples, draw
+        the same rows as before."""
+        n = 1 << 32
+        sim, stats = _cookie_stats(2, 4, n)
+        assert stats.fm_counts.dtype == stats.absab_matrix.dtype == np.int64
+        assert (stats.absab_matrix.sum(1) == n).all()
+        labels = ("https-sim", "sampled", n)
+        (t, gap, side), diff = next(iter(_absab_cells(sim, stats).items()))
+        want = sim.config.rng(*labels, "absab", t, gap, side).multinomial(
+            n, absab_cipher_probs(gap, diff)
+        )
+        np.testing.assert_array_equal(stats.absab_counts[t, gap, side], want)
+
     def test_bad_request_counts_are_typed(self):
         sim = HttpsAttackSimulation(ReproConfig(seed=1), cookie_len=2, max_gap=4)
         for n in (-1, 1 << 63):

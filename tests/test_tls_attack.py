@@ -182,6 +182,20 @@ class TestLikelihoodReference:
             assert got.dtype == np.float64 and got.shape == ref.shape
             np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
 
+    def test_uint32_counters_give_the_same_bits(self):
+        """Capture counters are uint32: eq 15 and eq 22 read them
+        through exact float64 conversions, so the bits match int64."""
+        wide = _random_statistics(_SHORT_LAYOUT, 32, seed=5)
+        narrow = CookieStatistics.from_counters(
+            wide.layout, wide.fm_counts.astype(np.uint32),
+            wide.absab_matrix.astype(np.uint32), max_gap=32,
+            num_requests=wide.num_requests,
+        )
+        assert narrow.fm_counts.dtype == np.uint32
+        got = transition_log_likelihoods(narrow)
+        ref = transition_log_likelihoods(wide)
+        np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+
     def test_peak_memory_independent_of_alignments(self):
         layout = CookieLayout(
             prefix=_SHORT_LAYOUT.prefix, suffix=b";path=", cookie_len=2
