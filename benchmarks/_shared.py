@@ -2,7 +2,7 @@
 
 Keystream statistics run through the library's Session facade
 (:meth:`repro.api.Session.dataset` -> fused generate-and-count kernels
-plus shared-memory shard reduction) — the same orchestration path every
+accumulated shard by shard) — the same orchestration path every
 other consumer uses, so benchmark numbers measure what users get.  Each
 call builds a fresh session (no disk cache), so repeated benchmark
 rounds keep regenerating rather than timing a cache hit.  Only the
@@ -25,8 +25,6 @@ def parallel_fm_matches(
     stream_len: int,
     drop: int,
     targets: np.ndarray,
-    *,
-    processes: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Count per-rule digraph matches over ``total_keys`` keystreams.
 
@@ -54,7 +52,7 @@ def parallel_fm_matches(
         gap=0,
         label=label,
     )
-    counts = Session(config).dataset(spec, processes=processes)
+    counts = Session(config).dataset(spec)
 
     i_of_row = (drop + np.arange(stream_len) + 1) % 256
     matches = np.zeros(num_rules, dtype=np.int64)

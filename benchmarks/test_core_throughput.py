@@ -31,7 +31,7 @@ def test_batch_rc4_throughput(benchmark, rng):
     """Keys/second for 64-byte keystreams (the statistics workhorse).
 
     Public API with default knobs: on the native backend this is the
-    interleaved PRGA fanned across all cores."""
+    AVX2 PRGA (scalar without AVX2) fanned across all cores."""
     keys = rng.integers(0, 256, size=(1 << 13, 16), dtype=np.uint8)
     benchmark.extra_info["keys"] = 1 << 13
     result = benchmark(lambda: batch_keystream(keys, 64))
@@ -52,23 +52,7 @@ def test_batch_rc4_prga_scalar_1t(benchmark, rng):
     keys = rng.integers(0, 256, size=(1 << 13, 16), dtype=np.uint8)
     benchmark.extra_info["keys"] = 1 << 13
     result = benchmark(
-        lambda: _native.batch_keystream(
-            keys, 64, threads=1, interleave=False, simd=False
-        )
-    )
-    assert result.shape == (1 << 13, 64)
-
-
-def test_batch_rc4_prga_interleaved_1t(benchmark, rng):
-    """Ablation: one thread, interleaved PRGA — isolates the speedup from
-    overlapping the serial swap-latency chains, without threading."""
-    _native = _native_or_skip()
-    keys = rng.integers(0, 256, size=(1 << 13, 16), dtype=np.uint8)
-    benchmark.extra_info["keys"] = 1 << 13
-    result = benchmark(
-        lambda: _native.batch_keystream(
-            keys, 64, threads=1, interleave=True, simd=False
-        )
+        lambda: _native.batch_keystream(keys, 64, threads=1, simd=False)
     )
     assert result.shape == (1 << 13, 64)
 
@@ -76,8 +60,8 @@ def test_batch_rc4_prga_interleaved_1t(benchmark, rng):
 def test_batch_rc4_prga_simd_1t(benchmark, rng):
     """Ablation: one thread, AVX2 wide PRGA — 32 transposed lane-major
     states per loop with gathered S-box reads.  Together with the scalar
-    and interleaved ablations this isolates the full dispatch-tier chain
-    on one core (skipped on non-AVX2 hardware)."""
+    ablation this isolates the full dispatch-tier chain on one core
+    (skipped on non-AVX2 hardware)."""
     _native = _native_or_skip()
     if not _native.simd_available():
         pytest.skip("SIMD tier unavailable (no AVX2)")

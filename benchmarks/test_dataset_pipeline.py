@@ -80,7 +80,7 @@ def test_longterm_dataset_wallclock(benchmark, config):
     benchmark.extra_info["keys"] = spec.num_keys
     benchmark.extra_info["counts"] = spec.num_keys * spec.stream_len
     counts = benchmark.pedantic(
-        lambda: generate_dataset(spec, config, processes=1),
+        lambda: generate_dataset(spec, config),
         rounds=2,
         iterations=1,
     )
@@ -102,7 +102,7 @@ def test_longterm_dataset_singlethread(benchmark, config):
     benchmark.extra_info["keys"] = spec.num_keys
     benchmark.extra_info["counts"] = spec.num_keys * spec.stream_len
     counts = benchmark.pedantic(
-        lambda: generate_dataset(spec, config, processes=1, threads=1),
+        lambda: generate_dataset(spec, config, threads=1),
         rounds=2,
         iterations=1,
     )
@@ -120,7 +120,7 @@ def test_consec_dataset_wallclock(benchmark, config):
     benchmark.extra_info["keys"] = spec.num_keys
     benchmark.extra_info["counts"] = spec.num_keys * spec.positions
     counts = benchmark.pedantic(
-        lambda: generate_dataset(spec, config, processes=1),
+        lambda: generate_dataset(spec, config),
         rounds=2,
         iterations=1,
     )

@@ -158,7 +158,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
                 "version": __version__,
                 "scale": config.scale,
                 "seed": config.seed,
-                "native": config.native,
+                "native": _native.available(),
                 "native_threads": config.native_threads,
                 "backend": _native.status(),
                 "experiments": [spec.describe() for spec in specs],

@@ -123,7 +123,6 @@ class Session:
         self,
         spec: DatasetSpec,
         *,
-        processes: int | None = None,
         worker_chunk: int | None = None,
     ) -> np.ndarray:
         """Generate (or fetch from cache) the counters for ``spec``.
@@ -141,7 +140,6 @@ class Session:
             return generate_dataset(
                 spec,
                 self.config,
-                processes=processes,
                 worker_chunk=worker_chunk,
                 threads=self.config.native_threads,
             )
@@ -165,10 +163,7 @@ class Session:
                 )
         if counts is None:
             counts = generate_dataset(
-                spec,
-                self.config,
-                processes=processes,
-                threads=self.config.native_threads,
+                spec, self.config, threads=self.config.native_threads
             )
             if self.cache_dir is not None:
                 save_dataset(path, counts, spec)
@@ -277,9 +272,8 @@ class Session:
             "version": __version__,
             "seed": config.seed,
             "scale": config.scale,
-            "native": config.native and _native.available(),
+            "native": _native.available(),
             "native_threads": config.native_threads,
-            "native_interleave": config.native_interleave,
             "native_simd": config.native_simd and _native.simd_available(),
         }
 
@@ -326,11 +320,9 @@ class RunContext:
                 self.timings.get(stage, 0.0) + time.perf_counter() - start
             )
 
-    def dataset(
-        self, spec: DatasetSpec, *, processes: int | None = None
-    ) -> np.ndarray:
+    def dataset(self, spec: DatasetSpec) -> np.ndarray:
         """Session-cached dataset generation (see :meth:`Session.dataset`)."""
-        return self.session.dataset(spec, processes=processes)
+        return self.session.dataset(spec)
 
     def capture_progress(self, stage: str = "capture", *, every: int = 8):
         """Progress callback bridging the capture engine to the session.

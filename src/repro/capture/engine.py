@@ -22,6 +22,7 @@ results with the exact merge of the
 from __future__ import annotations
 
 import hashlib
+import os
 import warnings
 import zipfile
 from dataclasses import dataclass
@@ -180,12 +181,14 @@ def run_capture(
     Example:
 
         >>> from repro.capture import run_capture
-        >>> from repro.fleet import build_source
-        >>> source = build_source("https", num_requests=1 << 12,
-        ...                       config=config)            # doctest: +SKIP
-        >>> stats = run_capture(source,
-        ...                     checkpoint_path="cap.npz")  # doctest: +SKIP
-        >>> stats.requests_done                             # doctest: +SKIP
+        >>> from repro.config import ReproConfig
+        >>> from repro.simulate import HttpsAttackSimulation
+        >>> sim = HttpsAttackSimulation(
+        ...     ReproConfig(), cookie_len=2, max_gap=4
+        ... )
+        >>> source = sim.capture_source(1 << 12)
+        >>> stats = run_capture(source, checkpoint_path="cap.npz")
+        >>> stats.num_requests
         4096
 
     Args:
@@ -193,10 +196,11 @@ def run_capture(
         batches: batch indices to run (default: every batch).  Shards
             pass disjoint ranges from :func:`shard_batches`.
         checkpoint_path: where to persist the statistics every
-            ``checkpoint_every`` batches as uncompressed NPZ (temp file,
-            fsync, atomic replace, directory fsync; ``.npz`` appended
-            when missing).  Compressed and int64 checkpoints from older
-            runs still resume.  ``None`` disables checkpointing.
+            ``checkpoint_every`` batches as uncompressed NPZ (a temp file
+            named for this process, fsync, atomic replace, directory
+            fsync; ``.npz`` appended when missing).  Compressed and int64
+            checkpoints from older runs still resume.  ``None`` disables
+            checkpointing.
         checkpoint_every: batches between checkpoint writes, and the
             longest run handed to the source at once; the final batch
             always checkpoints so a completed capture resumes as a
@@ -286,9 +290,19 @@ def run_capture(
             "batches_done": done,
             "requests_done": requests_done,
         }
-        tmp = path.with_name(path.name[: -len(".npz")] + ".tmp.npz")
-        stats.save(tmp, extra={"capture_checkpoint": cursor})
-        durable_replace(tmp, path)
+        # One temp name per writer: a rescuer that reclaims a stalled
+        # worker's shard writes the same checkpoint path, and a shared
+        # temp file would let one publish the other's half-written
+        # archive.  The name ends in .npz, or np.savez would append it.
+        tmp = path.with_name(
+            f"{path.name[: -len('.npz')]}.tmp.{os.getpid()}.npz"
+        )
+        try:
+            stats.save(tmp, extra={"capture_checkpoint": cursor})
+            durable_replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     while done < len(batch_list):
         # One run: every batch up to the next checkpoint boundary.

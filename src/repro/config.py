@@ -16,13 +16,15 @@ count and backend knob in the library:
     presentation date).  Every component derives child seeds from this
     via :func:`child_seed`, so independent subsystems never share streams.
 
-``REPRO_NATIVE`` / ``REPRO_NATIVE_THREADS`` / ``REPRO_NATIVE_INTERLEAVE``
-/ ``REPRO_NATIVE_SIMD`` / ``REPRO_NATIVE_CC``
+``REPRO_NATIVE`` / ``REPRO_NATIVE_THREADS`` / ``REPRO_NATIVE_SIMD`` /
+``REPRO_NATIVE_CC``
     The compiled statistics backend (:mod:`repro.rc4._native`): enabled
-    flag, kernel thread count (default ``os.cpu_count()``), interleaved
-    vs scalar kernels, the runtime-dispatched AVX2 wide kernels (on by
-    default, harmless on hardware without AVX2), and a compiler pin.
-    All results are bit-exact for every setting.
+    flag, kernel thread count (default ``os.cpu_count()``), the
+    runtime-dispatched AVX2 wide kernels (on by default, harmless on
+    hardware without AVX2; off runs the scalar kernels), and a compiler
+    pin.  All results are bit-exact for every setting.  The enabled flag
+    and the compiler pin act once per process, when the backend first
+    loads, so they have no :class:`ReproConfig` field.
 
 ``REPRO_FLEET_LEASE_TTL`` / ``REPRO_FLEET_RETRY_BUDGET`` /
 ``REPRO_FLEET_BACKOFF_BASE`` / ``REPRO_FLEET_WORKERS``
@@ -52,7 +54,6 @@ _ENV_SCALE = "REPRO_SCALE"
 _ENV_SEED = "REPRO_SEED"
 _ENV_NATIVE = "REPRO_NATIVE"
 _ENV_NATIVE_THREADS = "REPRO_NATIVE_THREADS"
-_ENV_NATIVE_INTERLEAVE = "REPRO_NATIVE_INTERLEAVE"
 _ENV_NATIVE_SIMD = "REPRO_NATIVE_SIMD"
 _ENV_NATIVE_CC = "REPRO_NATIVE_CC"
 _ENV_FLEET_LEASE_TTL = "REPRO_FLEET_LEASE_TTL"
@@ -67,8 +68,8 @@ DEFAULT_FLEET_LEASE_TTL = 30.0
 DEFAULT_FLEET_RETRY_BUDGET = 3
 DEFAULT_FLEET_BACKOFF_BASE = 0.25
 
-#: Values that switch a boolean knob off (matching the historical
-#: behaviour of REPRO_NATIVE=0 / REPRO_NATIVE_INTERLEAVE=0).
+#: Values that switch a boolean knob off (REPRO_NATIVE=0,
+#: REPRO_NATIVE_SIMD=0).
 _OFF_VALUES = ("0", "off", "false")
 
 
@@ -79,17 +80,11 @@ class ReproConfig:
     Attributes:
         scale: multiplier applied to default sample counts (> 0).
         seed: master seed from which all child RNG streams derive.
-        native: whether the compiled statistics backend may be used
-            (it silently falls back to numpy when unavailable anyway).
         native_threads: thread count for the native kernels; ``None``
             means the backend default (``os.cpu_count()``).
-        native_interleave: use the interleaved PRGA kernels (multiple
-            independent RC4 states per loop iteration).
         native_simd: allow the runtime-dispatched AVX2 wide kernels (32
-            states per loop); silently degrades to the interleaved or
-            scalar tier on hardware or builds without AVX2.
-        native_cc: pinned C compiler for the on-demand build, or ``None``
-            for the ``cc``/``gcc``/``clang`` probe order.
+            states per loop); silently degrades to the scalar tier on
+            hardware or builds without AVX2.
         fleet_lease_ttl: seconds without a heartbeat before a fleet
             shard lease is stale and reclaimable (> 0).
         fleet_retry_budget: attempts per fleet shard before it is marked
@@ -102,11 +97,8 @@ class ReproConfig:
 
     scale: float = 1.0
     seed: int = DEFAULT_SEED
-    native: bool = True
     native_threads: int | None = None
-    native_interleave: bool = True
     native_simd: bool = True
-    native_cc: str | None = None
     fleet_lease_ttl: float = DEFAULT_FLEET_LEASE_TTL
     fleet_retry_budget: int = DEFAULT_FLEET_RETRY_BUDGET
     fleet_backoff_base: float = DEFAULT_FLEET_BACKOFF_BASE
@@ -192,11 +184,6 @@ def env_native_threads() -> int | None:
         ) from exc
 
 
-def env_native_interleave() -> bool:
-    """``REPRO_NATIVE_INTERLEAVE``: False only on an explicit 0/off/false."""
-    return os.environ.get(_ENV_NATIVE_INTERLEAVE, "").strip() not in _OFF_VALUES
-
-
 def env_native_simd() -> bool:
     """``REPRO_NATIVE_SIMD``: False only on an explicit 0/off/false."""
     return os.environ.get(_ENV_NATIVE_SIMD, "").strip() not in _OFF_VALUES
@@ -272,11 +259,8 @@ def get_config() -> ReproConfig:
     return ReproConfig(
         scale=scale,
         seed=seed,
-        native=env_native_enabled(),
         native_threads=threads,
-        native_interleave=env_native_interleave(),
         native_simd=env_native_simd(),
-        native_cc=env_native_cc(),
         fleet_lease_ttl=env_fleet_lease_ttl(),
         fleet_retry_budget=max(1, env_fleet_retry_budget()),
         fleet_backoff_base=max(0.0, env_fleet_backoff_base()),

@@ -9,11 +9,11 @@ The paper generated three main datasets on a distributed cluster:
 - a long-term variant estimating digraphs at positions 256w + a after
   dropping 1023 initial bytes (2**12 keys x 2**40 bytes, ~8 CPU-years).
 
-This package reimplements the counting semantics exactly — per-worker
-partial counters merged into a dataset — with fused generate-and-count
-kernels (numpy, or compiled C when available) and a ``multiprocessing``
-pool reducing into shared-memory counters, substituting for the paper's
-80-machine setup.  Sample counts scale with
+This package reimplements the counting semantics exactly — per-shard
+partial counts accumulated into one dataset — with fused
+generate-and-count kernels (compiled C fanned across threads when
+available, numpy otherwise), substituting for the paper's 80-machine
+setup.  Sample counts scale with
 :class:`repro.config.ReproConfig`; see ROADMAP.md "Performance
 architecture" for the measured throughput of each layer.
 """
@@ -27,7 +27,7 @@ from .generate import (
     pair_counts,
     single_byte_counts,
 )
-from .manager import DatasetSpec, generate_dataset, merge_counts
+from .manager import DatasetSpec, generate_dataset
 from .store import (
     dataset_cache_path,
     load_dataset,
@@ -47,7 +47,6 @@ __all__ = [
     "load_dataset",
     "load_statistics",
     "longterm_digraph_counts",
-    "merge_counts",
     "pair_counts",
     "save_dataset",
     "save_statistics",

@@ -439,8 +439,7 @@ def consec_digraph_counts(
     shape ``(positions, 256, 256)``.  Note the memory cost: 512 positions
     need 512*65536*8 = 256 MiB; callers choose smaller ranges by default
     (and the native layer clamps ``threads`` so its private per-thread
-    counter blocks stay within a 4 GiB scratch budget, the same cap the
-    forked shared-memory pool uses).
+    counter blocks stay within a 4 GiB scratch budget).
     """
     keys = np.ascontiguousarray(keys, dtype=np.uint8)
     if out is None:

@@ -1,32 +1,20 @@
-"""Worker-pool orchestration for dataset generation (paper §3.2).
+"""Shard orchestration for dataset generation (paper §3.2).
 
 The paper used ~80 desktop machines plus three servers, each worker
 generating at most 2**30 keystreams before its partial counters were
-merged.  This module is the single-machine analogue, with two execution
-strategies chosen by backend:
+merged.  This module is the single-machine analogue: one process walks a
+shard list inline and counts every shard into one counter block.
 
-- **Threaded native (preferred)**: when the compiled backend
-  (:mod:`repro.rc4._native`) is available, one process walks the shard
-  list inline and every fused kernel call fans the shard's keys across
-  POSIX threads inside C (``threads`` parameter, default
-  ``REPRO_NATIVE_THREADS`` or ``os.cpu_count()``).  Per-thread private
-  counter blocks are merged in C, so there is no fork, no shared-memory
-  segment, and no Python between a key and its counter update.
-- **Forked numpy (fallback)**: without the native backend, a
-  ``multiprocessing`` fork pool runs one worker per core.  Reduction is
-  zero-copy: every worker accumulates into one
-  ``multiprocessing.shared_memory`` int64 counter block (created by the
-  parent, inherited through ``fork``), and the merge step sums the
-  ``processes`` blocks in place — nothing round-trips through pickle.
-
-Both strategies consume the identical shard list (one shard per
-cache-sized key chunk, deterministic for a given ``num_keys``), derive
-identical per-shard keys, and produce bit-identical counters —
-``tests/test_dataset_equivalence.py`` checks every dataset kind across
-thread counts and process counts.
-
-Workers are plain module-level functions (picklable) parameterised by a
-:class:`DatasetSpec`; fork inheritance carries the shared counter views.
+The shard list is deterministic for a given ``num_keys`` (one shard per
+``worker_chunk`` keys), and every shard derives its keys from its own
+label, so the counters depend on neither thread count nor backend.  With
+the compiled backend (:mod:`repro.rc4._native`) each fused kernel call
+fans the shard's keys across POSIX threads inside C (``threads``
+parameter, default ``REPRO_NATIVE_THREADS`` or ``os.cpu_count()``) and
+merges the per-thread private counter blocks in C; without it the numpy
+kernels count on the calling thread.  ``tests/test_dataset_equivalence.py``
+checks every dataset kind across thread counts, the SIMD tier and the
+numpy fallback, bit for bit.
 
 This module is the *generation* layer.  Consumers normally go through
 :meth:`repro.api.Session.dataset`, which adds memoisation (in-memory,
@@ -36,24 +24,20 @@ experiment registry, the CLI, and the benchmarks share.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 from dataclasses import dataclass, field
-from multiprocessing import shared_memory
 from typing import Literal
 
 import numpy as np
 
 from ..config import ReproConfig
 from ..errors import DatasetError
-from ..rc4 import _native
 from ..rc4.keygen import derive_keys
 from . import generate as kernels
 
 KindName = Literal["single", "consec", "pairs", "equality", "longterm"]
 
-#: Keys processed per kernel invocation inside one worker; sized so the
-#: batch RC4 state stays cache-resident.  Also the default shard size —
-#: one pool task per chunk keeps workers load-balanced.
+#: Most keys per shard, and so per kernel invocation; sized so the batch
+#: RC4 state stays cache-resident.
 WORKER_CHUNK = 1 << 14
 
 
@@ -109,10 +93,6 @@ def _counter_shape(spec: DatasetSpec) -> tuple[int, ...]:
     raise DatasetError(f"unknown dataset kind {spec.kind!r}")
 
 
-def _empty_counters(spec: DatasetSpec) -> np.ndarray:
-    return np.zeros(_counter_shape(spec), dtype=np.int64)
-
-
 def _accumulate(
     spec: DatasetSpec,
     keys: np.ndarray,
@@ -150,180 +130,43 @@ def _accumulate(
         raise DatasetError(f"unknown dataset kind {spec.kind!r}")
 
 
-def _count_shard(
-    spec: DatasetSpec,
-    config: ReproConfig,
-    shard_index: int,
-    shard_keys: int,
-    worker_chunk: int,
-    out: np.ndarray,
-    threads: int | None = 1,
-) -> None:
-    """Count ``shard_keys`` keystreams of one shard into ``out``."""
-    remaining = shard_keys
-    part = 0
-    while remaining > 0:
-        take = min(worker_chunk, remaining)
-        keys = derive_keys(
-            config,
-            f"{spec.label}/shard{shard_index}/part{part}",
-            take,
-            keylen=spec.keylen,
-        )
-        _accumulate(spec, keys, out, threads=threads, simd=config.native_simd)
-        remaining -= take
-        part += 1
-
-
-# --- shared-memory pool plumbing -------------------------------------------
-#
-# The parent creates one shared counter block per pool process and
-# publishes the numpy views in _POOL_COUNTERS *before* forking, so the
-# children inherit them without any serialisation.  Each worker claims a
-# distinct slot index in its initializer and accumulates every shard it
-# is handed into its own block — no locks needed, summation happens once
-# in the parent.
-
-_POOL_COUNTERS: list[np.ndarray] | None = None
-_WORKER_SLOT: int | None = None
-
-
-def _claim_slot(slot_counter) -> None:
-    global _WORKER_SLOT
-    with slot_counter.get_lock():
-        _WORKER_SLOT = slot_counter.value
-        slot_counter.value += 1
-
-
-def _run_shard_shm(args: tuple[DatasetSpec, ReproConfig, int, int, int]) -> int:
-    """Pool worker: count one shard into this process's shared counter."""
-    spec, config, shard_index, shard_keys, worker_chunk = args
-    assert _POOL_COUNTERS is not None and _WORKER_SLOT is not None
-    out = _POOL_COUNTERS[_WORKER_SLOT]
-    _count_shard(spec, config, shard_index, shard_keys, worker_chunk, out)
-    return shard_keys
-
-
-def merge_counts(shards: list[np.ndarray]) -> np.ndarray:
-    """Merge per-worker counters (the paper's combine step)."""
-    if not shards:
-        raise DatasetError("no shards to merge")
-    total = np.zeros_like(shards[0])
-    for shard in shards:
-        if shard.shape != total.shape:
-            raise DatasetError(
-                f"shard shape {shard.shape} != expected {total.shape}"
-            )
-        total += shard
-    return total
-
-
-def _generate_pooled(
-    spec: DatasetSpec,
-    shard_args: list[tuple[DatasetSpec, ReproConfig, int, int, int]],
-    processes: int,
-) -> np.ndarray:
-    """Run the shard list on a fork pool with shared-memory reduction."""
-    global _POOL_COUNTERS
-    shape = _counter_shape(spec)
-    nbytes = int(np.prod(shape)) * np.dtype(np.int64).itemsize
-    # Each worker owns a full counter block; cap the aggregate at ~4 GiB
-    # so wide machines don't exhaust /dev/shm on 128 MiB longterm counters.
-    processes = max(1, min(processes, (4 << 30) // max(nbytes, 1)))
-    if processes == 1:
-        total = _empty_counters(spec)
-        for args in shard_args:
-            _count_shard(spec, args[1], args[2], args[3], args[4], total)
-        return total
-    ctx = mp.get_context("fork")
-    blocks = [
-        shared_memory.SharedMemory(create=True, size=nbytes)
-        for _ in range(processes)
-    ]
-    try:
-        # POSIX shared memory is zero-initialised on creation.
-        _POOL_COUNTERS = [
-            np.ndarray(shape, dtype=np.int64, buffer=block.buf)
-            for block in blocks
-        ]
-        slot_counter = ctx.Value("i", 0)
-        with ctx.Pool(
-            processes, initializer=_claim_slot, initargs=(slot_counter,)
-        ) as pool:
-            counted = pool.map(_run_shard_shm, shard_args)
-        if sum(counted) != spec.num_keys:
-            raise DatasetError(
-                f"workers counted {sum(counted)} keys, expected {spec.num_keys}"
-            )
-        total = _POOL_COUNTERS[0].copy()
-        for counters in _POOL_COUNTERS[1:]:
-            total += counters
-        return total
-    finally:
-        # Drop the numpy views before closing, else the exported buffers
-        # keep the mappings alive and close() raises BufferError.
-        _POOL_COUNTERS = None
-        for block in blocks:
-            block.close()
-            block.unlink()
-
-
 def generate_dataset(
     spec: DatasetSpec,
     config: ReproConfig,
     *,
-    processes: int | None = None,
     worker_chunk: int = WORKER_CHUNK,
     threads: int | None = None,
 ) -> np.ndarray:
-    """Generate a dataset, optionally in parallel.
+    """Generate a dataset by counting its shards in turn.
 
     Args:
         spec: the counting job.
         config: run configuration (seeding + scale already applied by the
             caller to ``spec.num_keys``).
-        processes: worker processes.  ``None`` picks the backend's best
-            strategy: a *single* process whose native kernels fan keys
-            across POSIX threads when the compiled backend is available
-            (in-C merge, no fork), else ``min(cpu, shards)`` forked
-            numpy workers with shared-memory reduction.  An explicit
-            value forces that many processes; pooled workers always run
-            their kernels single-threaded to avoid oversubscription.
-        worker_chunk: keys per shard / kernel invocation.  The default
-            keeps the batch RC4 state cache-resident; tests shrink it to
-            exercise the multi-shard reduction cheaply.  The value
-            participates in key derivation (shard labels), so inline and
-            pooled runs agree only when it matches.
-        threads: native kernel thread count for the single-process
-            strategy; ``None`` = ``REPRO_NATIVE_THREADS`` or
-            ``os.cpu_count()``, 1 = fully serial.  Counters are
-            bit-identical for every value.
+        worker_chunk: most keys per shard / kernel invocation.  The
+            default keeps the batch RC4 state cache-resident; tests shrink
+            it to exercise multi-shard accumulation cheaply.  The value
+            participates in key derivation (shard labels), so two runs
+            agree only when it matches.
+        threads: native kernel thread count; ``None`` =
+            ``REPRO_NATIVE_THREADS`` or ``os.cpu_count()``, 1 = fully
+            serial.  Counters are bit-identical for every value.
     """
     spec.validate()
     if worker_chunk < 1:
         raise DatasetError(f"worker_chunk must be positive, got {worker_chunk}")
-    # One shard per cache-sized chunk: shard sizing is workload-derived
-    # (deterministic for a given num_keys), parallelism is process-derived.
-    num_shards = max(1, -(-spec.num_keys // worker_chunk))
+    # One shard per cache-sized chunk, each at most worker_chunk keys and
+    # so one kernel call; the "part0" suffix is part of every shard's key
+    # derivation.
+    num_shards = -(-spec.num_keys // worker_chunk)
     base, extra = divmod(spec.num_keys, num_shards)
-    shard_sizes = [base + (1 if s < extra else 0) for s in range(num_shards)]
-    shard_args = [
-        (spec, config, index, size, worker_chunk)
-        for index, size in enumerate(shard_sizes)
-        if size > 0
-    ]
-    if processes is None:
-        # One threaded native process beats N forked workers: threads
-        # share the key chunks and the L3, and the counter merge happens
-        # once in C instead of across shared-memory segments.
-        processes = 1 if _native.available() else mp.cpu_count()
-    processes = min(processes, len(shard_args))
-    if processes <= 1:
-        total = _empty_counters(spec)
-        for args in shard_args:
-            _count_shard(
-                spec, config, args[2], args[3], worker_chunk, total,
-                threads=threads,
-            )
-        return total
-    return _generate_pooled(spec, shard_args, processes)
+    total = np.zeros(_counter_shape(spec), dtype=np.int64)
+    for index in range(num_shards):
+        keys = derive_keys(
+            config,
+            f"{spec.label}/shard{index}/part0",
+            base + (1 if index < extra else 0),
+            keylen=spec.keylen,
+        )
+        _accumulate(spec, keys, total, threads=threads, simd=config.native_simd)
+    return total

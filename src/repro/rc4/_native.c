@@ -6,13 +6,8 @@
  * is run start-to-finish with its 256-byte state in L1, which is the
  * same layout the paper's C workers used (§3.2).
  *
- * Three levels of parallelism sit on top of the scalar per-key loops:
+ * Two levels of parallelism sit on top of the scalar per-key loops:
  *
- * - Interleaving: the PRGA recurrence (i, j, two state loads, a swap, an
- *   output gather) is a serial dependency chain, so a single state leaves
- *   most of the core idle.  The interleaved kernels advance RC4_IL
- *   independent states per loop iteration; their chains overlap and the
- *   four 256-byte states still fit in L1 together.
  * - AVX2 SIMD (runtime-dispatched): the wide kernels advance RC4_WIDE
  *   (32) independent states per loop iteration in a lane-major
  *   transposed layout ST[value][lane].  Because every instance shares
@@ -42,10 +37,10 @@
  *   single-threaded run for any thread count and any key partition.
  *
  * Every tier processes whole keys independently, so any dispatch choice
- * (SIMD groups of 32 with an interleaved/scalar remainder, or no SIMD at
- * all) yields bit-identical keystreams and counters.  The Python side
- * cross-checks this in tests/test_dataset_equivalence.py across thread
- * counts, the interleaved vs scalar kernels, and the SIMD tier.
+ * (SIMD groups of 32 with a scalar remainder, or no SIMD at all) yields
+ * bit-identical keystreams and counters.  The Python side cross-checks
+ * this in tests/test_dataset_equivalence.py across thread counts and
+ * the SIMD tier.
  *
  * Besides the RC4 kernels, the file holds two row kernels that split
  * output rows across the same threads: the §6 capture's digraph rows
@@ -62,7 +57,7 @@
  * Build contract (see _native.py): plain C99, no dependencies beyond
  * libc + pthreads, compiled with `cc -O3 -shared -fPIC -pthread`.  The
  * AVX2 tier uses GCC/Clang target attributes, available since GCC 4.9;
- * other compilers or architectures fall back to the portable kernels.
+ * other compilers or architectures fall back to the scalar kernels.
  */
 
 #include <math.h>
@@ -78,11 +73,6 @@
 #else
 #define RC4_HAVE_SIMD 0
 #endif
-
-/* Independent RC4 states advanced per interleaved loop iteration.  4 x
- * 256 B of state stays L1-resident while giving the out-of-order core
- * four independent swap chains to overlap. */
-#define RC4_IL 4
 
 /* Independent RC4 states per SIMD group (one AVX2 register of lanes).
  * 32 x 256 B of transposed state is 8 KiB — still L1-resident next to
@@ -114,31 +104,6 @@ static void rc4_init(uint8_t *S, const uint8_t *key, ptrdiff_t keylen)
 
 #define RC4_OUT(S, i, j) ((S)[(uint8_t)((S)[(i)] + (S)[(j)])])
 
-/* Interleaved working set: RC4_IL states advanced in lock-step within
- * one thread.  All loops below iterate k = 0..RC4_IL-1 over fixed-size
- * arrays, which the compiler fully unrolls at -O3. */
-typedef struct {
-    uint8_t S[RC4_IL][256];
-    uint8_t i[RC4_IL];
-    uint8_t j[RC4_IL];
-} rc4_lanes;
-
-static void lanes_init(rc4_lanes *L, const uint8_t *keys, ptrdiff_t keylen,
-                       long drop)
-{
-    int k;
-    long r;
-    uint8_t tmp;
-    for (k = 0; k < RC4_IL; k++) {
-        rc4_init(L->S[k], keys + k * keylen, keylen);
-        L->i[k] = 0;
-        L->j[k] = 0;
-    }
-    for (r = 0; r < drop; r++)
-        for (k = 0; k < RC4_IL; k++)
-            RC4_STEP(L->S[k], L->i[k], L->j[k], tmp);
-}
-
 /* ---- keystream ---------------------------------------------------------- */
 
 static void keystream_scalar(const uint8_t *keys, ptrdiff_t n,
@@ -161,27 +126,6 @@ static void keystream_scalar(const uint8_t *keys, ptrdiff_t n,
     }
 }
 
-static void keystream_interleaved(const uint8_t *keys, ptrdiff_t n,
-                                  ptrdiff_t keylen, long drop, long length,
-                                  uint8_t *out)
-{
-    ptrdiff_t g;
-    for (g = 0; g + RC4_IL <= n; g += RC4_IL) {
-        rc4_lanes L;
-        uint8_t tmp;
-        int k;
-        long r;
-        lanes_init(&L, keys + g * keylen, keylen, drop);
-        for (r = 0; r < length; r++)
-            for (k = 0; k < RC4_IL; k++) {
-                RC4_STEP(L.S[k], L.i[k], L.j[k], tmp);
-                out[(g + k) * length + r] = RC4_OUT(L.S[k], L.i[k], L.j[k]);
-            }
-    }
-    keystream_scalar(keys + g * keylen, n - g, keylen, drop, length,
-                     out + g * length);
-}
-
 /* ---- single-byte counts ------------------------------------------------- */
 
 static void single_scalar(const uint8_t *keys, ptrdiff_t n, ptrdiff_t keylen,
@@ -198,27 +142,6 @@ static void single_scalar(const uint8_t *keys, ptrdiff_t n, ptrdiff_t keylen,
             out[r * 256 + RC4_OUT(S, i, j)] += 1;
         }
     }
-}
-
-static void single_interleaved(const uint8_t *keys, ptrdiff_t n,
-                               ptrdiff_t keylen, long positions, int64_t *out)
-{
-    ptrdiff_t g;
-    for (g = 0; g + RC4_IL <= n; g += RC4_IL) {
-        rc4_lanes L;
-        uint8_t tmp;
-        int k;
-        long r;
-        lanes_init(&L, keys + g * keylen, keylen, 0);
-        for (r = 0; r < positions; r++) {
-            int64_t *row = out + r * 256;
-            for (k = 0; k < RC4_IL; k++) {
-                RC4_STEP(L.S[k], L.i[k], L.j[k], tmp);
-                row[RC4_OUT(L.S[k], L.i[k], L.j[k])] += 1;
-            }
-        }
-    }
-    single_scalar(keys + g * keylen, n - g, keylen, positions, out);
 }
 
 /* ---- consecutive digraph counts ----------------------------------------- */
@@ -241,34 +164,6 @@ static void digraph_scalar(const uint8_t *keys, ptrdiff_t n, ptrdiff_t keylen,
             prev = z;
         }
     }
-}
-
-static void digraph_interleaved(const uint8_t *keys, ptrdiff_t n,
-                                ptrdiff_t keylen, long positions, int64_t *out)
-{
-    ptrdiff_t g;
-    for (g = 0; g + RC4_IL <= n; g += RC4_IL) {
-        rc4_lanes L;
-        uint8_t tmp, z;
-        uint8_t prev[RC4_IL];
-        int k;
-        long r;
-        lanes_init(&L, keys + g * keylen, keylen, 0);
-        for (k = 0; k < RC4_IL; k++) {
-            RC4_STEP(L.S[k], L.i[k], L.j[k], tmp);
-            prev[k] = RC4_OUT(L.S[k], L.i[k], L.j[k]);
-        }
-        for (r = 0; r < positions; r++) {
-            int64_t *row = out + r * 65536;
-            for (k = 0; k < RC4_IL; k++) {
-                RC4_STEP(L.S[k], L.i[k], L.j[k], tmp);
-                z = RC4_OUT(L.S[k], L.i[k], L.j[k]);
-                row[(ptrdiff_t)prev[k] * 256 + z] += 1;
-                prev[k] = z;
-            }
-        }
-    }
-    digraph_scalar(keys + g * keylen, n - g, keylen, positions, out);
 }
 
 /* ---- long-term digraph counts ------------------------------------------- */
@@ -307,50 +202,11 @@ static void longterm_scalar(const uint8_t *keys, ptrdiff_t n,
     }
 }
 
-static void longterm_interleaved(const uint8_t *keys, ptrdiff_t n,
-                                 ptrdiff_t keylen, long stream_len, long drop,
-                                 long gap, int64_t *out)
-{
-    long width = gap + 1;
-    ptrdiff_t g;
-    for (g = 0; g + RC4_IL <= n; g += RC4_IL) {
-        rc4_lanes L;
-        uint8_t window[RC4_IL][256];
-        uint8_t tmp, z, first;
-        /* The counter bin depends only on drop and r, so it is shared by
-         * all lanes. */
-        uint8_t bin = (uint8_t)(drop & 0xFF);
-        int k;
-        long r;
-        lanes_init(&L, keys + g * keylen, keylen, drop);
-        for (r = 0; r < width; r++)
-            for (k = 0; k < RC4_IL; k++) {
-                RC4_STEP(L.S[k], L.i[k], L.j[k], tmp);
-                window[k][r] = RC4_OUT(L.S[k], L.i[k], L.j[k]);
-            }
-        for (r = 0; r < stream_len; r++) {
-            long slot = r % width;
-            int64_t *row;
-            bin = (uint8_t)(bin + 1);
-            row = out + (ptrdiff_t)bin * 65536;
-            for (k = 0; k < RC4_IL; k++) {
-                RC4_STEP(L.S[k], L.i[k], L.j[k], tmp);
-                z = RC4_OUT(L.S[k], L.i[k], L.j[k]);
-                first = window[k][slot];
-                window[k][slot] = z;
-                row[(ptrdiff_t)first * 256 + z] += 1;
-            }
-        }
-    }
-    longterm_scalar(keys + g * keylen, n - g, keylen, stream_len, drop, gap,
-                    out);
-}
-
 /* ---- AVX2 wide kernels (runtime-dispatched) ------------------------------ */
 
 /* Is the SIMD tier usable on this machine?  Compile-time support AND a
  * runtime CPU check — callers (Python and run_job below) treat a zero as
- * "fall through to the interleaved/scalar tier". */
+ * "fall through to the scalar tier". */
 int rc4_simd_available(void)
 {
 #if RC4_HAVE_SIMD
@@ -645,7 +501,6 @@ enum job_kind { JOB_KEYSTREAM, JOB_SINGLE, JOB_DIGRAPH, JOB_LONGTERM };
 
 typedef struct {
     enum job_kind kind;
-    int interleave;
     int simd;            /* request the AVX2 tier (still runtime-gated) */
     const uint8_t *keys; /* this range's first key */
     ptrdiff_t n;         /* keys in this range */
@@ -657,57 +512,20 @@ typedef struct {
     int64_t *out_i64;  /* private counter block for this range */
 } rc4_job;
 
-/* The portable (interleaved / scalar) tier for one key range. */
-static void run_job_narrow(const rc4_job *job)
-{
-    switch (job->kind) {
-    case JOB_KEYSTREAM:
-        if (job->interleave)
-            keystream_interleaved(job->keys, job->n, job->keylen, job->drop,
-                                  job->length, job->out_u8);
-        else
-            keystream_scalar(job->keys, job->n, job->keylen, job->drop,
-                             job->length, job->out_u8);
-        break;
-    case JOB_SINGLE:
-        if (job->interleave)
-            single_interleaved(job->keys, job->n, job->keylen, job->length,
-                               job->out_i64);
-        else
-            single_scalar(job->keys, job->n, job->keylen, job->length,
-                          job->out_i64);
-        break;
-    case JOB_DIGRAPH:
-        if (job->interleave)
-            digraph_interleaved(job->keys, job->n, job->keylen, job->length,
-                                job->out_i64);
-        else
-            digraph_scalar(job->keys, job->n, job->keylen, job->length,
-                           job->out_i64);
-        break;
-    case JOB_LONGTERM:
-        if (job->interleave)
-            longterm_interleaved(job->keys, job->n, job->keylen, job->length,
-                                 job->drop, job->gap, job->out_i64);
-        else
-            longterm_scalar(job->keys, job->n, job->keylen, job->length,
-                            job->drop, job->gap, job->out_i64);
-        break;
-    }
-}
-
 /* Dispatch one key range across the tiers: full groups of RC4_WIDE keys
  * through the AVX2 kernels when requested AND supported by this CPU,
- * the remainder (or everything otherwise) through the portable tier.
+ * the remainder (or everything otherwise) through the scalar kernels.
  * Keys are independent, so the split is invisible in the results. */
 static void run_job(const rc4_job *job)
 {
     ptrdiff_t done = 0;
+    const uint8_t *keys;
+    ptrdiff_t rest;
 #if RC4_HAVE_SIMD
     if (job->simd && rc4_simd_available()) {
         ptrdiff_t g;
         for (g = 0; g + RC4_WIDE <= job->n; g += RC4_WIDE) {
-            const uint8_t *keys = job->keys + g * job->keylen;
+            keys = job->keys + g * job->keylen;
             switch (job->kind) {
             case JOB_KEYSTREAM:
                 keystream_wide(keys, job->keylen, job->drop, job->length,
@@ -728,13 +546,23 @@ static void run_job(const rc4_job *job)
         done = g;
     }
 #endif
-    if (done < job->n) {
-        rc4_job rest = *job;
-        rest.keys = job->keys + done * job->keylen;
-        rest.n = job->n - done;
-        if (job->kind == JOB_KEYSTREAM)
-            rest.out_u8 = job->out_u8 + done * job->length;
-        run_job_narrow(&rest);
+    keys = job->keys + done * job->keylen;
+    rest = job->n - done;
+    switch (job->kind) {
+    case JOB_KEYSTREAM:
+        keystream_scalar(keys, rest, job->keylen, job->drop, job->length,
+                         job->out_u8 + done * job->length);
+        break;
+    case JOB_SINGLE:
+        single_scalar(keys, rest, job->keylen, job->length, job->out_i64);
+        break;
+    case JOB_DIGRAPH:
+        digraph_scalar(keys, rest, job->keylen, job->length, job->out_i64);
+        break;
+    case JOB_LONGTERM:
+        longterm_scalar(keys, rest, job->keylen, job->length, job->drop,
+                        job->gap, job->out_i64);
+        break;
     }
 }
 
@@ -1003,41 +831,39 @@ static inline int walk_before(const walk_entry *x, const walk_entry *y,
  * `drop` initial bytes. */
 void rc4_batch_keystream(const uint8_t *keys, ptrdiff_t n, ptrdiff_t keylen,
                          long drop, long length, uint8_t *out, int threads,
-                         int interleave, int simd)
+                         int simd)
 {
-    rc4_job job = {JOB_KEYSTREAM, interleave, simd, keys, n,    keylen,
-                   length,        drop,       0,    out,  NULL};
+    rc4_job job = {JOB_KEYSTREAM, simd, keys, n,   keylen,
+                   length,        drop, 0,    out, NULL};
     run_threaded(&job, threads, 0);
 }
 
 /* Single-byte counts: out[r*256 + Z_{r+1}] += 1 for r = 0..positions-1. */
 void rc4_count_single(const uint8_t *keys, ptrdiff_t n, ptrdiff_t keylen,
-                      long positions, int64_t *out, int threads,
-                      int interleave, int simd)
+                      long positions, int64_t *out, int threads, int simd)
 {
-    rc4_job job = {JOB_SINGLE, interleave, simd, keys, n,    keylen,
-                   positions,  0,          0,    NULL, out};
+    rc4_job job = {JOB_SINGLE, simd, keys, n,    keylen,
+                   positions,  0,    0,    NULL, out};
     run_threaded(&job, threads, (ptrdiff_t)positions * 256);
 }
 
 /* Consecutive digraphs: out[r*65536 + Z_{r+1}*256 + Z_{r+2}] += 1 for
  * r = 0..positions-1 (needs positions+1 keystream bytes per key). */
 void rc4_count_digraph(const uint8_t *keys, ptrdiff_t n, ptrdiff_t keylen,
-                       long positions, int64_t *out, int threads,
-                       int interleave, int simd)
+                       long positions, int64_t *out, int threads, int simd)
 {
-    rc4_job job = {JOB_DIGRAPH, interleave, simd, keys, n,    keylen,
-                   positions,   0,          0,    NULL, out};
+    rc4_job job = {JOB_DIGRAPH, simd, keys, n,    keylen,
+                   positions,   0,    0,    NULL, out};
     run_threaded(&job, threads, (ptrdiff_t)positions * 65536);
 }
 
 /* Long-term digraphs (see longterm_scalar above for the binning). */
 void rc4_count_longterm(const uint8_t *keys, ptrdiff_t n, ptrdiff_t keylen,
                         long stream_len, long drop, long gap, int64_t *out,
-                        int threads, int interleave, int simd)
+                        int threads, int simd)
 {
-    rc4_job job = {JOB_LONGTERM, interleave, simd, keys, n,    keylen,
-                   stream_len,   drop,       gap,  NULL, out};
+    rc4_job job = {JOB_LONGTERM, simd, keys, n,    keylen,
+                   stream_len,   drop, gap,  NULL, out};
     run_threaded(&job, threads, (ptrdiff_t)256 * 65536);
 }
 

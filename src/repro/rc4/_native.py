@@ -16,25 +16,25 @@ source *plus* the compiler identity and flags (so pinning a different
 ``REPRO_NATIVE_CC`` or changing CFLAGS can never load a stale artefact),
 and exposes thin ctypes wrappers.
 
-Three performance knobs ride on every kernel but the walk, which runs
-on the calling thread:
+Two performance knobs ride on the kernels; the walk takes neither and
+runs on the calling thread:
 
 - ``threads`` (default ``os.cpu_count()``, overridable per call or via
   ``REPRO_NATIVE_THREADS``): the C side splits keys into contiguous
   ranges, one POSIX thread each.  Counting threads accumulate into
   private blocks merged serially at the end, so results are bit-exact
   for any thread count.  The row kernels split output rows instead:
-  each thread owns a contiguous range of rows and their outputs, so
-  they need no private blocks or merge and are bit-exact as well.
-- ``interleave`` (default on, ``REPRO_NATIVE_INTERLEAVE=0`` to disable):
-  selects the interleaved kernels that advance several independent RC4
-  states per loop iteration to hide the serial swap-latency chain.
-- ``simd`` (default on, ``REPRO_NATIVE_SIMD=0`` to disable): selects the
-  AVX2 wide kernels that advance 32 states per loop in a transposed
-  lane-major layout.  The C side re-checks CPU support at runtime
-  (``__builtin_cpu_supports("avx2")``), so enabling the knob on non-AVX2
-  hardware silently degrades to the interleaved/scalar tiers; every tier
-  is bit-exact with every other.
+  the digraph rows as one contiguous range per thread, the multinomial
+  rows one at a time to whichever thread is free.  Each row owns its
+  output, so they need no private blocks or merge and are bit-exact as
+  well.
+- ``simd`` (default on, ``REPRO_NATIVE_SIMD=0`` to disable; RC4 kernels
+  only): selects the AVX2 wide kernels that advance 32 states per loop
+  in a transposed lane-major layout, with the scalar kernels taking
+  any remainder of fewer than 32 keys.  The C side re-checks CPU
+  support at runtime (``__builtin_cpu_supports("avx2")``), so enabling
+  the knob on non-AVX2 hardware silently degrades to the scalar tier;
+  every tier is bit-exact with every other.
 
 The backend is strictly optional: if no compiler is present, compilation
 fails, or ``REPRO_NATIVE=0`` is set, :func:`available` returns False and
@@ -72,11 +72,11 @@ import numpy as np
 from ..config import (
     env_native_cc,
     env_native_enabled,
-    env_native_interleave,
     env_native_simd,
     env_native_threads,
 )
 from ..fleet.retry import retry_call
+from ..utils.serialization import durable_replace
 
 _SOURCE = Path(__file__).with_name("_native.c")
 
@@ -88,9 +88,7 @@ _CC_RETRY_BACKOFF = 2.0
 
 #: Aggregate private-counter budget across threads (bytes).  Wide
 #: machines counting 256 MiB consec blocks would otherwise multiply that
-#: by cpu_count; threads are clamped so scratch stays under this.  4 GiB
-#: matches the cap the forked shared-memory pool has always used, so the
-#: threaded default is never narrower than the pool it replaced (32
+#: by cpu_count; threads are clamped so scratch stays under this (32
 #: threads for 128 MiB longterm counters, 16 for 256 MiB consec512).
 _THREAD_SCRATCH_BUDGET = 4 << 30
 
@@ -98,7 +96,7 @@ _THREAD_SCRATCH_BUDGET = 4 << 30
 #: key transpose, digraph window and staging — see rc4_wide/wide_ksa in
 #: _native.c).  Charged against the scratch budget alongside the private
 #: counter blocks so the wide tier can never push aggregate scratch past
-#: the cap that the narrow tiers were sized for.
+#: the cap that the scalar tier was sized for.
 _SIMD_LANE_SCRATCH = 32 << 10
 
 #: Flags handed to every compiler candidate; part of the cache key.  The
@@ -211,7 +209,9 @@ def _compile() -> Path:
             tmp_path.unlink(missing_ok=True)
             last_error = f"{compiler}: produced an empty object"
             continue
-        os.replace(tmp_path, target)  # atomic: safe under concurrent builds
+        # Atomic and fsynced: safe under concurrent builds, and a crash
+        # cannot leave a torn object under the key that later loads trust.
+        durable_replace(tmp_path, target)
         return target
     raise RuntimeError(f"native backend compilation failed ({last_error})")
 
@@ -223,20 +223,19 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     cint = ctypes.c_int
     lib.rc4_batch_keystream.argtypes = [
         u8p, ssize, ssize, ctypes.c_long, ctypes.c_long, u8p, cint, cint,
-        cint,
     ]
     lib.rc4_batch_keystream.restype = None
     lib.rc4_count_single.argtypes = [
-        u8p, ssize, ssize, ctypes.c_long, i64p, cint, cint, cint,
+        u8p, ssize, ssize, ctypes.c_long, i64p, cint, cint,
     ]
     lib.rc4_count_single.restype = None
     lib.rc4_count_digraph.argtypes = [
-        u8p, ssize, ssize, ctypes.c_long, i64p, cint, cint, cint,
+        u8p, ssize, ssize, ctypes.c_long, i64p, cint, cint,
     ]
     lib.rc4_count_digraph.restype = None
     lib.rc4_count_longterm.argtypes = [
         u8p, ssize, ssize, ctypes.c_long, ctypes.c_long, ctypes.c_long,
-        i64p, cint, cint, cint,
+        i64p, cint, cint,
     ]
     lib.rc4_count_longterm.restype = None
     lib.rc4_count_digraph_rows.argtypes = [
@@ -306,11 +305,7 @@ def status() -> str:
             simd = f"avx2 x{simd_lanes()}"
         else:
             simd = "unsupported"
-        return (
-            f"native backend loaded (threads={threads}, "
-            f"interleave={'on' if _interleave(None) else 'off'}, "
-            f"simd={simd})"
-        )
+        return f"native backend loaded (threads={threads}, simd={simd})"
     return f"native backend unavailable: {_load_error}"
 
 
@@ -345,7 +340,7 @@ def resolve_threads(
     within the 4 GiB ``_THREAD_SCRATCH_BUDGET``.  ``counter_bytes`` is
     the per-thread private counter block; ``lane_bytes`` the per-thread
     SIMD working set (pass :data:`_SIMD_LANE_SCRATCH` when the wide tier
-    may run) so wide kernels can't blow the cap the narrow tiers were
+    may run) so wide kernels can't blow the cap the scalar tier was
     sized for.
     """
     if threads is None:
@@ -359,13 +354,6 @@ def resolve_threads(
     if scratch > 0:
         threads = min(threads, max(1, _THREAD_SCRATCH_BUDGET // scratch))
     return threads
-
-
-def _interleave(interleave: bool | None) -> int:
-    """Resolve the interleave knob (per-call override beats the env)."""
-    if interleave is None:
-        return 1 if env_native_interleave() else 0
-    return 1 if interleave else 0
 
 
 def _simd(simd: bool | None) -> int:
@@ -396,7 +384,6 @@ def batch_keystream(
     *,
     drop: int = 0,
     threads: int | None = None,
-    interleave: bool | None = None,
     simd: bool | None = None,
 ) -> np.ndarray:
     """Compiled equivalent of :func:`repro.rc4.batch.batch_keystream`."""
@@ -411,7 +398,7 @@ def batch_keystream(
         resolve_threads(
             threads, lane_bytes=_SIMD_LANE_SCRATCH if use_simd else 0
         ),
-        _interleave(interleave), use_simd,
+        use_simd,
     )
     return out
 
@@ -422,7 +409,6 @@ def count_single(
     out: np.ndarray,
     *,
     threads: int | None = None,
-    interleave: bool | None = None,
     simd: bool | None = None,
 ) -> None:
     """Accumulate single-byte counts into ``out`` (positions, 256) int64."""
@@ -437,7 +423,7 @@ def count_single(
             threads, out.nbytes,
             lane_bytes=_SIMD_LANE_SCRATCH if use_simd else 0,
         ),
-        _interleave(interleave), use_simd,
+        use_simd,
     )
 
 
@@ -447,7 +433,6 @@ def count_digraph(
     out: np.ndarray,
     *,
     threads: int | None = None,
-    interleave: bool | None = None,
     simd: bool | None = None,
 ) -> None:
     """Accumulate consecutive-digraph counts into (positions, 256, 256)."""
@@ -462,7 +447,7 @@ def count_digraph(
             threads, out.nbytes,
             lane_bytes=_SIMD_LANE_SCRATCH if use_simd else 0,
         ),
-        _interleave(interleave), use_simd,
+        use_simd,
     )
 
 
@@ -474,7 +459,6 @@ def count_longterm(
     out: np.ndarray,
     *,
     threads: int | None = None,
-    interleave: bool | None = None,
     simd: bool | None = None,
 ) -> None:
     """Accumulate counter-binned long-term digraphs into (256, 256, 256)."""
@@ -492,7 +476,7 @@ def count_longterm(
             threads, out.nbytes,
             lane_bytes=_SIMD_LANE_SCRATCH if use_simd else 0,
         ),
-        _interleave(interleave), use_simd,
+        use_simd,
     )
 
 

@@ -12,6 +12,7 @@ bit-identical JSON/NPZ round-trips) is pinned with hypothesis.
 """
 
 import dataclasses
+import doctest
 import json
 import struct
 import tempfile
@@ -480,9 +481,9 @@ class TestTkipCaptureEquivalence:
 
 class TestCaptureForcedDispatchMatrix:
     """Both capture sources under every forced dispatch combination
-    (``native_simd`` x ``REPRO_NATIVE_INTERLEAVE`` x thread count)
-    produce counters identical to the serial scalar leg — the capture
-    engine must be immune to how the keystream generator is dispatched.
+    (``native_simd`` x thread count) produce counters identical to the
+    serial scalar leg — the capture engine must be immune to how the
+    keystream generator is dispatched.
     """
 
     @pytest.fixture(autouse=True)
@@ -497,18 +498,13 @@ class TestCaptureForcedDispatchMatrix:
         )
 
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("interleave", ["0", "1"], ids=["il0", "il1"])
     @pytest.mark.parametrize("simd", [False, True], ids=["simd0", "simd1"])
-    def test_https_dispatch_matrix(
-        self, config, https_sim, monkeypatch, threads, interleave, simd
-    ):
-        monkeypatch.setenv("REPRO_NATIVE_INTERLEAVE", "0")
+    def test_https_dispatch_matrix(self, config, https_sim, threads, simd):
         baseline = run_capture(
             _https_source(
                 https_sim, self._dispatch_config(config, simd=False, threads=1)
             )
         )
-        monkeypatch.setenv("REPRO_NATIVE_INTERLEAVE", interleave)
         forced = run_capture(
             _https_source(
                 https_sim,
@@ -518,11 +514,8 @@ class TestCaptureForcedDispatchMatrix:
         _assert_cookie_stats_equal(forced, baseline)
 
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("interleave", ["0", "1"], ids=["il0", "il1"])
     @pytest.mark.parametrize("simd", [False, True], ids=["simd0", "simd1"])
-    def test_tkip_dispatch_matrix(
-        self, config, monkeypatch, threads, interleave, simd
-    ):
+    def test_tkip_dispatch_matrix(self, config, threads, simd):
         def source(dispatch_config):
             rng = np.random.default_rng(5)
             return TkipCaptureSource(
@@ -534,11 +527,9 @@ class TestCaptureForcedDispatchMatrix:
                 label="disp-tkip",
             )
 
-        monkeypatch.setenv("REPRO_NATIVE_INTERLEAVE", "0")
         baseline = run_capture(
             source(self._dispatch_config(config, simd=False, threads=1))
         )
-        monkeypatch.setenv("REPRO_NATIVE_INTERLEAVE", interleave)
         forced = run_capture(
             source(self._dispatch_config(config, simd=simd, threads=threads))
         )
@@ -687,6 +678,16 @@ class TestCheckpointResume:
         run_capture(source, batches=range(0, 2), checkpoint_path=path)
         fresh = run_capture(source, checkpoint_path=path, resume=False)
         TestTkipCaptureEquivalence._assert_equal(fresh, run_capture(source))
+
+    def test_docstring_example_runs(self, tmp_path, monkeypatch):
+        """The usage example in run_capture's docstring runs as written."""
+        monkeypatch.chdir(tmp_path)
+        runner = doctest.DocTestRunner()
+        for test in doctest.DocTestFinder().find(run_capture, globs={}):
+            runner.run(test)
+        failed, attempted = runner.summarize(verbose=False)
+        assert attempted > 0 and failed == 0
+        assert (tmp_path / "cap.npz").exists()
 
     def test_rejects_bad_engine_arguments(self, config):
         source = self._source(config)

@@ -54,10 +54,10 @@ def test_verify_job_runs_make_verify_in_both_native_modes(workflow):
 
 def test_verify_job_covers_simd_dispatch_leg(workflow):
     """The verify matrix must run the compiled backend with the AVX2 tier
-    both enabled and disabled (REPRO_NATIVE_SIMD={0,1}), so the
-    interleaved/scalar tiers below the SIMD dispatch stay exercised even
-    on SIMD-capable runners.  The knob is meaningless on the numpy leg,
-    so that combination is excluded rather than run twice."""
+    both enabled and disabled (REPRO_NATIVE_SIMD={0,1}), so the scalar
+    tier below the SIMD dispatch stays exercised even on SIMD-capable
+    runners.  The knob is meaningless on the numpy leg, so that
+    combination is excluded rather than run twice."""
     job = workflow["jobs"]["verify"]
     matrix = job["strategy"]["matrix"]
     assert sorted(matrix["simd"]) == ["0", "1"]

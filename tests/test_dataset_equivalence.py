@@ -2,11 +2,11 @@
 
 The engine has five layers that must all be byte-identical to the naive
 reference: the fused counting kernels (numpy grouped-bincount path), the
-optional compiled backend (``repro.rc4._native``) with its scalar and
-interleaved PRGA kernels, the runtime-dispatched AVX2 wide kernels
+optional compiled backend (``repro.rc4._native``) with its scalar PRGA
+kernels, the runtime-dispatched AVX2 wide kernels
 (``REPRO_NATIVE_SIMD``), the POSIX-threaded native fan-out (private
-per-thread counters merged in C), and the shared-memory shard reduction
-in ``generate_dataset``.  Every test here counts the same keystreams
+per-thread counters merged in C), and the shard accumulation in
+``generate_dataset``.  Every test here counts the same keystreams
 with :func:`repro.rc4.reference.rc4_keystream` Python loops (or the
 single-threaded kernel output) and asserts cell-for-cell equality.
 """
@@ -26,8 +26,10 @@ from repro.datasets import (
     pair_counts,
     single_byte_counts,
 )
+from repro.datasets.manager import _accumulate
 from repro.rc4 import _native
 from repro.rc4.batch import BatchRC4, batch_keystream
+from repro.rc4.keygen import derive_keys
 from repro.rc4.reference import rc4_keystream
 
 
@@ -180,7 +182,7 @@ class TestBackendParity:
 THREAD_COUNTS = sorted({1, 2, os.cpu_count() or 1})
 
 #: Every dataset kind with a small spec, shared by the thread and
-#: interleave sweeps below.
+#: dispatch sweeps below.
 ALL_KIND_SPECS = [
     DatasetSpec(kind="single", num_keys=900, positions=6, label="mt-s"),
     DatasetSpec(kind="consec", num_keys=900, positions=4, label="mt-c"),
@@ -198,13 +200,33 @@ ALL_KIND_SPECS = [
 ALL_KIND_IDS = [spec.kind for spec in ALL_KIND_SPECS]
 
 
+#: The native RC4 kernels that dispatch across the SIMD and scalar tiers.
+NATIVE_KERNELS = ["keystream", "single", "digraph", "longterm"]
+
+
+def _run_native(kernel, keys, *, threads, simd):
+    """One native RC4 kernel call on small fixed shapes."""
+    if kernel == "keystream":
+        return _native.batch_keystream(
+            keys, 40, drop=13, threads=threads, simd=simd
+        )
+    count, shape, args = {
+        "single": (_native.count_single, (7, 256), (7,)),
+        "digraph": (_native.count_digraph, (5, 256, 256), (5,)),
+        "longterm": (_native.count_longterm, (256, 256, 256), (24, 100, 1)),
+    }[kernel]
+    out = np.zeros(shape, dtype=np.int64)
+    count(keys, *args, out, threads=threads, simd=simd)
+    return out
+
+
 class TestThreadedNativeEquivalence:
-    """Threaded and interleaved native kernels == serial scalar kernels.
+    """Threaded and SIMD native kernels == serial scalar kernels.
 
     This is the acceptance gate for the multi-core native engine: for
     every dataset kind the counters must be cell-for-cell identical
-    across ``threads in {1, 2, cpu_count()}`` and across the interleaved
-    vs scalar PRGA kernels.
+    across ``threads in {1, 2, cpu_count()}`` and across the SIMD vs
+    scalar PRGA kernels.
     """
 
     @pytest.fixture(autouse=True)
@@ -217,75 +239,41 @@ class TestThreadedNativeEquivalence:
     def test_dataset_identical_across_thread_counts(
         self, config, spec, threads
     ):
-        reference = generate_dataset(
-            spec, config, processes=1, worker_chunk=128, threads=1
-        )
+        reference = generate_dataset(spec, config, worker_chunk=128, threads=1)
         threaded = generate_dataset(
-            spec, config, processes=1, worker_chunk=128, threads=threads
+            spec, config, worker_chunk=128, threads=threads
         )
         assert np.array_equal(reference, threaded)
 
-    @pytest.mark.parametrize("spec", ALL_KIND_SPECS, ids=ALL_KIND_IDS)
-    def test_dataset_identical_across_prga_kernels(
-        self, config, spec, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_NATIVE_INTERLEAVE", "0")
-        scalar = generate_dataset(spec, config, processes=1, worker_chunk=128)
-        monkeypatch.setenv("REPRO_NATIVE_INTERLEAVE", "1")
-        interleaved = generate_dataset(
-            spec, config, processes=1, worker_chunk=128
-        )
-        assert np.array_equal(scalar, interleaved)
-
     @pytest.mark.parametrize("threads", THREAD_COUNTS)
-    @pytest.mark.parametrize("interleave", [False, True], ids=["scalar", "il"])
     @pytest.mark.parametrize("simd", [False, True], ids=["nosimd", "simd"])
-    def test_kernel_level_matrix(self, rng, threads, interleave, simd):
-        """Direct kernel calls: every (threads, interleave, simd) cell
-        agrees with the serial scalar baseline, including key counts that
-        are not multiples of the interleave width, the 32-lane SIMD group
-        width, or the thread count."""
+    def test_kernel_level_matrix(self, rng, threads, simd):
+        """Direct kernel calls: every (threads, simd) cell agrees with the
+        serial scalar baseline, including key counts that are not
+        multiples of the 32-lane SIMD group width or the thread count, so
+        one call runs SIMD groups plus a scalar remainder."""
         keys = rng.integers(0, 256, size=(103, 16), dtype=np.uint8)
+        for kernel in NATIVE_KERNELS:
+            base = _run_native(kernel, keys, threads=1, simd=False)
+            got = _run_native(kernel, keys, threads=threads, simd=simd)
+            assert np.array_equal(base, got), kernel
 
-        base = np.zeros((7, 256), dtype=np.int64)
-        _native.count_single(
-            keys, 7, base, threads=1, interleave=False, simd=False
-        )
-        got = np.zeros_like(base)
-        _native.count_single(
-            keys, 7, got, threads=threads, interleave=interleave, simd=simd
-        )
-        assert np.array_equal(base, got)
-
-        base = np.zeros((5, 256, 256), dtype=np.int64)
-        _native.count_digraph(
-            keys, 5, base, threads=1, interleave=False, simd=False
-        )
-        got = np.zeros_like(base)
-        _native.count_digraph(
-            keys, 5, got, threads=threads, interleave=interleave, simd=simd
-        )
-        assert np.array_equal(base, got)
-
-        base = np.zeros((256, 256, 256), dtype=np.int64)
-        _native.count_longterm(
-            keys, 24, 100, 1, base, threads=1, interleave=False, simd=False
-        )
-        got = np.zeros_like(base)
-        _native.count_longterm(
-            keys, 24, 100, 1, got,
-            threads=threads, interleave=interleave, simd=simd,
-        )
-        assert np.array_equal(base, got)
-
-        base = _native.batch_keystream(
-            keys, 40, drop=13, threads=1, interleave=False, simd=False
-        )
-        got = _native.batch_keystream(
-            keys, 40, drop=13, threads=threads, interleave=interleave,
-            simd=simd,
-        )
-        assert np.array_equal(base, got)
+    @pytest.mark.parametrize("kernel", NATIVE_KERNELS)
+    @pytest.mark.parametrize("num_keys", [1, 31, 32, 33, 64, 65])
+    def test_simd_group_boundaries(self, rng, num_keys, kernel):
+        """Key counts around the 32-lane SIMD group width, on 1-3 threads:
+        each thread's range runs its whole groups on the wide kernels and
+        hands the rest (or, on a short range, everything) straight to the
+        scalar ones.  Every split matches the serial scalar tier, whose
+        keystream rows match the reference RC4."""
+        keys = rng.integers(0, 256, size=(num_keys, 16), dtype=np.uint8)
+        base = _run_native(kernel, keys, threads=1, simd=False)
+        if kernel == "keystream":
+            for key, row in zip(keys, base):
+                assert row.tobytes() == rc4_keystream(key.tobytes(), 40, drop=13)
+        for threads in (1, 2, 3):
+            got = _run_native(kernel, keys, threads=threads, simd=True)
+            assert np.array_equal(base, got), f"threads={threads}"
 
     def test_threads_env_default_used_by_kernels(self, rng, monkeypatch):
         """REPRO_NATIVE_THREADS steers the default without changing counts."""
@@ -297,84 +285,87 @@ class TestThreadedNativeEquivalence:
 
     @pytest.mark.parametrize("spec", ALL_KIND_SPECS, ids=ALL_KIND_IDS)
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("interleave", ["0", "1"], ids=["il0", "il1"])
     @pytest.mark.parametrize("simd", [False, True], ids=["simd0", "simd1"])
-    def test_dataset_forced_dispatch_matrix(
-        self, config, monkeypatch, spec, threads, interleave, simd
-    ):
+    def test_dataset_forced_dispatch_matrix(self, config, spec, threads, simd):
         """Full datasets under every forced dispatch combination
-        (simd x interleave x threads) match the serial scalar baseline
-        cell-for-cell for all dataset kinds."""
-        monkeypatch.setenv("REPRO_NATIVE_INTERLEAVE", "0")
+        (simd x threads) match the serial scalar baseline cell-for-cell
+        for all dataset kinds."""
         baseline_config = dataclasses.replace(config, native_simd=False)
         reference = generate_dataset(
-            spec, baseline_config, processes=1, worker_chunk=128, threads=1
+            spec, baseline_config, worker_chunk=128, threads=1
         )
-        monkeypatch.setenv("REPRO_NATIVE_INTERLEAVE", interleave)
         forced_config = dataclasses.replace(config, native_simd=simd)
         forced = generate_dataset(
-            spec, forced_config, processes=1, worker_chunk=128,
-            threads=threads,
+            spec, forced_config, worker_chunk=128, threads=threads
         )
         assert np.array_equal(reference, forced)
 
-    def test_simd_env_default_used_by_kernels(self, rng, monkeypatch):
-        """REPRO_NATIVE_SIMD steers the per-call default (simd=None)
-        without changing a single counter cell."""
+    @pytest.mark.parametrize("kernel", NATIVE_KERNELS)
+    def test_simd_env_default_used_by_kernels(self, rng, monkeypatch, kernel):
+        """REPRO_NATIVE_SIMD steers each RC4 kernel's per-call default
+        (simd=None) without changing a single bit."""
         keys = rng.integers(0, 256, size=(200, 16), dtype=np.uint8)
-        base = np.zeros((6, 256), dtype=np.int64)
-        _native.count_single(keys, 6, base, threads=1, simd=False)
+        base = _run_native(kernel, keys, threads=1, simd=False)
         for env_value in ("0", "1"):
             monkeypatch.setenv("REPRO_NATIVE_SIMD", env_value)
-            got = np.zeros_like(base)
-            _native.count_single(keys, 6, got, threads=1)
+            got = _run_native(kernel, keys, threads=1, simd=None)
             assert np.array_equal(base, got), f"REPRO_NATIVE_SIMD={env_value}"
 
 
-class TestSharedMemoryReduction:
-    """generate_dataset(processes=2) over shared memory == inline."""
+#: Multi-shard specs (worker_chunk=256) covering every dataset kind.
+SHARDED_SPECS = [
+    DatasetSpec(kind="single", num_keys=1500, positions=6, label="shard-s"),
+    DatasetSpec(kind="consec", num_keys=1500, positions=4, label="shard-c"),
+    DatasetSpec(
+        kind="pairs", num_keys=1500, pairs=((1, 3), (2, 5)), label="shard-p"
+    ),
+    DatasetSpec(kind="equality", num_keys=1500, pairs=((1, 2),), label="shard-e"),
+    DatasetSpec(
+        kind="longterm", num_keys=1200, stream_len=16, drop=77, gap=0,
+        label="shard-lt",
+    ),
+    DatasetSpec(
+        kind="longterm", num_keys=1200, stream_len=16, drop=100, gap=1,
+        label="shard-lt-gap",
+    ),
+]
+
+
+class TestShardAccumulation:
+    """generate_dataset counts its shards in turn into one block."""
 
     @pytest.mark.parametrize(
         "spec",
-        [
-            DatasetSpec(kind="single", num_keys=1500, positions=6, label="shm-s"),
-            DatasetSpec(kind="consec", num_keys=1500, positions=4, label="shm-c"),
-            DatasetSpec(
-                kind="pairs", num_keys=1500, pairs=((1, 3), (2, 5)), label="shm-p"
-            ),
-            DatasetSpec(
-                kind="equality", num_keys=1500, pairs=((1, 2),), label="shm-e"
-            ),
-            DatasetSpec(
-                kind="longterm",
-                num_keys=1200,
-                stream_len=16,
-                drop=77,
-                gap=0,
-                label="shm-lt",
-            ),
-            DatasetSpec(
-                kind="longterm",
-                num_keys=1200,
-                stream_len=16,
-                drop=100,
-                gap=1,
-                label="shm-lt-gap",
-            ),
-        ],
+        SHARDED_SPECS,
         ids=["single", "consec", "pairs", "equality", "longterm", "longterm-gap"],
     )
-    def test_pooled_identical_to_inline(self, config, spec):
-        inline = generate_dataset(spec, config, processes=1, worker_chunk=256)
-        pooled = generate_dataset(spec, config, processes=2, worker_chunk=256)
-        assert np.array_equal(inline, pooled)
+    def test_dataset_counts_every_shards_derived_keys(
+        self, config, spec, backend
+    ):
+        """On either backend a multi-shard dataset equals one kernel pass
+        over all its shards' keys: shard i holds at most worker_chunk keys,
+        derived from the label ``<label>/shard<i>/part0``.  The labels
+        decide every dataset's counters (and every cache entry's)."""
+        counts = generate_dataset(spec, config, worker_chunk=256)
+        num_shards = -(-spec.num_keys // 256)
+        base, extra = divmod(spec.num_keys, num_shards)
+        keys = np.concatenate([
+            derive_keys(
+                config, f"{spec.label}/shard{index}/part0",
+                base + (1 if index < extra else 0), keylen=spec.keylen,
+            )
+            for index in range(num_shards)
+        ])
+        expected = np.zeros_like(counts)
+        _accumulate(spec, keys, expected, threads=1)
+        assert np.array_equal(counts, expected)
 
     def test_worker_chunk_participates_in_derivation(self, config):
         # Same num_keys, different chunking => different shard labels =>
         # statistically independent (but internally consistent) datasets.
         spec = DatasetSpec(kind="single", num_keys=600, positions=2, label="wc")
-        a = generate_dataset(spec, config, processes=1, worker_chunk=200)
-        b = generate_dataset(spec, config, processes=1, worker_chunk=300)
+        a = generate_dataset(spec, config, worker_chunk=200)
+        b = generate_dataset(spec, config, worker_chunk=300)
         assert a.sum() == b.sum() == 600 * 2
         assert not np.array_equal(a, b)
 

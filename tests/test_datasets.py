@@ -117,17 +117,9 @@ class TestKernelsAgainstReference:
 class TestGenerateDataset:
     def test_inline_matches_kernel(self, config):
         spec = DatasetSpec(kind="single", num_keys=2048, positions=4, label="gd")
-        counts = generate_dataset(spec, config, processes=1)
+        counts = generate_dataset(spec, config)
         assert counts.shape == (4, 256)
         assert counts.sum() == 2048 * 4
-
-    def test_parallel_matches_inline(self, config):
-        spec = DatasetSpec(
-            kind="equality", num_keys=4096, pairs=((1, 2),), label="par"
-        )
-        inline = generate_dataset(spec, config, processes=1)
-        parallel = generate_dataset(spec, config, processes=4)
-        assert np.array_equal(inline, parallel)
 
     def test_spec_validation(self, config):
         with pytest.raises(DatasetError):
@@ -143,7 +135,7 @@ class TestGenerateDataset:
 class TestStore:
     def test_roundtrip(self, tmp_path, config):
         spec = DatasetSpec(kind="single", num_keys=512, positions=2, label="st")
-        counts = generate_dataset(spec, config, processes=1)
+        counts = generate_dataset(spec, config)
         path = tmp_path / "ds.npz"
         save_dataset(path, counts, spec)
         loaded, loaded_spec = load_dataset(path)
@@ -152,7 +144,7 @@ class TestStore:
 
     def test_spec_mismatch_detected(self, tmp_path, config):
         spec = DatasetSpec(kind="single", num_keys=512, positions=2, label="st")
-        counts = generate_dataset(spec, config, processes=1)
+        counts = generate_dataset(spec, config)
         path = tmp_path / "ds.npz"
         save_dataset(path, counts, spec)
         other = DatasetSpec(kind="single", num_keys=1024, positions=2, label="st")

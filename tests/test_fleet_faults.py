@@ -44,6 +44,7 @@ from repro.fleet.manifest import (
 from repro.fleet.retry import backoff_delay, backoff_delays, retry_call
 from repro.fleet.sources import build_source, register_source
 from repro.fleet.worker import run_worker
+from repro.rc4 import _native
 from repro.tls.attack import CookieLayout
 from repro.utils.serialization import canonical_json
 
@@ -175,6 +176,50 @@ class TestCheckpointHardening:
         with pytest.raises(CaptureError, match="fingerprint"):
             run_capture(other, checkpoint_path=path)
 
+    def test_rescuer_leaves_stalled_writers_temp_file_alone(
+        self, tmp_path, monkeypatch
+    ):
+        """A worker stalls halfway through writing a checkpoint; a
+        rescuer (another process) reclaims the shard and checkpoints it
+        to the same path.  The stalled worker's temp file must survive
+        the rescuer byte for byte, or one writer's rename would publish
+        the other's half-written archive."""
+        source = _tkip_source(_fleet_config())
+        path = tmp_path / "capture.npz"
+        stats_type = type(source.empty())
+        real_save = stats_type.save
+        pid = os.getpid()
+        half = b"the first half of the stalled worker's archive"
+
+        def stall_mid_save(stats, tmp, **kwargs):
+            Path(tmp).write_bytes(half)
+            monkeypatch.setattr(stats_type, "save", real_save)
+            monkeypatch.setattr(os, "getpid", lambda: pid + 1)
+            run_capture(source, checkpoint_path=path)
+            assert Path(tmp).read_bytes() == half
+            monkeypatch.setattr(os, "getpid", lambda: pid)
+            real_save(stats, tmp, **kwargs)
+
+        monkeypatch.setattr(stats_type, "save", stall_mid_save)
+        stalled = run_capture(source, checkpoint_path=path)
+        assert _stats_equal(stalled, run_capture(source))
+        assert _stats_equal(run_capture(source, checkpoint_path=path), stalled)
+        assert [p.name for p in tmp_path.iterdir()] == ["capture.npz"]
+
+    def test_failed_checkpoint_save_leaves_no_temp_file(
+        self, tmp_path, monkeypatch
+    ):
+        source = _tkip_source(_fleet_config())
+
+        def disk_full(stats, tmp, **kwargs):
+            Path(tmp).write_bytes(b"partial")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(type(source.empty()), "save", disk_full)
+        with pytest.raises(OSError, match="No space left"):
+            run_capture(source, checkpoint_path=tmp_path / "capture.npz")
+        assert list(tmp_path.iterdir()) == []
+
 
 # --------------------------------------------------------------------------
 # manifest + lease mechanics
@@ -243,6 +288,16 @@ class TestDurableWrites:
         for index in range(2):
             self._assert_durable(fs_events, paths.state(index))
             self._assert_durable(fs_events, paths.result(index))
+
+    def test_native_backend_build(self, tmp_path, fs_events, monkeypatch):
+        """The compiled object is flushed before it takes the hash-keyed
+        name that later loads trust without checking."""
+        monkeypatch.setattr(_native, "_cache_dir", lambda: tmp_path)
+        try:
+            target = _native._compile()
+        except RuntimeError as exc:
+            pytest.skip(f"no working C compiler: {exc}")
+        self._assert_durable(fs_events, target)
 
 
 class TestManifestAndLease:

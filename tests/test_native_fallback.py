@@ -45,14 +45,39 @@ print(json.dumps({
 """
 
 
-def _probe(extra_env: dict[str, str], tmp_path: Path) -> dict:
+#: A run's provenance and ``info --json`` against the backend that loaded.
+_PROVENANCE_PROBE = """
+import contextlib
+import io
+import json
+
+from repro.__main__ import main
+from repro.api import Session
+from repro.config import get_config
+from repro.rc4 import _native
+
+result = Session(get_config()).run("dataset-single", num_keys=256, positions=2)
+info = io.StringIO()
+with contextlib.redirect_stdout(info):
+    main(["info", "--json"])
+print(json.dumps({
+    "available": _native.available(),
+    "provenance": result.provenance,
+    "info_native": json.loads(info.getvalue())["native"],
+}))
+"""
+
+
+def _probe(
+    extra_env: dict[str, str], tmp_path: Path, script: str = _PROBE
+) -> dict:
     env = dict(os.environ)
     env.pop("REPRO_NATIVE", None)
     env["PYTHONPATH"] = REPO_SRC
     env["XDG_CACHE_HOME"] = str(tmp_path / "cache")
     env.update(extra_env)
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE],
+        [sys.executable, "-c", script],
         capture_output=True,
         text=True,
         env=env,
@@ -92,6 +117,21 @@ def test_explicit_disable_is_silent(tmp_path):
     assert result["warnings"] == []
 
 
+@pytest.mark.parametrize("native", ["0", "1"])
+def test_provenance_reports_the_backend_that_loaded(tmp_path, native):
+    """Provenance and ``info --json`` say whether the compiled backend
+    ran, on both ``REPRO_NATIVE`` legs, and name no tier that no kernel
+    reads."""
+    result = _probe({"REPRO_NATIVE": native}, tmp_path, _PROVENANCE_PROBE)
+    if native == "0":
+        assert result["available"] is False
+    assert result["provenance"]["native"] is result["available"]
+    assert result["info_native"] is result["available"]
+    assert set(result["provenance"]) == {
+        "version", "seed", "scale", "native", "native_threads", "native_simd"
+    }
+
+
 def test_truncated_artifact_is_not_promoted(tmp_path, monkeypatch):
     """A compiler that 'succeeds' but writes nothing must not poison the
     hash-keyed cache entry (the mid-write failure mode)."""
@@ -120,8 +160,8 @@ def test_resolve_threads_env_and_clamps(monkeypatch):
     monkeypatch.setenv("REPRO_NATIVE_THREADS", "not-a-number")
     with pytest.raises(ValueError):
         _native.resolve_threads(None)
-    # Private-counter scratch budget (4 GiB, matching the forked pool's
-    # historical cap): a 512 MiB counter caps threads at 8.
+    # Private-counter scratch budget (4 GiB): a 512 MiB counter caps
+    # threads at 8.
     assert _native.resolve_threads(64, counter_bytes=512 << 20) == 8
     assert _native.resolve_threads(64, counter_bytes=4 << 30) == 1
 
