@@ -1,17 +1,18 @@
 """Campaign throughput: shared-keystream groups vs independent captures.
 
-The multi-template kernel's whole point is amortization — one keystream
-batch XOR-counted against many victim templates.  ``group`` times a
-single :class:`MultiHttpsCaptureSource` over ``NUM_VICTIMS`` templates;
-``independent`` times the same victims as separate single-template
-captures, each regenerating the keystream it shares in the group path.
-Both report victim-requests/second on identical counting work, so the
-ratio is the amortization factor directly.
+The victim axis of a capture source exists for amortization — one
+keystream batch XOR-counted against many victim templates.  ``group``
+times one :class:`HttpsCaptureSource` (or :class:`TkipCaptureSource`)
+over ``NUM_VICTIMS`` plaintexts with victim ids; ``independent`` times
+the same victims as separate one-plaintext captures, each regenerating
+the keystream it shares in the group path.  Both report
+victim-requests/second on identical counting work, so the ratio is the
+amortization factor directly.
 
-``single_victim`` guards the other direction: the single-template
-HTTPS source now routes through the multi-template kernel as a 1-row
-matrix (held bit-identical by tests/test_capture_equivalence.py), and
-must not regress against the pre-routing capture baselines in
+``single_victim`` guards the other direction: a one-plaintext HTTPS
+source runs the same kernel as a 1-row template matrix (held
+bit-identical by tests/test_capture_equivalence.py), and must not
+regress against the pre-routing capture baselines in
 ``BENCH_2026-07-30_capture_post.json``.
 
 Recorded pre/post pairs live in ``BENCH_2026-08-08_campaign_*.json``.
@@ -19,13 +20,7 @@ Recorded pre/post pairs live in ``BENCH_2026-08-08_campaign_*.json``.
 
 import pytest
 
-from repro.capture import (
-    HttpsCaptureSource,
-    MultiHttpsCaptureSource,
-    MultiTkipCaptureSource,
-    TkipCaptureSource,
-    run_capture,
-)
+from repro.capture import HttpsCaptureSource, TkipCaptureSource, run_capture
 from repro.config import ReproConfig
 from repro.simulate import HttpsAttackSimulation
 
@@ -54,10 +49,10 @@ def https_group():
 def test_https_campaign_group_capture(benchmark, https_group):
     """NUM_VICTIMS victims sharing one keystream schedule."""
     layout, templates = https_group
-    source = MultiHttpsCaptureSource(
+    source = HttpsCaptureSource(
         config=_CONFIG,
         layout=layout,
-        templates=templates,
+        plaintexts=templates,
         victim_ids=tuple(f"v{i}" for i in range(NUM_VICTIMS)),
         num_requests=NUM_REQUESTS,
         batch_size=4096,
@@ -94,8 +89,8 @@ def test_https_campaign_independent_captures(benchmark, https_group):
 
 
 def test_https_single_victim_routed_path(benchmark, https_group):
-    """The 1-row-matrix case of the multi-template kernel (the default
-    HTTPS capture path since the campaign refactor)."""
+    """The 1-row-matrix case of the template kernel: a source without
+    victim ids."""
     layout, templates = https_group
     source = HttpsCaptureSource(
         config=_CONFIG,
@@ -116,7 +111,7 @@ def test_tkip_campaign_group_capture(benchmark):
     plaintexts = tuple(
         bytes((i + j) & 0xFF for j in range(64)) for i in range(NUM_VICTIMS)
     )
-    source = MultiTkipCaptureSource(
+    source = TkipCaptureSource(
         config=_CONFIG,
         plaintexts=plaintexts,
         victim_ids=tuple(f"v{i}" for i in range(NUM_VICTIMS)),

@@ -12,7 +12,7 @@ Ciphertext statistics come from the exact sufficient-statistic sampler
 is distribution-exact).  A short cookie keeps the default run in
 seconds; scale up with REPRO_SCALE / ``--param cookie_len=16``.  Like
 the other examples, this narrates the shared ``attack-https`` registry
-entry — the same one ``python -m repro https`` runs.
+entry — the same one ``python -m repro run attack-https`` runs.
 
 Run:  python examples/https_cookie_attack.py
 """

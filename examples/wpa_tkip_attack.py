@@ -12,7 +12,7 @@ The per-TSC keystream maps use a scaled TSC subspace (the paper burned
 ROADMAP).  Captures are drawn with the exact sufficient-statistic
 sampler so the example finishes in seconds.  This script is a narrated
 subscriber to the Session's progress events — the orchestration itself
-lives in the registry, shared with ``python -m repro tkip``.
+lives in the registry, shared with ``python -m repro run attack-tkip``.
 
 Run:  python examples/wpa_tkip_attack.py          (REPRO_SCALE to enlarge)
 """

@@ -11,7 +11,6 @@ Every command drives the unified experiment API (:mod:`repro.api`):
     store query <dir> [filters]   query warehoused runs
     store report <dir> [filters]  comparison table / figure from stored runs
     info [--json]                 version, config, backend, registry inventory
-    tkip / https                  thin aliases for run attack-tkip / attack-https
     fleet-worker <job_dir>        pull-based capture worker (see repro.fleet)
     fleet-status <job_dir>        shard states of a fleet job directory
 
@@ -184,31 +183,6 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print("docs: README.md (usage + Experiment API), docs/architecture.md "
           "(layer map), docs/experiment-atlas.md (paper-figure atlas), "
           "ROADMAP.md, PAPER.md (source paper abstract)")
-    return 0
-
-
-def _cmd_tkip(args: argparse.Namespace) -> int:
-    """Alias for ``run attack-tkip`` with the classic two-line summary."""
-    config = _build_config(args)
-    session = Session(config)
-    result = session.run("attack-tkip")
-    m = result.metrics
-    print(f"captures: {m['captures']}  "
-          f"candidate rank: {m['candidate_rank']}  "
-          f"correct: {m['correct']}")
-    print(f"recovered MIC key: {m['mic_key']}")
-    return 0 if m["correct"] else 1
-
-
-def _cmd_https(args: argparse.Namespace) -> int:
-    """Alias for ``run attack-https`` with the classic two-line summary."""
-    config = _build_config(args)
-    session = Session(config)
-    result = session.run("attack-https")
-    m = result.metrics
-    print(f"requests: {m['num_requests']}  rank: {m['rank']}  "
-          f"attempts: {m['attempts']}")
-    print(f"recovered cookie: {m['cookie']}")
     return 0
 
 
@@ -523,11 +497,6 @@ def main(argv: list[str] | None = None) -> int:
     p_info.add_argument("--json", action="store_true",
                         help="machine-readable info dump")
     p_info.set_defaults(func=_cmd_info)
-
-    sub.add_parser("tkip", help="run the scaled §5 attack "
-                   "(alias: run attack-tkip)").set_defaults(func=_cmd_tkip)
-    sub.add_parser("https", help="run the scaled §6 attack "
-                   "(alias: run attack-https)").set_defaults(func=_cmd_https)
 
     p_worker = sub.add_parser(
         "fleet-worker",

@@ -2,9 +2,9 @@
 
 Samples heterogeneous victim populations (browser layout × cookie
 alphabet × reconnect cadence × injection budget), groups victims that
-share a keystream regime so RC4 generation is paid once per group via
-the multi-template capture sources, and reduces each campaign to
-per-cell success-rate and time-to-first-recovery surfaces.
+share a keystream regime so RC4 generation is paid once per group (one
+capture source per group, one plaintext per victim), and reduces each
+campaign to per-cell success-rate and time-to-first-recovery surfaces.
 """
 
 from .campaign import (

@@ -4,16 +4,16 @@ A campaign partitions the population by *keystream regime* — the axes
 that determine the shared keystream schedule: (browser layout,
 reconnect cadence) on the TLS side, packets-per-TSC budget on the TKIP
 side — then chunks each regime into groups of at most ``group_size``
-victims and runs one multi-template capture per group
-(:class:`~repro.capture.MultiHttpsCaptureSource` /
-:class:`~repro.capture.MultiTkipCaptureSource`): the expensive RC4
-keystream generation is paid once per group, each victim folds only its
-own template.
+victims and runs one capture per group: an
+:class:`~repro.capture.HttpsCaptureSource` or
+:class:`~repro.capture.TkipCaptureSource` with one plaintext and one
+victim id per member, so the expensive RC4 keystream generation is paid
+once per group and each victim folds only its own template.
 
 Grouping is canonical — victims sorted by index inside each regime,
 regimes sorted by key — so group membership and key-derivation labels
 are invariant under population permutation, and any single victim can
-be reproduced bit-exactly by a single-template capture with its group's
+be reproduced bit-exactly by a one-plaintext capture with its group's
 label (tests/test_campaign.py holds both properties).
 
 Group captures ride :func:`repro.capture.run_capture`: resumable via a
@@ -375,10 +375,10 @@ def plan_https_groups(
     """Expand a population into shared-keystream capture groups.
 
     Exposed separately so tests can rebuild any group member as a
-    single-template :class:`~repro.capture.HttpsCaptureSource` with the
+    one-plaintext :class:`~repro.capture.HttpsCaptureSource` with the
     group's label and assert bit-identical counters.
     """
-    from ..capture import MultiHttpsCaptureSource
+    from ..capture import HttpsCaptureSource
 
     groups = []
     for (browser, reconnect_every), chunk_index, chunk in _grouped(
@@ -404,10 +404,10 @@ def plan_https_groups(
                 "a layout"
             )
         tag = f"https-{browser}-r{reconnect_every}-g{chunk_index:04d}"
-        source = MultiHttpsCaptureSource(
+        source = HttpsCaptureSource(
             config=config,
             layout=next(iter(layouts)),
-            templates=tuple(
+            plaintexts=tuple(
                 sims[spec.victim_id].campaign.request_plaintext()
                 for spec in chunk
             ),
@@ -558,7 +558,7 @@ def plan_tkip_groups(
     group_size: int = 8,
 ) -> list[TkipGroup]:
     """Expand a population into shared-budget TKIP capture groups."""
-    from ..capture import MultiTkipCaptureSource
+    from ..capture import TkipCaptureSource
 
     groups = []
     for (budget,), chunk_index, chunk in _grouped(
@@ -573,7 +573,7 @@ def plan_tkip_groups(
             for spec in chunk
         }
         tag = f"tkip-p{budget}-g{chunk_index:04d}"
-        source = MultiTkipCaptureSource(
+        source = TkipCaptureSource(
             config=config,
             plaintexts=tuple(
                 sims[spec.victim_id].true_plaintext for spec in chunk
@@ -632,7 +632,7 @@ def run_tkip_campaign(
         batch_size=batch_size,
         group_size=group_size,
     )
-    plaintext_len = len(groups[0].source.plaintexts[0])
+    plaintext_len = groups[0].source.plaintext_len
     per_tsc = generate_per_tsc(
         config,
         tsc_values,
@@ -661,7 +661,7 @@ def run_tkip_campaign(
                 _tkip_outcome(
                     spec,
                     group.sims[spec.victim_id],
-                    stats.victim_capture_set(spec.victim_id),
+                    stats.victim(spec.victim_id),
                     per_tsc,
                     max_candidates=max_candidates,
                 )

@@ -4,21 +4,25 @@ The attacks hinge on capture scale — §6 ingests 9·2^27 encrypted
 requests, §5 ingests 2^30 packets — so ciphertext statistics collection
 rides the same batched, vectorized machinery as keystream generation:
 
-- **acquisition** (:mod:`.https`, :mod:`.tkip`): generate
-  ``(batch, stream_len)`` keystream blocks through
+- **acquisition** (:mod:`.https`, :mod:`.tkip`): one source per attack,
+  :class:`HttpsCaptureSource` and :class:`TkipCaptureSource`, each for
+  one victim or a group of victims sharing a keystream regime.  They
+  generate ``(batch, stream_len)`` keystream blocks through
   :func:`repro.rc4.batch.batch_keystream` (native backend when
-  available), XOR broadcast plaintext templates, and count
+  available), fold in each victim's plaintext template, and count
   digraph/ABSAB-differential/single-byte cells with the kernels of
   :mod:`repro.datasets.generate` — no per-request Python loop on the
-  hot path.  The §6 sources generate only the keystream rows their
-  counters read and count every batch up to the next checkpoint in one
+  hot path.  The §6 source generates only the keystream rows its
+  counters read and counts every batch up to the next checkpoint in one
   kernel call;
 - **sufficient statistics** (:mod:`.protocol`): a common protocol
   (snapshot / exact merge / canonical-JSON summary / NPZ persistence)
   implemented by :class:`repro.tls.attack.CookieStatistics` (uint32
   counters, fewer than 2^32 requests per object) and
-  :class:`repro.tkip.injection.CaptureSet` (int64), making captures
-  shardable across processes and resumable across sessions;
+  :class:`repro.tkip.injection.CaptureSet` (int64), and by their
+  victim-set forms (:mod:`.multi`) a source with victim ids returns,
+  making captures shardable across processes and resumable across
+  sessions;
 - **orchestration** (:mod:`.engine`): :func:`run_capture` walks
   deterministic per-batch key derivations, hands the source each run of
   batches up to the next checkpoint, and reproduces uninterrupted counts
@@ -38,17 +42,8 @@ from .engine import (
     shard_batches,
     source_fingerprint,
 )
-from .https import (
-    HttpsCaptureSource,
-    ingest_cipher_rows,
-    ingest_keystream_columns,
-)
-from .multi import (
-    MultiHttpsCaptureSource,
-    MultiTemplateStatistics,
-    MultiTkipCaptureSource,
-    MultiTkipStatistics,
-)
+from .https import HttpsCaptureSource, ingest_keystream_columns
+from .multi import MultiTemplateStatistics, MultiTkipStatistics
 from .protocol import SufficientStatistics
 from .tkip import TkipCaptureSource
 
@@ -56,14 +51,11 @@ __all__ = [
     "CaptureProgress",
     "CaptureSource",
     "HttpsCaptureSource",
-    "MultiHttpsCaptureSource",
     "MultiTemplateStatistics",
-    "MultiTkipCaptureSource",
     "MultiTkipStatistics",
     "SufficientStatistics",
     "TkipCaptureSource",
     "batch_digest",
-    "ingest_cipher_rows",
     "ingest_keystream_columns",
     "merge_shards",
     "run_capture",

@@ -22,7 +22,6 @@ results with the exact merge of the
 from __future__ import annotations
 
 import hashlib
-import os
 import warnings
 import zipfile
 from dataclasses import dataclass
@@ -30,7 +29,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Protocol, Sequence
 
 from ..errors import CaptureError, DatasetError
-from ..utils.serialization import canonical_json, durable_replace
+from ..utils.serialization import canonical_json
 from .protocol import SufficientStatistics
 
 #: Default batches between checkpoint writes.
@@ -290,19 +289,10 @@ def run_capture(
             "batches_done": done,
             "requests_done": requests_done,
         }
-        # One temp name per writer: a rescuer that reclaims a stalled
-        # worker's shard writes the same checkpoint path, and a shared
-        # temp file would let one publish the other's half-written
-        # archive.  The name ends in .npz, or np.savez would append it.
-        tmp = path.with_name(
-            f"{path.name[: -len('.npz')]}.tmp.{os.getpid()}.npz"
-        )
-        try:
-            stats.save(tmp, extra={"capture_checkpoint": cursor})
-            durable_replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        # save_arrays writes a per-process temp file and publishes it
+        # durably, so a rescuer and the stalled worker it replaced can
+        # share this path.
+        stats.save(path, extra={"capture_checkpoint": cursor})
 
     while done < len(batch_list):
         # One run: every batch up to the next checkpoint boundary.

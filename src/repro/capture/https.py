@@ -13,11 +13,15 @@ with no per-request Python loop anywhere:
 2. write those rows of every batch up to the next checkpoint into one
    column block;
 3. count Fluhrer–McGrew digraph and ABSAB differential cells of the
-   block, the plaintext template folded in, with one
+   block, each victim's plaintext template folded in, with one
    :func:`ingest_keystream_columns` call
    (:func:`repro.datasets.generate.templated_digraph_counts`: a threaded
    native row kernel, or grouped flat bincounts without it) into uint32
    counters.
+
+One :class:`HttpsCaptureSource` serves one victim or a campaign group of
+victims sharing a keystream regime: the keystream of step 1 is shared
+and only the template fold of step 3 is per victim.
 
 ``reconnect_every`` models record churn (§6.3): every connection carries
 that many requests before the victim rekeys.  ``reconnect_every=1`` is
@@ -30,7 +34,6 @@ connection the per-request reference path
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -44,7 +47,13 @@ from ..rc4.batch import batch_keystream
 from ..rc4.keygen import derive_keys
 from ..tls.attack import MAX_CAPTURE_REQUESTS, CookieLayout, CookieStatistics
 from ..tls.record import MAC_LEN
-from ..utils.serialization import canonical_json
+from .engine import source_fingerprint
+from .multi import (
+    MultiTemplateStatistics,
+    layout_from_meta,
+    layout_to_meta,
+    victim_axis,
+)
 
 #: Bytes of keystream columns one counting call takes at most: a fixed
 #: budget, not a knob.  A capture counts every batch up to its next
@@ -188,121 +197,34 @@ def ingest_keystream_columns(
         stats.num_requests += columns.shape[1]
 
 
-def ingest_cipher_rows(
-    stats: CookieStatistics, rows: np.ndarray, offset: int = 1
-) -> None:
-    """Vectorized equivalent of per-row ``ingest_fragment`` calls.
-
-    A single-victim facade over the multi-template core
-    (:func:`ingest_keystream_columns`): ciphertext rows are keystream
-    rows with the template already folded in, so the zero template
-    reproduces the historical counts bit-exactly.
-
-    Args:
-        stats: the statistics to accumulate into (uint32 counters with
-            the ``absab_matrix`` backing store —
-            :meth:`CookieStatistics.empty` always builds both).
-        rows: uint8 ciphertext rows ``(n, >= request_len)``; row k is one
-            encrypted request starting at keystream position ``offset``.
-        offset: keystream position of column 0, congruent to the layout
-            base modulo 256 (the record-padding invariant, §6.3).
-    """
-    layout = stats.layout
-    if rows.ndim != 2 or rows.shape[1] < layout.request_len:
-        raise AttackError(
-            f"rows must be (n, >= {layout.request_len}), got {rows.shape}"
-        )
-    window = _row_spec(layout, list(stats.absab_counts))[2]
-    columns = np.ascontiguousarray(rows[:, window].T)
-    template = np.zeros((1, layout.request_len), dtype=np.uint8)
-    ingest_keystream_columns([stats], columns, template, offset=offset)
-
-
-def count_https_batches(
-    source: "HttpsCaptureSource",
-    stats_list: Sequence[CookieStatistics],
-    templates: np.ndarray,
-    indices: Sequence[int],
-) -> list[int]:
-    """Count the batches ``indices`` of an HTTPS source into ``stats_list``.
-
-    Shared by :class:`HttpsCaptureSource` and
-    :class:`~repro.capture.multi.MultiHttpsCaptureSource`, which carry
-    the same batching fields.  Every batch keeps its own keys
-    (``derive_keys(config, f"{label}/batch{i}")``) and generates only the
-    :func:`keystream_window` rows of its requests; the batches' rows go
-    into one column block counted by one :func:`ingest_keystream_columns`
-    call per :data:`COLUMN_BUDGET` bytes.  Integer addition commutes, so
-    the counters equal batch-by-batch counting for any grouping.
-
-    Returns:
-        The requests each batch added per victim, in order.
-    """
-    counts = []
-    for index in indices:
-        if not 0 <= index < source.num_batches:
-            raise CaptureError(f"batch {index} is beyond the campaign")
-        first = index * source.batch_size
-        counts.append(min(source.batch_size, source.num_requests - first))
-    if not counts:
-        return counts
-    window = source._window
-    height = window.stop - window.start
-    per_conn = source.reconnect_every
-    stride = source._stride
-    config = source.config
-    # A batch is never split: the block holds at least the largest one.
-    capacity = max(max(counts), COLUMN_BUDGET // height)
-    block = np.empty((height, min(capacity, sum(counts))), dtype=np.uint8)
-    filled = 0
-
-    def count_block() -> None:
-        ingest_keystream_columns(
-            stats_list,
-            block[:, :filled],
-            templates,
-            offset=source.layout.base_offset,
-            threads=config.native_threads,
-        )
-
-    for index, count in zip(indices, counts):
-        if filled + count > block.shape[1]:
-            count_block()
-            filled = 0
-        keys = derive_keys(
-            config, f"{source.label}/batch{index}", -(-count // per_conn)
-        )
-        stream = batch_keystream(
-            keys, (per_conn - 1) * stride + height, drop=window.start,
-            threads=config.native_threads, simd=config.native_simd,
-        )
-        # Request q of every connection: with more than one request per
-        # connection the stride is a multiple of 256, so every request
-        # shares the layout base's PRGA counters and one block holds all.
-        for q in range(per_conn):
-            # Connections whose q-th request exists (the final connection
-            # of the final batch may carry fewer than per_conn requests).
-            rows = -(-(count - q) // per_conn)
-            if rows <= 0:
-                break
-            block[:, filled : filled + rows] = stream[
-                :rows, q * stride : q * stride + height
-            ].T
-            filled += rows
-    count_block()
-    return counts
-
-
-@dataclass
+@dataclass(kw_only=True)
 class HttpsCaptureSource:
     """Deterministic batched acquisition for the §6 cookie attack.
+
+    One source captures for V >= 1 victims who share a keystream regime
+    (request layout and reconnect cadence) and differ only in their
+    request plaintext, their secret cookie.  Every batch keeps its own
+    keys (``derive_keys(config, f"{label}/batch{i}")``), whatever the
+    victims, so victim v's counters equal those of a one-plaintext
+    source with the same ``label``.
+
+    The form decides the statistics: without ``victim_ids`` the source
+    holds one plaintext and counts into a bare
+    :class:`~repro.tls.attack.CookieStatistics`; with ids (a campaign
+    group, even of one) it counts into a
+    :class:`~repro.capture.multi.MultiTemplateStatistics`.
 
     Args:
         config: run configuration (key derivation seeds).
         layout: the manipulated request layout (§6.1).
         plaintext: one request's plaintext (constant across the
-            campaign) — exactly ``layout.request_len`` bytes.
-        num_requests: campaign total.
+            campaign), exactly ``layout.request_len`` bytes; shorthand
+            for ``plaintexts=(plaintext,)``.
+        plaintexts: one request plaintext per victim, each exactly
+            ``layout.request_len`` bytes.
+        victim_ids: empty, or one unique id per plaintext.
+        num_requests: requests captured per victim (shared keystream:
+            every victim sees every request).
         batch_size: requests per batch; must be a multiple of
             ``reconnect_every`` so batches hold whole connections.
         reconnect_every: requests each connection carries before the
@@ -316,22 +238,30 @@ class HttpsCaptureSource:
 
     config: ReproConfig
     layout: CookieLayout
-    plaintext: bytes
+    plaintext: bytes | None = None
+    plaintexts: tuple[bytes, ...] = ()
+    victim_ids: tuple[str, ...] = ()
     num_requests: int
     batch_size: int = 4096
     reconnect_every: int = 1
     max_gap: int = 128
     record_overhead: int = MAC_LEN
     label: str = "https-capture"
-    _plaintext_arr: np.ndarray = field(init=False, repr=False)
+    _templates: np.ndarray = field(init=False, repr=False)
     _window: slice = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.plaintext) != self.layout.request_len:
-            raise CaptureError(
-                f"plaintext is {len(self.plaintext)} bytes, layout expects "
-                f"{self.layout.request_len}"
-            )
+        self.plaintexts, self.victim_ids = victim_axis(
+            self.plaintext, self.plaintexts, self.victim_ids
+        )
+        if len(self.plaintexts) == 1:
+            self.plaintext = self.plaintexts[0]
+        for index, plaintext in enumerate(self.plaintexts):
+            if len(plaintext) != self.layout.request_len:
+                raise CaptureError(
+                    f"plaintext {index} is {len(plaintext)} bytes, layout "
+                    f"expects {self.layout.request_len}"
+                )
         if not 1 <= self.num_requests <= MAX_CAPTURE_REQUESTS:
             raise CaptureError(
                 f"num_requests must be in 1..{MAX_CAPTURE_REQUESTS} (uint32 "
@@ -351,7 +281,9 @@ class HttpsCaptureSource:
                 f"record stride {self._stride} must be a multiple of 256 for "
                 "multi-request connections — add request padding (§6.3)"
             )
-        self._plaintext_arr = np.frombuffer(self.plaintext, dtype=np.uint8)
+        self._templates = np.stack(
+            [np.frombuffer(p, dtype=np.uint8) for p in self.plaintexts]
+        )
         self._window = keystream_window(self.layout, self.max_gap)
 
     @property
@@ -365,7 +297,7 @@ class HttpsCaptureSource:
 
     @property
     def total_requests(self) -> int:
-        return self.num_requests
+        return self.num_requests * len(self.plaintexts)
 
     def descriptor(self) -> dict:
         """JSON-safe record sufficient to rebuild this source bit-exactly.
@@ -373,25 +305,29 @@ class HttpsCaptureSource:
         This is exactly what :meth:`fingerprint` hashes, and what a fleet
         manifest ships to workers on other machines (only the seed rides
         along from the config — native-backend knobs stay per-worker and
-        cannot affect the counters).
+        cannot affect the counters).  A source with victim ids records
+        kind ``multi-https-capture`` and its ``templates``.
         """
-        return {
+        descriptor = {
             "kind": "https-capture",
             "seed": self.config.seed,
             "label": self.label,
-            "layout": {
-                "prefix": self.layout.prefix.decode("latin-1"),
-                "suffix": self.layout.suffix.decode("latin-1"),
-                "cookie_len": self.layout.cookie_len,
-                "base_offset": self.layout.base_offset,
-            },
-            "plaintext": self.plaintext.decode("latin-1"),
+            "layout": layout_to_meta(self.layout),
             "num_requests": self.num_requests,
             "batch_size": self.batch_size,
             "reconnect_every": self.reconnect_every,
             "max_gap": self.max_gap,
             "record_overhead": self.record_overhead,
         }
+        if self.victim_ids:
+            descriptor["kind"] = "multi-https-capture"
+            descriptor["templates"] = [
+                p.decode("latin-1") for p in self.plaintexts
+            ]
+            descriptor["victim_ids"] = list(self.victim_ids)
+        else:
+            descriptor["plaintext"] = self.plaintext.decode("latin-1")
+        return descriptor
 
     @classmethod
     def from_descriptor(
@@ -403,21 +339,22 @@ class HttpsCaptureSource:
         overridden by the descriptor's so the keystreams match the
         originating campaign.
         """
-        if descriptor.get("kind") != "https-capture":
+        kind = descriptor.get("kind")
+        if kind == "https-capture":
+            plaintexts, victim_ids = [descriptor["plaintext"]], []
+        elif kind == "multi-https-capture":
+            plaintexts = descriptor["templates"]
+            victim_ids = descriptor["victim_ids"]
+        else:
             raise CaptureError(
-                f"descriptor kind {descriptor.get('kind')!r} is not "
-                "'https-capture'"
+                f"descriptor kind {kind!r} is not 'https-capture' or "
+                "'multi-https-capture'"
             )
-        layout = descriptor["layout"]
         return cls(
             config=replace(config, seed=int(descriptor["seed"])),
-            layout=CookieLayout(
-                prefix=layout["prefix"].encode("latin-1"),
-                suffix=layout["suffix"].encode("latin-1"),
-                cookie_len=int(layout["cookie_len"]),
-                base_offset=int(layout["base_offset"]),
-            ),
-            plaintext=descriptor["plaintext"].encode("latin-1"),
+            layout=layout_from_meta(descriptor["layout"]),
+            plaintexts=tuple(p.encode("latin-1") for p in plaintexts),
+            victim_ids=tuple(str(v) for v in victim_ids),
             num_requests=int(descriptor["num_requests"]),
             batch_size=int(descriptor["batch_size"]),
             reconnect_every=int(descriptor["reconnect_every"]),
@@ -427,23 +364,96 @@ class HttpsCaptureSource:
         )
 
     def fingerprint(self) -> str:
-        payload = canonical_json(self.descriptor()).encode("utf-8")
-        return hashlib.sha256(payload).hexdigest()
+        return source_fingerprint(self.descriptor())
 
-    def empty(self) -> CookieStatistics:
+    def empty(self) -> CookieStatistics | MultiTemplateStatistics:
+        if self.victim_ids:
+            return MultiTemplateStatistics.empty(
+                self.layout, self.victim_ids, max_gap=self.max_gap
+            )
         return CookieStatistics.empty(self.layout, max_gap=self.max_gap)
 
-    def load(self, path: str | Path) -> tuple[CookieStatistics, dict]:
+    def load(
+        self, path: str | Path
+    ) -> tuple[CookieStatistics | MultiTemplateStatistics, dict]:
+        if self.victim_ids:
+            return MultiTemplateStatistics.load(path)
         return CookieStatistics.load(path)
 
-    def capture_batch(self, stats: CookieStatistics, index: int) -> int:
+    def capture_batch(
+        self, stats: CookieStatistics | MultiTemplateStatistics, index: int
+    ) -> int:
         """One batch on its own: :meth:`capture_batches` of ``[index]``."""
         return self.capture_batches(stats, [index])[0]
 
     def capture_batches(
-        self, stats: CookieStatistics, indices: Sequence[int]
+        self,
+        stats: CookieStatistics | MultiTemplateStatistics,
+        indices: Sequence[int],
     ) -> list[int]:
-        """Windowed keystream of each batch -> one column block -> count."""
-        return count_https_batches(
-            self, [stats], self._plaintext_arr[np.newaxis, :], indices
-        )
+        """Windowed keystream of each batch -> one column block -> count.
+
+        Every batch generates only the :func:`keystream_window` rows of
+        its requests; the batches' rows go into one column block,
+        counted for every victim by one :func:`ingest_keystream_columns`
+        call per :data:`COLUMN_BUDGET` bytes.  Integer addition
+        commutes, so the counters equal batch-by-batch counting for any
+        grouping.
+
+        Returns:
+            The requests each batch added over all victims, in order.
+        """
+        counts = []
+        for index in indices:
+            if not 0 <= index < self.num_batches:
+                raise CaptureError(f"batch {index} is beyond the campaign")
+            first = index * self.batch_size
+            counts.append(min(self.batch_size, self.num_requests - first))
+        if not counts:
+            return counts
+        victims = stats.victims if self.victim_ids else [stats]
+        window = self._window
+        height = window.stop - window.start
+        per_conn = self.reconnect_every
+        stride = self._stride
+        config = self.config
+        # A batch is never split: the block holds at least the largest one.
+        capacity = max(max(counts), COLUMN_BUDGET // height)
+        block = np.empty((height, min(capacity, sum(counts))), dtype=np.uint8)
+        filled = 0
+
+        def count_block() -> None:
+            ingest_keystream_columns(
+                victims,
+                block[:, :filled],
+                self._templates,
+                offset=self.layout.base_offset,
+                threads=config.native_threads,
+            )
+
+        for index, count in zip(indices, counts):
+            if filled + count > block.shape[1]:
+                count_block()
+                filled = 0
+            keys = derive_keys(
+                config, f"{self.label}/batch{index}", -(-count // per_conn)
+            )
+            stream = batch_keystream(
+                keys, (per_conn - 1) * stride + height, drop=window.start,
+                threads=config.native_threads, simd=config.native_simd,
+            )
+            # Request q of every connection: with more than one request per
+            # connection the stride is a multiple of 256, so every request
+            # shares the layout base's PRGA counters and one block holds all.
+            for q in range(per_conn):
+                # Connections whose q-th request exists (the final connection
+                # of the final batch may carry fewer than per_conn requests).
+                rows = -(-(count - q) // per_conn)
+                if rows <= 0:
+                    break
+                block[:, filled : filled + rows] = stream[
+                    :rows, q * stride : q * stride + height
+                ].T
+                filled += rows
+        count_block()
+        return [count * len(self.plaintexts) for count in counts]

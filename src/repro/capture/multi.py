@@ -1,4 +1,4 @@
-"""Multi-template capture: one keystream batch scored against many victims.
+"""Victim-set statistics: one capture's counters for many victims.
 
 A campaign over N victims who share a keystream *regime* (same browser
 layout and reconnect cadence on the TLS side; same packets-per-TSC
@@ -6,18 +6,21 @@ budget on the TKIP side) differs per victim only in the plaintext
 template — the cookie bytes, or the MIC/ICV of the injected packet.
 Ciphertext is ``keystream XOR template``, so the expensive part of a
 capture batch (RC4 keystream generation) is shared and only the cheap
-template fold is per-victim:
+template fold is per-victim.  Both capture sources
+(:class:`~repro.capture.https.HttpsCaptureSource`,
+:class:`~repro.capture.tkip.TkipCaptureSource`) take that victim axis
+as ``plaintexts`` plus ``victim_ids`` (:func:`victim_axis` checks it),
+and a source with ids counts into the victim-set statistics here:
 
-- **HTTPS** (:func:`~repro.capture.https.ingest_keystream_columns`):
-  the ABSAB differential ``C[r] ^ C[p] = (Z[r] ^ Z[p]) ^ (T[r] ^ T[p])``
-  is the keystream differential XOR a *scalar* template differential per
-  alignment, and a Fluhrer–McGrew digraph row likewise folds its
-  template into one 16-bit constant.  Every row of every victim goes
-  through :func:`~repro.datasets.generate.templated_digraph_counts`: a
-  threaded native kernel counting each row straight into its uint32
-  counters, or the numpy fallback sharing keystream differential blocks
-  across victims.  The batches up to each checkpoint share one such
-  call (:func:`~repro.capture.https.count_https_batches`).
+- **HTTPS** (:class:`MultiTemplateStatistics`): the ABSAB differential
+  ``C[r] ^ C[p] = (Z[r] ^ Z[p]) ^ (T[r] ^ T[p])`` is the keystream
+  differential XOR a *scalar* template differential per alignment, and
+  a Fluhrer–McGrew digraph row likewise folds its template into one
+  16-bit constant.  Every row of every victim goes through one
+  :func:`~repro.capture.https.ingest_keystream_columns` call per run of
+  batches: a threaded native kernel counting each row straight into its
+  uint32 counters, or the numpy fallback sharing keystream differential
+  blocks across victims.
 - **TKIP** (:class:`MultiTkipStatistics`): XOR with a constant permutes
   the 256 histogram bins, so the shared keystream columns are bincounted
   once (:func:`~repro.datasets.generate.bytewise_row_counts`) and every
@@ -25,41 +28,68 @@ template fold is per-victim:
   permutation (:func:`~repro.datasets.generate.templated_row_counts`) —
   O(P·n + V·P·256) instead of O(V·P·n).
 
-Both paths produce counters (uint32 for HTTPS, int64 for TKIP)
-bit-identical to N independent single-template captures run with the
-same key-derivation label (`tests/test_campaign.py` holds this
-cell-for-cell on both ``REPRO_NATIVE`` legs); the single-victim
-:class:`~repro.capture.https.HttpsCaptureSource` is the V=1 case of the
-same kernel.
+Both produce counters (uint32 for HTTPS, int64 for TKIP) bit-identical
+to N one-plaintext captures run with the same key-derivation label
+(`tests/test_campaign.py` holds this cell-for-cell on both
+``REPRO_NATIVE`` legs).  Each answers :meth:`victim` with one victim's
+counters as the bare statistics a one-plaintext source returns.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from ..config import ReproConfig
 from ..datasets.generate import templated_row_counts
 from ..errors import AttackError, CaptureError
-from ..rc4.batch import batch_keystream
 from ..tkip.injection import CaptureSet
-from ..tkip.keymix import simplified_key_batch
-from ..tls.attack import (
-    MAX_CAPTURE_REQUESTS,
-    CookieLayout,
-    CookieStatistics,
-    capture_counters,
-)
-from ..tls.record import MAC_LEN
-from ..utils.serialization import canonical_json
-from .https import count_https_batches, keystream_window
+from ..tls.attack import CookieLayout, CookieStatistics, capture_counters
 
 
-def _layout_meta(layout: CookieLayout) -> dict:
+def victim_axis(
+    plaintext: bytes | None,
+    plaintexts: Sequence[bytes],
+    victim_ids: Sequence[str],
+) -> tuple[tuple[bytes, ...], tuple[str, ...]]:
+    """Check a capture source's victim axis; returns it as tuples.
+
+    ``plaintext`` is shorthand for ``plaintexts=(plaintext,)``.  A
+    source without ``victim_ids`` holds exactly one plaintext; one with
+    ids names every plaintext by a unique id.
+
+    Raises:
+        CaptureError: on no plaintext, both spellings disagreeing,
+            several plaintexts without ids, or ids that do not name
+            the plaintexts one to one.
+    """
+    plaintexts, victim_ids = tuple(plaintexts), tuple(victim_ids)
+    if plaintext is not None:
+        if plaintexts not in ((), (plaintext,)):
+            raise CaptureError("pass plaintext or plaintexts, not both")
+        plaintexts = (plaintext,)
+    if not plaintexts:
+        raise CaptureError("a capture source needs at least one plaintext")
+    if victim_ids:
+        if len(victim_ids) != len(plaintexts):
+            raise CaptureError(
+                f"{len(plaintexts)} plaintexts for {len(victim_ids)} "
+                "victim ids"
+            )
+        repeated = sorted(v for v, n in Counter(victim_ids).items() if n > 1)
+        if repeated:
+            raise CaptureError(f"duplicate victim ids {repeated}")
+    elif len(plaintexts) > 1:
+        raise CaptureError(
+            f"{len(plaintexts)} plaintexts need one victim id each"
+        )
+    return plaintexts, victim_ids
+
+
+def layout_to_meta(layout: CookieLayout) -> dict:
+    """A layout as JSON-safe fields (descriptors, NPZ metadata)."""
     return {
         "prefix": layout.prefix.decode("latin-1"),
         "suffix": layout.suffix.decode("latin-1"),
@@ -68,7 +98,8 @@ def _layout_meta(layout: CookieLayout) -> dict:
     }
 
 
-def _layout_from_meta(fields: dict) -> CookieLayout:
+def layout_from_meta(fields: dict) -> CookieLayout:
+    """The layout :func:`layout_to_meta` recorded."""
     return CookieLayout(
         prefix=fields["prefix"].encode("latin-1"),
         suffix=fields["suffix"].encode("latin-1"),
@@ -188,7 +219,7 @@ class MultiTemplateStatistics:
             [s.num_requests for s in self.victims], dtype=np.int64
         )
         meta = {
-            "layout": _layout_meta(self.layout),
+            "layout": layout_to_meta(self.layout),
             "max_gap": self.max_gap,
             "victim_ids": list(self.victim_ids),
             "extra": extra or {},
@@ -205,7 +236,7 @@ class MultiTemplateStatistics:
         from ..datasets.store import load_statistics
 
         arrays, meta = load_statistics(path, "multi-template-statistics")
-        layout = _layout_from_meta(meta["layout"])
+        layout = layout_from_meta(meta["layout"])
         max_gap = int(meta["max_gap"])
         victim_ids = tuple(meta["victim_ids"])
         requests = arrays["num_requests"]
@@ -233,169 +264,13 @@ class MultiTemplateStatistics:
 
 
 @dataclass
-class MultiHttpsCaptureSource:
-    """Batched §6 acquisition for many victims sharing a keystream regime.
-
-    Victims in one source share the request layout and reconnect cadence
-    (hence the keystream schedule) but each has its own plaintext
-    template — its own secret cookie.  Key derivation matches
-    :class:`~repro.capture.https.HttpsCaptureSource` exactly, so a
-    single-victim source with the same ``label`` produces bit-identical
-    per-victim counters (what `tests/test_campaign.py` asserts).
-
-    Args:
-        config: run configuration (key derivation seeds).
-        layout: the shared request layout (§6.1).
-        templates: one request plaintext per victim, each exactly
-            ``layout.request_len`` bytes.
-        victim_ids: stable per-victim identifiers (campaign bookkeeping).
-        num_requests: requests captured *per victim* (shared keystream —
-            all victims see every request).
-        batch_size / reconnect_every / max_gap / record_overhead /
-        label: as on the single-victim source.
-    """
-
-    config: ReproConfig
-    layout: CookieLayout
-    templates: tuple[bytes, ...]
-    victim_ids: tuple[str, ...]
-    num_requests: int
-    batch_size: int = 4096
-    reconnect_every: int = 1
-    max_gap: int = 128
-    record_overhead: int = MAC_LEN
-    label: str = "multi-https-capture"
-    _template_matrix: np.ndarray = field(init=False, repr=False)
-    _window: slice = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.templates = tuple(self.templates)
-        self.victim_ids = tuple(self.victim_ids)
-        if not self.templates:
-            raise CaptureError("templates must be non-empty")
-        if len(self.templates) != len(self.victim_ids):
-            raise CaptureError(
-                f"{len(self.templates)} templates for "
-                f"{len(self.victim_ids)} victim ids"
-            )
-        for victim_id, template in zip(self.victim_ids, self.templates):
-            if len(template) != self.layout.request_len:
-                raise CaptureError(
-                    f"victim {victim_id!r}: template is {len(template)} "
-                    f"bytes, layout expects {self.layout.request_len}"
-                )
-        if not 1 <= self.num_requests <= MAX_CAPTURE_REQUESTS:
-            raise CaptureError(
-                f"num_requests must be in 1..{MAX_CAPTURE_REQUESTS} (uint32 "
-                f"counters), got {self.num_requests}"
-            )
-        if self.reconnect_every < 1:
-            raise CaptureError(
-                f"reconnect_every must be >= 1, got {self.reconnect_every}"
-            )
-        if self.batch_size < 1 or self.batch_size % self.reconnect_every:
-            raise CaptureError(
-                f"batch_size ({self.batch_size}) must be a positive multiple "
-                f"of reconnect_every ({self.reconnect_every})"
-            )
-        if self.reconnect_every > 1 and self._stride % 256 != 0:
-            raise CaptureError(
-                f"record stride {self._stride} must be a multiple of 256 for "
-                "multi-request connections — add request padding (§6.3)"
-            )
-        self._template_matrix = np.stack(
-            [np.frombuffer(t, dtype=np.uint8) for t in self.templates]
-        )
-        self._window = keystream_window(self.layout, self.max_gap)
-
-    @property
-    def _stride(self) -> int:
-        return self.layout.request_len + self.record_overhead
-
-    @property
-    def num_batches(self) -> int:
-        return -(-self.num_requests // self.batch_size)
-
-    @property
-    def total_requests(self) -> int:
-        return self.num_requests * len(self.templates)
-
-    def descriptor(self) -> dict:
-        return {
-            "kind": "multi-https-capture",
-            "seed": self.config.seed,
-            "label": self.label,
-            "layout": _layout_meta(self.layout),
-            "templates": [t.decode("latin-1") for t in self.templates],
-            "victim_ids": list(self.victim_ids),
-            "num_requests": self.num_requests,
-            "batch_size": self.batch_size,
-            "reconnect_every": self.reconnect_every,
-            "max_gap": self.max_gap,
-            "record_overhead": self.record_overhead,
-        }
-
-    @classmethod
-    def from_descriptor(
-        cls, descriptor: dict, config: ReproConfig
-    ) -> "MultiHttpsCaptureSource":
-        if descriptor.get("kind") != "multi-https-capture":
-            raise CaptureError(
-                f"descriptor kind {descriptor.get('kind')!r} is not "
-                "'multi-https-capture'"
-            )
-        return cls(
-            config=replace(config, seed=int(descriptor["seed"])),
-            layout=_layout_from_meta(descriptor["layout"]),
-            templates=tuple(
-                t.encode("latin-1") for t in descriptor["templates"]
-            ),
-            victim_ids=tuple(str(v) for v in descriptor["victim_ids"]),
-            num_requests=int(descriptor["num_requests"]),
-            batch_size=int(descriptor["batch_size"]),
-            reconnect_every=int(descriptor["reconnect_every"]),
-            max_gap=int(descriptor["max_gap"]),
-            record_overhead=int(descriptor["record_overhead"]),
-            label=str(descriptor["label"]),
-        )
-
-    def fingerprint(self) -> str:
-        payload = canonical_json(self.descriptor()).encode("utf-8")
-        return hashlib.sha256(payload).hexdigest()
-
-    def empty(self) -> MultiTemplateStatistics:
-        return MultiTemplateStatistics.empty(
-            self.layout, self.victim_ids, max_gap=self.max_gap
-        )
-
-    def load(self, path: str | Path) -> tuple[MultiTemplateStatistics, dict]:
-        return MultiTemplateStatistics.load(path)
-
-    def capture_batch(
-        self, stats: MultiTemplateStatistics, index: int
-    ) -> int:
-        """One batch on its own: :meth:`capture_batches` of ``[index]``."""
-        return self.capture_batches(stats, [index])[0]
-
-    def capture_batches(
-        self, stats: MultiTemplateStatistics, indices: Sequence[int]
-    ) -> list[int]:
-        """Shared windowed keystream -> one column block -> per-victim
-        template folds; returns requests per batch over all victims."""
-        counts = count_https_batches(
-            self, stats.victims, self._template_matrix, indices
-        )
-        return [count * len(self.templates) for count in counts]
-
-
-@dataclass
 class MultiTkipStatistics:
     """Per-victim TKIP capture sets over shared per-TSC counter banks.
 
     Counters live in one ``(num_victims, positions, 256)`` int64 block
     per TSC value, filled by the permutation-gather kernel
     (:func:`~repro.datasets.generate.templated_row_counts`);
-    :meth:`victim_capture_set` exposes victim v's slice as an ordinary
+    :meth:`victim` exposes victim v's slice as an ordinary
     :class:`~repro.tkip.injection.CaptureSet` (zero-copy views), so the
     §5 attack code runs unchanged per victim.
     """
@@ -445,7 +320,7 @@ class MultiTkipStatistics:
         )
         self.num_captured += rows.shape[0]
 
-    def victim_capture_set(self, victim_id: str) -> CaptureSet:
+    def victim(self, victim_id: str) -> CaptureSet:
         """Victim ``victim_id``'s counters as a zero-copy CaptureSet."""
         try:
             v = self.victim_ids.index(victim_id)
@@ -555,164 +430,3 @@ class MultiTkipStatistics:
         for tsc, block in zip(arrays["tsc_values"], stacked):
             stats.blocks[int(tsc)] = np.ascontiguousarray(block, np.int64)
         return stats, meta.get("extra", {})
-
-
-@dataclass
-class MultiTkipCaptureSource:
-    """Batched §5 acquisition for many victims sharing a TSC budget.
-
-    Victims share the injected packet length, the TSC schedule, and the
-    packets-per-TSC budget (the keystream regime); each has its own
-    protected plaintext (MIC/ICV differ per victim MIC key).  Key
-    derivation matches :class:`~repro.capture.tkip.TkipCaptureSource`
-    with the same ``label``, batch for batch, so single-victim runs are
-    bit-identical per victim.
-    """
-
-    config: ReproConfig
-    plaintexts: tuple[bytes, ...]
-    victim_ids: tuple[str, ...]
-    tsc_values: tuple[int, ...]
-    packets_per_tsc: int
-    positions: range | None = None
-    batch_size: int = 4096
-    label: str = "multi-tkip-capture"
-    _template_matrix: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.plaintexts = tuple(self.plaintexts)
-        self.victim_ids = tuple(self.victim_ids)
-        self.tsc_values = tuple(self.tsc_values)
-        if not self.plaintexts:
-            raise CaptureError("plaintexts must be non-empty")
-        if len(self.plaintexts) != len(self.victim_ids):
-            raise CaptureError(
-                f"{len(self.plaintexts)} plaintexts for "
-                f"{len(self.victim_ids)} victim ids"
-            )
-        lengths = {len(p) for p in self.plaintexts}
-        if lengths == {0} or len(lengths) != 1:
-            raise CaptureError(
-                "victim plaintexts must be non-empty and share one length "
-                f"(the unique-length trick), got lengths {sorted(lengths)}"
-            )
-        if not self.tsc_values:
-            raise CaptureError("tsc_values must be non-empty")
-        if self.packets_per_tsc < 1:
-            raise CaptureError(
-                f"packets_per_tsc must be positive, got {self.packets_per_tsc}"
-            )
-        if self.batch_size < 1:
-            raise CaptureError(
-                f"batch_size must be positive, got {self.batch_size}"
-            )
-        plaintext_len = len(self.plaintexts[0])
-        if self.positions is None:
-            self.positions = range(1, plaintext_len + 1)
-        if len(self.positions) == 0:
-            raise CaptureError("positions must be a non-empty range")
-        for pos in (self.positions.start, self.positions[-1]):
-            if not 1 <= pos <= plaintext_len:
-                raise CaptureError(
-                    f"position {pos} outside the plaintext "
-                    f"(1..{plaintext_len})"
-                )
-        self._template_matrix = np.stack(
-            [np.frombuffer(p, dtype=np.uint8) for p in self.plaintexts]
-        )
-
-    @property
-    def plaintext_len(self) -> int:
-        return len(self.plaintexts[0])
-
-    @property
-    def _batches_per_tsc(self) -> int:
-        return -(-self.packets_per_tsc // self.batch_size)
-
-    @property
-    def num_batches(self) -> int:
-        return len(self.tsc_values) * self._batches_per_tsc
-
-    @property
-    def total_requests(self) -> int:
-        return (
-            len(self.tsc_values)
-            * self.packets_per_tsc
-            * len(self.plaintexts)
-        )
-
-    def descriptor(self) -> dict:
-        return {
-            "kind": "multi-tkip-capture",
-            "seed": self.config.seed,
-            "label": self.label,
-            "plaintexts": [p.decode("latin-1") for p in self.plaintexts],
-            "victim_ids": list(self.victim_ids),
-            "tsc_values": list(self.tsc_values),
-            "packets_per_tsc": self.packets_per_tsc,
-            "positions": [
-                self.positions.start, self.positions.stop, self.positions.step
-            ],
-            "batch_size": self.batch_size,
-        }
-
-    @classmethod
-    def from_descriptor(
-        cls, descriptor: dict, config: ReproConfig
-    ) -> "MultiTkipCaptureSource":
-        if descriptor.get("kind") != "multi-tkip-capture":
-            raise CaptureError(
-                f"descriptor kind {descriptor.get('kind')!r} is not "
-                "'multi-tkip-capture'"
-            )
-        start, stop, step = (int(v) for v in descriptor["positions"])
-        return cls(
-            config=replace(config, seed=int(descriptor["seed"])),
-            plaintexts=tuple(
-                p.encode("latin-1") for p in descriptor["plaintexts"]
-            ),
-            victim_ids=tuple(str(v) for v in descriptor["victim_ids"]),
-            tsc_values=tuple(int(t) for t in descriptor["tsc_values"]),
-            packets_per_tsc=int(descriptor["packets_per_tsc"]),
-            positions=range(start, stop, step),
-            batch_size=int(descriptor["batch_size"]),
-            label=str(descriptor["label"]),
-        )
-
-    def fingerprint(self) -> str:
-        payload = canonical_json(self.descriptor()).encode("utf-8")
-        return hashlib.sha256(payload).hexdigest()
-
-    def empty(self) -> MultiTkipStatistics:
-        return MultiTkipStatistics(
-            positions=self.positions,
-            plaintext_len=self.plaintext_len,
-            victim_ids=self.victim_ids,
-        )
-
-    def load(self, path: str | Path) -> tuple[MultiTkipStatistics, dict]:
-        return MultiTkipStatistics.load(path)
-
-    def capture_batches(
-        self, stats: MultiTkipStatistics, indices: Sequence[int]
-    ) -> list[int]:
-        """Batch by batch: TKIP counters are small, so grouping buys
-        nothing."""
-        return [self.capture_batch(stats, index) for index in indices]
-
-    def capture_batch(self, stats: MultiTkipStatistics, index: int) -> int:
-        """One batch: shared keystream -> per-victim permutation gather."""
-        tsc_index, part = divmod(index, self._batches_per_tsc)
-        if not 0 <= tsc_index < len(self.tsc_values):
-            raise CaptureError(f"batch {index} is beyond the campaign")
-        tsc = self.tsc_values[tsc_index]
-        first = part * self.batch_size
-        count = min(self.batch_size, self.packets_per_tsc - first)
-        rng = self.config.rng(self.label, "keys", tsc, part)
-        keys = simplified_key_batch(tsc, count, rng)
-        stream = batch_keystream(
-            keys, self.plaintext_len, threads=self.config.native_threads,
-            simd=self.config.native_simd,
-        )
-        stats.ingest_rows(tsc, stream, self._template_matrix)
-        return count * len(self.plaintexts)

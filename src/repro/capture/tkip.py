@@ -7,7 +7,10 @@ three vectorized steps as the HTTPS side: a ``(packets, plaintext_len)``
 keystream block through :func:`repro.rc4.batch.batch_keystream` from
 :func:`repro.tkip.keymix.simplified_key_batch` keys, XOR the broadcast
 plaintext, and grouped flat-bincount counting via
-:meth:`repro.tkip.injection.CaptureSet.ingest_rows`.
+:meth:`repro.tkip.injection.CaptureSet.ingest_rows`.  A campaign group
+of victims sharing a packets-per-TSC budget shares that keystream block;
+each victim's plaintext permutes the shared histogram
+(:meth:`repro.capture.multi.MultiTkipStatistics.ingest_rows`).
 
 With an all-zero plaintext the ciphertext *is* the keystream, which is
 how the ``bias-sweep-pertsc`` experiment measures raw per-TSC keystream
@@ -16,7 +19,6 @@ distributions on the identical engine.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -28,10 +30,11 @@ from ..errors import CaptureError
 from ..rc4.batch import batch_keystream
 from ..tkip.injection import CaptureSet
 from ..tkip.keymix import simplified_key_batch
-from ..utils.serialization import canonical_json
+from .engine import source_fingerprint
+from .multi import MultiTkipStatistics, victim_axis
 
 
-@dataclass
+@dataclass(kw_only=True)
 class TkipCaptureSource:
     """Deterministic batched acquisition for the §5 injection campaign.
 
@@ -39,10 +42,23 @@ class TkipCaptureSource:
     ``t * batches_per_tsc .. (t+1) * batches_per_tsc - 1``, so sharding
     by batch range also shards by TSC.
 
+    One source captures for V >= 1 victims who share the injected packet
+    length, the TSC schedule and the packets-per-TSC budget, and differ
+    only in their protected plaintext (the MIC/ICV follow each victim's
+    MIC key).  Key derivation does not depend on the victims, so victim
+    v's counters equal those of a one-plaintext source with the same
+    ``label``.  Without ``victim_ids`` the source holds one plaintext
+    and counts into a bare :class:`~repro.tkip.injection.CaptureSet`;
+    with ids (a campaign group, even of one) it counts into a
+    :class:`~repro.capture.multi.MultiTkipStatistics`.
+
     Args:
         config: run configuration (key-model seeds).
         plaintext: the injected packet's protected plaintext
-            (data || MIC || ICV), constant across transmissions.
+            (data || MIC || ICV), constant across transmissions;
+            shorthand for ``plaintexts=(plaintext,)``.
+        plaintexts: one such plaintext per victim, all of one length.
+        victim_ids: empty, or one unique id per plaintext.
         tsc_values: low-16-bit TSC values covered by the campaign.
         packets_per_tsc: packets captured at each TSC value.
         positions: 1-indexed keystream positions to collect (default:
@@ -52,20 +68,31 @@ class TkipCaptureSource:
     """
 
     config: ReproConfig
-    plaintext: bytes
+    plaintext: bytes | None = None
+    plaintexts: tuple[bytes, ...] = ()
+    victim_ids: tuple[str, ...] = ()
     tsc_values: tuple[int, ...]
     packets_per_tsc: int
     positions: range | None = None
     batch_size: int = 4096
     label: str = "tkip-capture"
-    _plaintext_arr: np.ndarray = field(init=False, repr=False)
+    _templates: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        self.plaintexts, self.victim_ids = victim_axis(
+            self.plaintext, self.plaintexts, self.victim_ids
+        )
+        if len(self.plaintexts) == 1:
+            self.plaintext = self.plaintexts[0]
         self.tsc_values = tuple(self.tsc_values)
+        lengths = {len(p) for p in self.plaintexts}
+        if lengths == {0} or len(lengths) != 1:
+            raise CaptureError(
+                "plaintexts must be non-empty and share one length "
+                f"(the unique-length trick), got lengths {sorted(lengths)}"
+            )
         if not self.tsc_values:
             raise CaptureError("tsc_values must be non-empty")
-        if not self.plaintext:
-            raise CaptureError("plaintext must be non-empty")
         if self.packets_per_tsc < 1:
             raise CaptureError(
                 f"packets_per_tsc must be positive, got {self.packets_per_tsc}"
@@ -75,16 +102,22 @@ class TkipCaptureSource:
                 f"batch_size must be positive, got {self.batch_size}"
             )
         if self.positions is None:
-            self.positions = range(1, len(self.plaintext) + 1)
+            self.positions = range(1, self.plaintext_len + 1)
         if len(self.positions) == 0:
             raise CaptureError("positions must be a non-empty range")
         for pos in (self.positions.start, self.positions[-1]):
-            if not 1 <= pos <= len(self.plaintext):
+            if not 1 <= pos <= self.plaintext_len:
                 raise CaptureError(
                     f"position {pos} outside the plaintext "
-                    f"(1..{len(self.plaintext)})"
+                    f"(1..{self.plaintext_len})"
                 )
-        self._plaintext_arr = np.frombuffer(self.plaintext, dtype=np.uint8)
+        self._templates = np.stack(
+            [np.frombuffer(p, dtype=np.uint8) for p in self.plaintexts]
+        )
+
+    @property
+    def plaintext_len(self) -> int:
+        return len(self.plaintexts[0])
 
     @property
     def _batches_per_tsc(self) -> int:
@@ -96,19 +129,21 @@ class TkipCaptureSource:
 
     @property
     def total_requests(self) -> int:
-        return len(self.tsc_values) * self.packets_per_tsc
+        return (
+            len(self.tsc_values) * self.packets_per_tsc * len(self.plaintexts)
+        )
 
     def descriptor(self) -> dict:
         """JSON-safe record sufficient to rebuild this source bit-exactly.
 
         Exactly what :meth:`fingerprint` hashes; a fleet manifest ships
         this to workers (the seed rides along, backend knobs stay local).
+        A source with victim ids records kind ``multi-tkip-capture``.
         """
-        return {
+        descriptor = {
             "kind": "tkip-capture",
             "seed": self.config.seed,
             "label": self.label,
-            "plaintext": self.plaintext.decode("latin-1"),
             "tsc_values": list(self.tsc_values),
             "packets_per_tsc": self.packets_per_tsc,
             "positions": [
@@ -116,21 +151,37 @@ class TkipCaptureSource:
             ],
             "batch_size": self.batch_size,
         }
+        if self.victim_ids:
+            descriptor["kind"] = "multi-tkip-capture"
+            descriptor["plaintexts"] = [
+                p.decode("latin-1") for p in self.plaintexts
+            ]
+            descriptor["victim_ids"] = list(self.victim_ids)
+        else:
+            descriptor["plaintext"] = self.plaintext.decode("latin-1")
+        return descriptor
 
     @classmethod
     def from_descriptor(
         cls, descriptor: dict, config: ReproConfig
     ) -> "TkipCaptureSource":
         """Rebuild a source from :meth:`descriptor` output (seed wins)."""
-        if descriptor.get("kind") != "tkip-capture":
+        kind = descriptor.get("kind")
+        if kind == "tkip-capture":
+            plaintexts, victim_ids = [descriptor["plaintext"]], []
+        elif kind == "multi-tkip-capture":
+            plaintexts = descriptor["plaintexts"]
+            victim_ids = descriptor["victim_ids"]
+        else:
             raise CaptureError(
-                f"descriptor kind {descriptor.get('kind')!r} is not "
-                "'tkip-capture'"
+                f"descriptor kind {kind!r} is not 'tkip-capture' or "
+                "'multi-tkip-capture'"
             )
         start, stop, step = (int(v) for v in descriptor["positions"])
         return cls(
             config=replace(config, seed=int(descriptor["seed"])),
-            plaintext=descriptor["plaintext"].encode("latin-1"),
+            plaintexts=tuple(p.encode("latin-1") for p in plaintexts),
+            victim_ids=tuple(str(v) for v in victim_ids),
             tsc_values=tuple(int(t) for t in descriptor["tsc_values"]),
             packets_per_tsc=int(descriptor["packets_per_tsc"]),
             positions=range(start, stop, step),
@@ -139,26 +190,42 @@ class TkipCaptureSource:
         )
 
     def fingerprint(self) -> str:
-        payload = canonical_json(self.descriptor()).encode("utf-8")
-        return hashlib.sha256(payload).hexdigest()
+        return source_fingerprint(self.descriptor())
 
-    def empty(self) -> CaptureSet:
+    def empty(self) -> CaptureSet | MultiTkipStatistics:
+        if self.victim_ids:
+            return MultiTkipStatistics(
+                positions=self.positions,
+                plaintext_len=self.plaintext_len,
+                victim_ids=self.victim_ids,
+            )
         return CaptureSet(
-            positions=self.positions, plaintext_len=len(self.plaintext)
+            positions=self.positions, plaintext_len=self.plaintext_len
         )
 
-    def load(self, path: str | Path) -> tuple[CaptureSet, dict]:
+    def load(
+        self, path: str | Path
+    ) -> tuple[CaptureSet | MultiTkipStatistics, dict]:
+        if self.victim_ids:
+            return MultiTkipStatistics.load(path)
         return CaptureSet.load(path)
 
     def capture_batches(
-        self, stats: CaptureSet, indices: Sequence[int]
+        self, stats: CaptureSet | MultiTkipStatistics, indices: Sequence[int]
     ) -> list[int]:
         """Batch by batch: TKIP counters are small, so grouping buys
         nothing."""
         return [self.capture_batch(stats, index) for index in indices]
 
-    def capture_batch(self, stats: CaptureSet, index: int) -> int:
-        """One batch: per-TSC keys -> keystream block -> XOR -> count."""
+    def capture_batch(
+        self, stats: CaptureSet | MultiTkipStatistics, index: int
+    ) -> int:
+        """One batch: per-TSC keys -> keystream block -> XOR -> count.
+
+        Victims share the keystream block; with victim ids each gathers
+        the block's histogram through its own plaintext's permutation.
+        Returns the packets the batch added over all victims.
+        """
         tsc_index, part = divmod(index, self._batches_per_tsc)
         if not 0 <= tsc_index < len(self.tsc_values):
             raise CaptureError(f"batch {index} is beyond the campaign")
@@ -168,8 +235,11 @@ class TkipCaptureSource:
         rng = self.config.rng(self.label, "keys", tsc, part)
         keys = simplified_key_batch(tsc, count, rng)
         stream = batch_keystream(
-            keys, len(self.plaintext), threads=self.config.native_threads,
+            keys, self.plaintext_len, threads=self.config.native_threads,
             simd=self.config.native_simd,
         )
-        stats.ingest_rows(tsc, stream ^ self._plaintext_arr)
-        return count
+        if self.victim_ids:
+            stats.ingest_rows(tsc, stream, self._templates)
+        else:
+            stats.ingest_rows(tsc, stream ^ self._templates[0])
+        return count * len(self.plaintexts)

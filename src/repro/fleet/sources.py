@@ -36,22 +36,11 @@ def _tkip_factory(descriptor: dict, config: ReproConfig):
     return TkipCaptureSource.from_descriptor(descriptor, config)
 
 
-def _multi_https_factory(descriptor: dict, config: ReproConfig):
-    from ..capture.multi import MultiHttpsCaptureSource
-
-    return MultiHttpsCaptureSource.from_descriptor(descriptor, config)
-
-
-def _multi_tkip_factory(descriptor: dict, config: ReproConfig):
-    from ..capture.multi import MultiTkipCaptureSource
-
-    return MultiTkipCaptureSource.from_descriptor(descriptor, config)
-
-
+# One source per attack; a source with victim ids records the multi-* kind.
 register_source("https-capture", _https_factory)
+register_source("multi-https-capture", _https_factory)
 register_source("tkip-capture", _tkip_factory)
-register_source("multi-https-capture", _multi_https_factory)
-register_source("multi-tkip-capture", _multi_tkip_factory)
+register_source("multi-tkip-capture", _tkip_factory)
 
 
 def build_source(descriptor: dict, config: ReproConfig):

@@ -165,13 +165,22 @@ def save_arrays(
     *,
     compress: bool = True,
 ) -> Path:
-    """Save named arrays plus JSON metadata to ``path`` (``.npz``).
+    """Durably save named arrays plus JSON metadata to ``path`` (``.npz``).
+
+    The archive is written to a temp name of this process
+    (``<stem>.tmp.<pid>.npz``) and published with :func:`durable_replace`,
+    so ``path`` is always the old archive or the whole new one, and is on
+    stable storage when this returns.  Two writers of one path (a
+    rescuer and the stalled worker it replaced) never share a temp file,
+    and a write that raises removes its temp file.
 
     ``compress=False`` stores the members uncompressed (``np.savez``):
     each member keeps its zip CRC-32, and :func:`load_arrays` reads both
-    forms.
+    forms.  Returns the written path (``.npz`` appended when missing).
     """
     path = Path(path)
+    if path.suffix != ".npz":
+        path = path.with_suffix(path.suffix + ".npz")
     if _META_KEY in arrays:
         raise DatasetError(f"array name {_META_KEY!r} is reserved")
     meta = dict(metadata)
@@ -180,8 +189,15 @@ def save_arrays(
     blob = np.frombuffer(encoded, dtype=np.uint8)
     path.parent.mkdir(parents=True, exist_ok=True)
     save = np.savez_compressed if compress else np.savez
-    save(path, **{_META_KEY: blob}, **arrays)
-    return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
+    # The temp name ends in .npz, or np.savez would append it.
+    tmp = path.with_name(f"{path.stem}.tmp.{os.getpid()}.npz")
+    try:
+        save(tmp, **{_META_KEY: blob}, **arrays)
+        durable_replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
 
 
 def load_arrays(path: str | Path) -> tuple[dict[str, np.ndarray], dict[str, Any]]:

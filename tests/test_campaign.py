@@ -34,7 +34,6 @@ from repro.campaign import (
 )
 from repro.capture import (
     HttpsCaptureSource,
-    MultiHttpsCaptureSource,
     TkipCaptureSource,
     merge_shards,
     run_capture,
@@ -185,7 +184,7 @@ class TestMultiTemplateIdentity:
                     label=group.source.label,
                 )
                 alone = run_capture(single)
-                mine = stats.victim_capture_set(spec.victim_id)
+                mine = stats.victim(spec.victim_id)
                 assert mine.num_captured == alone.num_captured
                 assert sorted(mine.counts) == sorted(alone.counts)
                 for tsc in alone.counts:
@@ -236,10 +235,10 @@ class TestMultiTemplateKernelMatrix:
             prefix=b"id=", suffix=bytes(rng.integers(1, 256, 130, np.uint8)),
             cookie_len=1,
         )
-        return MultiHttpsCaptureSource(
+        return HttpsCaptureSource(
             config=dataclasses.replace(config, native_threads=threads),
             layout=layout,
-            templates=tuple(
+            plaintexts=tuple(
                 layout.prefix + bytes([65 + v]) + layout.suffix
                 for v in range(victims)
             ),
@@ -254,7 +253,7 @@ class TestMultiTemplateKernelMatrix:
 
     @staticmethod
     def _assert_matches_per_request(source, stats):
-        for victim_id, template in zip(source.victim_ids, source.templates):
+        for victim_id, template in zip(source.victim_ids, source.plaintexts):
             mine = stats.victim(victim_id)
             alone = _per_request_reference(source, template)
             assert mine.num_requests == alone.num_requests == 37

@@ -704,16 +704,14 @@ class TestCaptureBounds:
     older int64 checkpoints still resume."""
 
     def test_sources_reject_requests_past_uint32(self, config, https_sim):
-        from repro.capture import MultiHttpsCaptureSource
-
         plaintext = https_sim.campaign.request_plaintext()
         _https_source(https_sim, config, num_requests=2**32 - 1)
         with pytest.raises(CaptureError, match="uint32"):
             _https_source(https_sim, config, num_requests=2**32)
         with pytest.raises(CaptureError, match="uint32"):
-            MultiHttpsCaptureSource(
+            HttpsCaptureSource(
                 config=config, layout=https_sim.layout,
-                templates=(plaintext,), victim_ids=("v",),
+                plaintexts=(plaintext,), victim_ids=("v",),
                 num_requests=2**32,
             )
 

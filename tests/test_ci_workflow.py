@@ -197,21 +197,22 @@ def test_verify_job_smokes_recovery_at_scale(workflow):
 
 
 def test_verify_job_runs_the_capture_benchmark_self_test(workflow):
-    """Every verify leg runs one traced perfbench https-capture pass and
-    fails unless its last line reports correct outputs and no failed
-    repetition, so a capture change that breaks the benchmark's checks
-    or its self-test fails CI."""
+    """Every verify leg runs one traced perfbench pass of each capture
+    workload (https-capture and tkip-search) and fails unless each last
+    line reports correct outputs and no failed repetition, so a capture
+    change that breaks the benchmark's checks or self-tests fails CI."""
     job = workflow["jobs"]["verify"]
     assert sorted(job["strategy"]["matrix"]["native"]) == ["0", "1"]
     steps = [
         s for s in _steps(job) if "perfbench/run.py" in s.get("run", "")
     ]
-    assert len(steps) == 1, "verify job must run perfbench once"
+    assert len(steps) == 1, "verify job must run perfbench in one step"
     step = steps[0]
     assert not step.get("continue-on-error"), "the step must gate the job"
     command = " ".join(step["run"].replace("\\\n", " ").split())
+    assert "for workload in https-capture tkip-search; do" in command
     assert (
-        "python3 perfbench/run.py --workload https-capture --seed 1 "
+        'python3 perfbench/run.py --workload "$workload" --seed 1 '
         "--seconds 0 --trace 1" in command
     )
     assert "pipefail" in command, "a crashed run must fail the step"

@@ -24,10 +24,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.api import ExperimentResult, Session
 from repro.capture.engine import run_capture, shard_batches, source_fingerprint
-from repro.capture.multi import MultiHttpsCaptureSource
+from repro.capture.https import HttpsCaptureSource
 from repro.capture.tkip import TkipCaptureSource
 from repro.config import ReproConfig
+from repro.datasets import DatasetSpec, dataset_cache_path
 from repro.errors import CaptureError, FleetError, ManifestError
 from repro.fleet.coordinator import Coordinator
 from repro.fleet.lease import try_acquire
@@ -45,8 +47,10 @@ from repro.fleet.retry import backoff_delay, backoff_delays, retry_call
 from repro.fleet.sources import build_source, register_source
 from repro.fleet.worker import run_worker
 from repro.rc4 import _native
+from repro.tkip import PerTscDistributions
 from repro.tls.attack import CookieLayout
 from repro.utils.serialization import canonical_json
+from repro.warehouse import RunStore
 
 
 def _fleet_config(**overrides) -> ReproConfig:
@@ -186,21 +190,21 @@ class TestCheckpointHardening:
         the other's half-written archive."""
         source = _tkip_source(_fleet_config())
         path = tmp_path / "capture.npz"
-        stats_type = type(source.empty())
-        real_save = stats_type.save
+        real_savez = np.savez
         pid = os.getpid()
         half = b"the first half of the stalled worker's archive"
 
-        def stall_mid_save(stats, tmp, **kwargs):
+        def stall_mid_save(tmp, **arrays):
             Path(tmp).write_bytes(half)
-            monkeypatch.setattr(stats_type, "save", real_save)
+            monkeypatch.setattr(np, "savez", real_savez)
             monkeypatch.setattr(os, "getpid", lambda: pid + 1)
             run_capture(source, checkpoint_path=path)
             assert Path(tmp).read_bytes() == half
             monkeypatch.setattr(os, "getpid", lambda: pid)
-            real_save(stats, tmp, **kwargs)
+            real_savez(tmp, **arrays)
 
-        monkeypatch.setattr(stats_type, "save", stall_mid_save)
+        # The array write inside save_arrays, which checkpoints go through.
+        monkeypatch.setattr(np, "savez", stall_mid_save)
         stalled = run_capture(source, checkpoint_path=path)
         assert _stats_equal(stalled, run_capture(source))
         assert _stats_equal(run_capture(source, checkpoint_path=path), stalled)
@@ -211,11 +215,12 @@ class TestCheckpointHardening:
     ):
         source = _tkip_source(_fleet_config())
 
-        def disk_full(stats, tmp, **kwargs):
+        def disk_full(tmp, **arrays):
             Path(tmp).write_bytes(b"partial")
             raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr(type(source.empty()), "save", disk_full)
+        # The array write inside save_arrays, which checkpoints go through.
+        monkeypatch.setattr(np, "savez", disk_full)
         with pytest.raises(OSError, match="No space left"):
             run_capture(source, checkpoint_path=tmp_path / "capture.npz")
         assert list(tmp_path.iterdir()) == []
@@ -288,6 +293,36 @@ class TestDurableWrites:
         for index in range(2):
             self._assert_durable(fs_events, paths.state(index))
             self._assert_durable(fs_events, paths.result(index))
+
+    def test_dataset_cache(self, tmp_path, fs_events):
+        spec = DatasetSpec(kind="single", num_keys=512, positions=4)
+        session = Session(_fleet_config(), cache_dir=tmp_path)
+        session.dataset(spec)
+        self._assert_durable(
+            fs_events, dataset_cache_path(tmp_path, spec, session.config)
+        )
+
+    def test_per_tsc_table(self, tmp_path, fs_events):
+        path = tmp_path / "per-tsc.npz"
+        PerTscDistributions([7], np.full((1, 4, 256), 1 / 256)).save(path)
+        self._assert_durable(fs_events, path)
+
+    def test_warehouse_blob_lands_before_its_index_line(
+        self, tmp_path, fs_events
+    ):
+        store = RunStore(tmp_path / "warehouse")
+        run = store.append(
+            ExperimentResult(
+                experiment="dataset-single", params={}, metrics={},
+                timings={}, provenance={"seed": 1},
+            ),
+            blobs={"counters": ({"counts": np.ones((4, 256), np.int64)}, {})},
+        )
+        blob = store.blob_path(run.fingerprint, "counters")
+        self._assert_durable(fs_events, blob)
+        assert fs_events.index(("fsync", blob.parent)) < fs_events.index(
+            ("fsync", store.index_path)
+        ), "the index line was flushed before the blob it names"
 
     def test_native_backend_build(self, tmp_path, fs_events, monkeypatch):
         """The compiled object is flushed before it takes the hash-keyed
@@ -421,10 +456,10 @@ class TestFleetFaults:
         merge to the single-process uint32 counters of every victim."""
         config = _fleet_config()
         layout = CookieLayout(prefix=b"id=", suffix=b";path=/x", cookie_len=2)
-        source = MultiHttpsCaptureSource(
+        source = HttpsCaptureSource(
             config=config,
             layout=layout,
-            templates=tuple(
+            plaintexts=tuple(
                 layout.prefix + cookie + layout.suffix
                 for cookie in (b"ab", b"Q7", b"zz")
             ),
