@@ -22,17 +22,20 @@ and a source with ids counts into the victim-set statistics here:
   uint32 counters, or the numpy fallback sharing keystream differential
   blocks across victims.
 - **TKIP** (:class:`MultiTkipStatistics`): XOR with a constant permutes
-  the 256 histogram bins, so the shared keystream columns are bincounted
-  once (:func:`~repro.datasets.generate.bytewise_row_counts`) and every
-  victim *gathers* that base histogram through its template's per-row
-  permutation (:func:`~repro.datasets.generate.templated_row_counts`) —
-  O(P·n + V·P·256) instead of O(V·P·n).
+  the 256 histogram bins, so a batch's keystream is counted once, by the
+  fused generate-and-count kernel
+  (:func:`~repro.datasets.generate.single_byte_counts`, no keystream
+  block), and every victim *gathers* that histogram through its
+  template's per-row permutation
+  (:func:`~repro.tkip.injection.ciphertext_counts`) — O(P·n + V·P·256)
+  instead of O(V·P·n).
 
 Both produce counters (uint32 for HTTPS, int64 for TKIP) bit-identical
 to N one-plaintext captures run with the same key-derivation label
 (`tests/test_campaign.py` holds this cell-for-cell on both
 ``REPRO_NATIVE`` legs).  Each answers :meth:`victim` with one victim's
-counters as the bare statistics a one-plaintext source returns.
+counters as the bare statistics a one-plaintext source returns, so
+both classes refuse repeated victim ids, checkpoints included.
 """
 
 from __future__ import annotations
@@ -43,9 +46,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ..datasets.generate import templated_row_counts
 from ..errors import AttackError, CaptureError
-from ..tkip.injection import CaptureSet
+from ..tkip.injection import CaptureSet, ciphertext_counts
 from ..tls.attack import CookieLayout, CookieStatistics, capture_counters
 
 
@@ -78,14 +80,26 @@ def victim_axis(
                 f"{len(plaintexts)} plaintexts for {len(victim_ids)} "
                 "victim ids"
             )
-        repeated = sorted(v for v, n in Counter(victim_ids).items() if n > 1)
-        if repeated:
-            raise CaptureError(f"duplicate victim ids {repeated}")
+        unique_victim_ids(victim_ids)
     elif len(plaintexts) > 1:
         raise CaptureError(
             f"{len(plaintexts)} plaintexts need one victim id each"
         )
     return plaintexts, victim_ids
+
+
+def unique_victim_ids(victim_ids: Sequence[str]) -> tuple[str, ...]:
+    """``victim_ids`` as a tuple, checked to name each victim once.
+
+    Raises:
+        CaptureError: naming every id that repeats, since
+            ``victim(id)`` would hide each victim after the id's first.
+    """
+    victim_ids = tuple(victim_ids)
+    repeated = sorted(v for v, n in Counter(victim_ids).items() if n > 1)
+    if repeated:
+        raise CaptureError(f"duplicate victim ids {repeated}")
+    return victim_ids
 
 
 def layout_to_meta(layout: CookieLayout) -> dict:
@@ -124,6 +138,9 @@ class MultiTemplateStatistics:
     max_gap: int
     victim_ids: tuple[str, ...]
     victims: list[CookieStatistics]
+
+    def __post_init__(self) -> None:
+        self.victim_ids = unique_victim_ids(self.victim_ids)
 
     @classmethod
     def empty(
@@ -256,10 +273,13 @@ class MultiTemplateStatistics:
             ]
         except AttackError as exc:
             raise AttackError(f"{path}: {exc}") from None
-        stats = cls(
-            layout=layout, max_gap=max_gap, victim_ids=victim_ids,
-            victims=victims,
-        )
+        try:
+            stats = cls(
+                layout=layout, max_gap=max_gap, victim_ids=victim_ids,
+                victims=victims,
+            )
+        except CaptureError as exc:
+            raise CaptureError(f"{path}: {exc}") from None
         return stats, meta.get("extra", {})
 
 
@@ -268,9 +288,9 @@ class MultiTkipStatistics:
     """Per-victim TKIP capture sets over shared per-TSC counter banks.
 
     Counters live in one ``(num_victims, positions, 256)`` int64 block
-    per TSC value, filled by the permutation-gather kernel
-    (:func:`~repro.datasets.generate.templated_row_counts`);
-    :meth:`victim` exposes victim v's slice as an ordinary
+    per TSC value, each victim's slice filled by permuting one shared
+    keystream histogram (:meth:`add_keystream_counts`); :meth:`victim`
+    exposes victim v's slice as an ordinary
     :class:`~repro.tkip.injection.CaptureSet` (zero-copy views), so the
     §5 attack code runs unchanged per victim.
     """
@@ -280,6 +300,9 @@ class MultiTkipStatistics:
     victim_ids: tuple[str, ...]
     blocks: dict[int, np.ndarray] = field(default_factory=dict)
     num_captured: int = 0
+
+    def __post_init__(self) -> None:
+        self.victim_ids = unique_victim_ids(self.victim_ids)
 
     def _block(self, tsc: int) -> np.ndarray:
         low = tsc & 0xFFFF
@@ -292,33 +315,33 @@ class MultiTkipStatistics:
             self.blocks[low] = block
         return block
 
-    def ingest_rows(
-        self, tsc: int, rows: np.ndarray, templates: np.ndarray
+    def add_keystream_counts(
+        self,
+        tsc: int,
+        keystream_counts: np.ndarray,
+        templates: np.ndarray,
+        packets: int,
     ) -> None:
-        """Count keystream ``rows`` XOR each victim template at one TSC.
+        """Count ``packets`` shared-keystream packets for every victim.
 
-        ``rows`` is uint8 ``(n, plaintext_len)`` *keystream* (the shared
-        part); ``templates`` is uint8 ``(num_victims, plaintext_len)``.
-        The keystream columns are bincounted once and each victim
-        gathers the base histogram through its template's permutation.
+        ``keystream_counts`` is the int64 histogram of the packets'
+        keystream bytes (row ``r - 1`` for position r, up to at least the
+        last covered position); ``templates`` is uint8
+        ``(num_victims, plaintext_len)``, one plaintext per victim.  Each
+        victim's counters gather that one histogram through its own
+        plaintext's XOR permutation.
         """
-        if rows.ndim != 2 or rows.shape[1] != self.plaintext_len:
+        if len(templates) != len(self.victim_ids):
             raise AttackError(
-                f"rows must be (n, {self.plaintext_len}), got {rows.shape}"
+                f"{len(templates)} templates for "
+                f"{len(self.victim_ids)} victims"
             )
-        templates = np.asarray(templates, dtype=np.uint8)
-        if templates.shape != (len(self.victim_ids), self.plaintext_len):
-            raise AttackError(
-                f"templates must be "
-                f"({len(self.victim_ids)}, {self.plaintext_len}), "
-                f"got {templates.shape}"
+        block = self._block(tsc)
+        for table, template in zip(block, templates):
+            table += ciphertext_counts(
+                keystream_counts, template, self.positions, self.plaintext_len
             )
-        pos_idx = np.asarray(self.positions, dtype=np.intp) - 1
-        columns = np.ascontiguousarray(rows.T[pos_idx])
-        templated_row_counts(
-            columns, templates[:, pos_idx], self._block(tsc)
-        )
-        self.num_captured += rows.shape[0]
+        self.num_captured += packets
 
     def victim(self, victim_id: str) -> CaptureSet:
         """Victim ``victim_id``'s counters as a zero-copy CaptureSet."""
@@ -417,12 +440,15 @@ class MultiTkipStatistics:
 
         arrays, meta = load_statistics(path, "multi-tkip-statistics")
         start, stop, step = meta["positions"]
-        stats = cls(
-            positions=range(start, stop, step),
-            plaintext_len=int(meta["plaintext_len"]),
-            victim_ids=tuple(str(v) for v in meta["victim_ids"]),
-            num_captured=int(meta["num_captured"]),
-        )
+        try:
+            stats = cls(
+                positions=range(start, stop, step),
+                plaintext_len=int(meta["plaintext_len"]),
+                victim_ids=tuple(str(v) for v in meta["victim_ids"]),
+                num_captured=int(meta["num_captured"]),
+            )
+        except CaptureError as exc:
+            raise CaptureError(f"{path}: {exc}") from None
         stacked = arrays["counts"]
         expected = (len(stats.victim_ids), len(stats.positions), 256)
         if stacked.shape[1:] != expected:

@@ -2,15 +2,17 @@
 
 The §5 attack consumes per-TSC ciphertext byte counts of one constantly
 retransmitted packet.  Under the paper's key model (§2.2: three public
-TSC-determined key bytes, 13 uniform bytes) a capture batch is the same
-three vectorized steps as the HTTPS side: a ``(packets, plaintext_len)``
-keystream block through :func:`repro.rc4.batch.batch_keystream` from
-:func:`repro.tkip.keymix.simplified_key_batch` keys, XOR the broadcast
-plaintext, and grouped flat-bincount counting via
-:meth:`repro.tkip.injection.CaptureSet.ingest_rows`.  A campaign group
-of victims sharing a packets-per-TSC budget shares that keystream block;
-each victim's plaintext permutes the shared histogram
-(:meth:`repro.capture.multi.MultiTkipStatistics.ingest_rows`).
+TSC-determined key bytes, 13 uniform bytes) the plaintext is constant,
+so XOR with it only permutes each position's 256 bins.  A capture batch
+therefore counts its keystream once, with the fused generate-and-count
+kernel the per-TSC tables use
+(:func:`repro.datasets.generate.single_byte_counts` over
+:func:`repro.tkip.keymix.simplified_key_batch` keys; no keystream block,
+XOR or bincount), and each victim's counters gather that histogram
+through its own plaintext's permutation
+(:meth:`repro.tkip.injection.CaptureSet.add_keystream_counts`, or
+:meth:`repro.capture.multi.MultiTkipStatistics.add_keystream_counts`
+for a campaign group of victims sharing a packets-per-TSC budget).
 
 With an all-zero plaintext the ciphertext *is* the keystream, which is
 how the ``bias-sweep-pertsc`` experiment measures raw per-TSC keystream
@@ -26,8 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from ..config import ReproConfig
+from ..datasets.generate import single_byte_counts
 from ..errors import CaptureError
-from ..rc4.batch import batch_keystream
 from ..tkip.injection import CaptureSet
 from ..tkip.keymix import simplified_key_batch
 from .engine import source_fingerprint
@@ -220,10 +222,9 @@ class TkipCaptureSource:
     def capture_batch(
         self, stats: CaptureSet | MultiTkipStatistics, index: int
     ) -> int:
-        """One batch: per-TSC keys -> keystream block -> XOR -> count.
+        """One batch: per-TSC keys -> keystream histogram -> per victim,
+        its plaintext's permutation of that histogram.
 
-        Victims share the keystream block; with victim ids each gathers
-        the block's histogram through its own plaintext's permutation.
         Returns the packets the batch added over all victims.
         """
         tsc_index, part = divmod(index, self._batches_per_tsc)
@@ -234,12 +235,14 @@ class TkipCaptureSource:
         count = min(self.batch_size, self.packets_per_tsc - first)
         rng = self.config.rng(self.label, "keys", tsc, part)
         keys = simplified_key_batch(tsc, count, rng)
-        stream = batch_keystream(
-            keys, self.plaintext_len, threads=self.config.native_threads,
+        keystream = single_byte_counts(
+            keys, max(self.positions), threads=self.config.native_threads,
             simd=self.config.native_simd,
         )
         if self.victim_ids:
-            stats.ingest_rows(tsc, stream, self._templates)
+            stats.add_keystream_counts(tsc, keystream, self._templates, count)
         else:
-            stats.ingest_rows(tsc, stream ^ self._templates[0])
+            stats.add_keystream_counts(
+                tsc, keystream, self._templates[0], count
+            )
         return count * len(self.plaintexts)

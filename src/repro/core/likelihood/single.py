@@ -7,8 +7,8 @@ mu is (up to a constant independent of mu)
     log lambda_mu = sum_k N^mu_k log p_k
                   = sum_c N_c log p_{c xor mu}
 
-where N_c counts ciphertext value c.  The whole 256-vector of
-log-likelihoods is one gather + matvec.
+Every entry point here goes through :func:`xor_log_likelihoods`, which
+sums those 256 terms in one fixed order on every backend.
 """
 
 from __future__ import annotations
@@ -16,11 +16,54 @@ from __future__ import annotations
 import numpy as np
 
 from ...errors import LikelihoodError
+from ...rc4 import _native
 
-#: XOR outer table: _XOR[mu, c] = mu ^ c.  13 KiB, built once.
-_XOR = np.bitwise_xor.outer(
+#: Rows per pass of the numpy fallback, which bounds its scratch to one
+#: (rows, 256) float64 block (512 KiB).
+_FALLBACK_ROWS = 256
+
+#: _XOR_INDEX[c, mu] = mu ^ c, the fallback's gather order for term c.
+_XOR_INDEX = np.bitwise_xor.outer(
     np.arange(256, dtype=np.intp), np.arange(256, dtype=np.intp)
 )
+
+
+def xor_log_likelihoods(counts: np.ndarray, log_p: np.ndarray) -> np.ndarray:
+    """``out[r, mu] = sum_c counts[r, c] * log_p[r, mu ^ c]`` for each row.
+
+    Every cell adds its 256 terms in increasing ``c``, starting from 0.0,
+    each product rounded before its add (no fused multiply-add).  The
+    native kernel (:func:`repro.rc4._native.xor_loglik`) and the numpy
+    loop below both run that order, so the result has the same bits on
+    every platform, backend and thread count.
+
+    Args:
+        counts: ``(n, 256)`` ciphertext counts per row (any real values).
+        log_p: ``(n, 256)`` log keystream probabilities per row.
+
+    Returns:
+        float64 ``(n, 256)`` log-likelihoods.
+    """
+    counts = np.ascontiguousarray(counts, dtype=np.float64)
+    log_p = np.ascontiguousarray(log_p, dtype=np.float64)
+    if counts.ndim != 2 or counts.shape[1] != 256 or counts.shape != log_p.shape:
+        raise LikelihoodError(
+            f"expected matching (n, 256) arrays, got {counts.shape} "
+            f"and {log_p.shape}"
+        )
+    if _native.available():
+        return _native.xor_loglik(counts, log_p)
+    out = np.zeros(counts.shape, dtype=np.float64)
+    term = np.empty((min(_FALLBACK_ROWS, len(counts)), 256))
+    for start in range(0, len(counts), _FALLBACK_ROWS):
+        rows = slice(start, start + _FALLBACK_ROWS)
+        acc, n, lp = out[rows], counts[rows], log_p[rows]
+        step = term[: len(acc)]
+        for c in range(256):
+            np.take(lp, _XOR_INDEX[c], axis=1, out=step, mode="wrap")
+            np.multiply(n[:, c, None], step, out=step)
+            np.add(acc, step, out=acc)
+    return out
 
 
 def single_byte_log_likelihoods(
@@ -44,9 +87,7 @@ def single_byte_log_likelihoods(
         )
     if np.any(dist <= 0.0):
         raise LikelihoodError("keystream distribution must be strictly positive")
-    log_p = np.log(dist)
-    # loglik[mu] = sum_c counts[c] * log_p[mu ^ c]
-    return log_p[_XOR] @ counts
+    return xor_log_likelihoods(counts[None], np.log(dist)[None])[0]
 
 
 def single_byte_log_likelihoods_many(
@@ -69,6 +110,4 @@ def single_byte_log_likelihoods_many(
         )
     if np.any(dists <= 0.0):
         raise LikelihoodError("keystream distributions must be strictly positive")
-    log_p = np.log(dists)
-    # out[r, mu] = sum_c counts[r, c] * log_p[r, mu ^ c]
-    return np.einsum("rmc,rc->rm", log_p[:, _XOR], counts)
+    return xor_log_likelihoods(counts, np.log(dists))

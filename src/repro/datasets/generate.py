@@ -31,12 +31,13 @@ Both paths are bit-exact with :mod:`repro.rc4.reference`; see
 tests/test_dataset_equivalence.py.
 
 The grouped flat-bincount cores are exposed at array level
-(:func:`bytewise_row_counts`, :func:`digraph_row_counts`) so consumers
-that already hold byte rows — the capture engine in
-:mod:`repro.capture` counts *ciphertext* rows — share the exact same
-counting code instead of duplicating it.  The §6 capture's FM and ABSAB
-rows go through :func:`templated_digraph_counts`, which dispatches to a
-threaded native row kernel and keeps those bincounts as its fallback.
+(:func:`bytewise_row_counts`, :func:`digraph_row_counts`) for callers
+that already hold byte rows.  The §6 capture's FM and ABSAB rows go
+through :func:`templated_digraph_counts`, which dispatches to a threaded
+native row kernel and keeps those bincounts as its fallback.  The §5
+capture needs no row kernel: XOR with its constant plaintext permutes a
+position's 256 bins, so it counts keystream with
+:func:`single_byte_counts`, exactly like the per-TSC tables.
 """
 
 from __future__ import annotations
@@ -85,12 +86,11 @@ def bytewise_row_counts(
 ) -> np.ndarray:
     """Accumulate per-row byte histograms: ``out[r, v] += #{c: rows[r, c] == v}``.
 
-    The array-level form of the single-byte kernel, shared by the numpy
-    dataset fallback, the per-TSC distribution measurement, and the
-    capture engine (which counts ciphertext rows instead of generated
-    keystream).  ``rows`` is uint8 ``(m, n)``; ``out`` must be a
-    C-contiguous int64 ``(m, 256)`` accumulator.  One flat bincount over
-    combined ``row * 256 + value`` codes per ``group`` rows.  Streaming
+    The array-level form of the single-byte kernel, and the numpy
+    fallback of :func:`single_byte_counts`.  ``rows`` is uint8
+    ``(m, n)``; ``out`` must be a C-contiguous int64 ``(m, 256)``
+    accumulator.  One flat bincount over combined ``row * 256 + value``
+    codes per ``group`` rows.  Streaming
     callers pass a hoisted ``(group, n)`` int32 ``scratch`` so per-block
     calls stay allocation-free.
     """
@@ -151,48 +151,6 @@ def digraph_row_counts(
             offset = row_offsets[start + idx]
             cells = flat_out[offset : offset + 65536]
             np.add(cells, counts[idx], out=cells, casting="unsafe")
-
-
-def templated_row_counts(
-    rows: np.ndarray,
-    templates: np.ndarray,
-    out: np.ndarray,
-    *,
-    group: int = SINGLE_GROUP,
-    scratch: np.ndarray | None = None,
-) -> np.ndarray:
-    """Count ``rows ^ template`` histograms for many templates at once.
-
-    For every template v, row r, and column c this performs
-    ``out[v, r, rows[r, c] ^ templates[v, r]] += 1`` — the multi-victim
-    single-byte capture kernel.  Because XOR with a constant is a
-    permutation of the 256 bins, the shared ``rows`` block is bincounted
-    exactly once (:func:`bytewise_row_counts`) and each template then
-    scatters the base histogram through its per-row XOR permutation:
-    O(rows * n + V * rows * 256) instead of O(V * rows * n), with
-    bit-identical int64 results.  ``rows`` is uint8 ``(m, n)``;
-    ``templates`` is uint8 ``(V, m)``; ``out`` must be int64
-    ``(V, m, 256)`` with C-contiguous per-template blocks.
-    """
-    m, _ = rows.shape
-    num_templates, t_rows = templates.shape
-    if t_rows != m:
-        raise ValueError(
-            f"templates cover {t_rows} rows, rows block has {m}"
-        )
-    if out.shape != (num_templates, m, 256):
-        raise ValueError(
-            f"out must be ({num_templates}, {m}, 256), got {out.shape}"
-        )
-    base = np.zeros((m, 256), dtype=np.int64)
-    bytewise_row_counts(rows, base, group=group, scratch=scratch)
-    values = np.arange(256, dtype=np.uint8)[None, :]
-    row_idx = np.arange(m)[:, None]
-    for v in range(num_templates):
-        # out[v, r, c] += base[r, c ^ templates[v, r]]: gather the base
-        # histogram through this template's per-row bin permutation.
-        out[v] += base[row_idx, values ^ templates[v][:, None]]
-    return out
 
 
 def templated_digraph_counts(

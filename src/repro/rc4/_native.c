@@ -49,13 +49,17 @@
  * (multinomial_rows, which calls numpy's own C sampler on one bit
  * generator per row, the threads taking the rows one at a time).  Each
  * row owns its output, so they are bit-identical for any thread count
- * too.  The last kernel, the §5 CRC search's best-first walk
- * (rc4_lazy_walk), is single-threaded: it pops candidates from a binary
- * heap that lives in a buffer the caller owns and grows, so it allocates
- * nothing.
+ * too.  The last two kernels are single-threaded.  The §5 CRC search's
+ * best-first walk (rc4_lazy_walk) pops candidates from a binary heap
+ * that lives in a buffer the caller owns and grows, so it allocates
+ * nothing.  The single-byte likelihoods of §4.1 and §5.1
+ * (rc4_xor_loglik) sum each output cell's 256 terms in one fixed order,
+ * so they are bit-identical to the numpy loop that mirrors them.
  *
  * Build contract (see _native.py): plain C99, no dependencies beyond
- * libc + pthreads, compiled with `cc -O3 -shared -fPIC -pthread`.  The
+ * libc + pthreads, compiled with
+ * `cc -O3 -shared -fPIC -pthread -ffp-contract=off` (no fused
+ * multiply-add, so every product is rounded before it is added).  The
  * AVX2 tier uses GCC/Clang target attributes, available since GCC 4.9;
  * other compilers or architectures fall back to the scalar kernels.
  */
@@ -1010,4 +1014,41 @@ ptrdiff_t rc4_lazy_walk(const double *sorted, ptrdiff_t len, uint8_t *heap,
     }
     *size = n;
     return k;
+}
+
+/* Single-byte log-likelihoods (§4.1 eq 12, summed per TSC in §5.1): for
+ * each of `rows` rows of 256 doubles,
+ *     out[mu] = sum over c = 0..255 of counts[c] * log_p[mu ^ c],
+ * with the terms added one at a time in increasing c, each product
+ * rounded before its add (the build forbids contraction into FMA).  The
+ * numpy fallback in core/likelihood/single.py runs the same order, so
+ * both give the same bits on every platform.  Blocks of XOR_BLOCK output
+ * cells keep their sums in registers: within an aligned block, mu ^ c
+ * reads the block at (mu0 ^ c_high) in the order j ^ c_low, and the
+ * unrolled inner loops make that order a compile-time constant. */
+#define XOR_BLOCK 4
+
+void rc4_xor_loglik(const double *counts, const double *log_p,
+                    ptrdiff_t rows, double *out)
+{
+    ptrdiff_t r;
+    int mu0, ch, cl, j;
+    for (r = 0; r < rows; r++) {
+        const double *n = counts + r * 256, *lp = log_p + r * 256;
+        for (mu0 = 0; mu0 < 256; mu0 += XOR_BLOCK) {
+            double acc[XOR_BLOCK];
+            for (j = 0; j < XOR_BLOCK; j++)
+                acc[j] = 0.0;
+            for (ch = 0; ch < 256; ch += XOR_BLOCK) {
+                const double *v = lp + (mu0 ^ ch);
+                for (cl = 0; cl < XOR_BLOCK; cl++) {
+                    const double k = n[ch + cl];
+                    for (j = 0; j < XOR_BLOCK; j++)
+                        acc[j] = acc[j] + k * v[j ^ cl];
+                }
+            }
+            for (j = 0; j < XOR_BLOCK; j++)
+                out[r * 256 + mu0 + j] = acc[j];
+        }
+    }
 }

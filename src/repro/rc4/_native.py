@@ -7,17 +7,19 @@ ABSAB differential codes of a transposed keystream block, each row XORed
 with its template constant and counted straight into its own 65536
 uint32 cells) and the §6 statistic sampler's
 (:func:`multinomial_rows`: numpy's own C ``random_multinomial``, one bit
-generator per row, so the draws are numpy's bit for bit), plus the §5
-CRC search's best-first walk (:func:`lazy_walk`: single-threaded, over
-a binary heap in a numpy buffer the caller owns and grows).  This module
+generator per row, so the draws are numpy's bit for bit), plus two
+single-threaded kernels: the §5 CRC search's best-first walk
+(:func:`lazy_walk`, over a binary heap in a numpy buffer the caller owns
+and grows) and the single-byte likelihoods (:func:`xor_loglik`, one
+fixed summation order that the numpy fallback repeats).  This module
 compiles it on demand with the system C compiler (``gcc``/``cc``), caches
 the shared object under ``~/.cache/repro-rc4/`` keyed by a hash of the
 source *plus* the compiler identity and flags (so pinning a different
 ``REPRO_NATIVE_CC`` or changing CFLAGS can never load a stale artefact),
 and exposes thin ctypes wrappers.
 
-Two performance knobs ride on the kernels; the walk takes neither and
-runs on the calling thread:
+Two performance knobs ride on the kernels; the walk and the likelihoods
+take neither and run on the calling thread:
 
 - ``threads`` (default ``os.cpu_count()``, overridable per call or via
   ``REPRO_NATIVE_THREADS``): the C side splits keys into contiguous
@@ -39,16 +41,17 @@ runs on the calling thread:
 The backend is strictly optional: if no compiler is present, compilation
 fails, or ``REPRO_NATIVE=0`` is set, :func:`available` returns False and
 callers (``repro.rc4.batch``, ``repro.datasets.generate``,
-``repro.core.candidates.lazy``, ``repro.simulate.sampling``) fall back
-to the pure-numpy paths.
+``repro.core.candidates.lazy``, ``repro.core.likelihood.single``,
+``repro.simulate.sampling``) fall back to the pure-numpy paths.
 An unexpected failure (as opposed to an explicit disable) emits a single
 :class:`RuntimeWarning` so slow runs are diagnosable;
 ``REPRO_NATIVE_CC`` pins the compiler for tests that simulate a broken
 toolchain.  Both paths are bit-exact with :mod:`repro.rc4.reference`;
 tests/test_dataset_equivalence.py compares them cell-for-cell,
 tests/test_candidate_equivalence.py compares the walk with its
-``heapq`` loop, and tests/test_simulate.py the multinomial rows with
-``Generator.multinomial``.
+``heapq`` loop, tests/test_simulate.py the multinomial rows with
+``Generator.multinomial``, and tests/test_core_likelihood.py the
+likelihoods with their numpy loop.
 
 No third-party dependency is involved — only :mod:`ctypes` and a C
 compiler that the pure-python fallback makes optional.  All ``REPRO_*``
@@ -102,8 +105,10 @@ _SIMD_LANE_SCRATCH = 32 << 10
 #: Flags handed to every compiler candidate; part of the cache key.  The
 #: AVX2 tier needs no -mavx2 here — the wide kernels carry their own
 #: __attribute__((target("avx2"))) so the artefact stays loadable on any
-#: x86-64 machine.
-_CFLAGS = ("-O3", "-shared", "-fPIC", "-pthread")
+#: x86-64 machine.  -ffp-contract=off keeps a multiply and the add after
+#: it two rounded operations (no FMA), so xor_loglik gives the numpy
+#: fallback's bits on every platform.
+_CFLAGS = ("-O3", "-shared", "-fPIC", "-pthread", "-ffp-contract=off")
 
 _lib: ctypes.CDLL | None = None
 _load_attempted = False
@@ -254,6 +259,9 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         f64p, ssize, u8p, ssize, ctypes.POINTER(ssize), ssize, u8p, f64p,
     ]
     lib.rc4_lazy_walk.restype = ssize
+    vp = ctypes.c_void_p
+    lib.rc4_xor_loglik.argtypes = [vp, vp, ssize, vp]
+    lib.rc4_xor_loglik.restype = None
     lib.rc4_simd_available.argtypes = []
     lib.rc4_simd_available.restype = cint
     lib.rc4_simd_lanes.argtypes = []
@@ -666,3 +674,32 @@ def lazy_walk(
         _u8p(ranks), scores.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
     )
     return popped, new_size.value
+
+
+def xor_loglik(counts: np.ndarray, log_p: np.ndarray) -> np.ndarray:
+    """``out[r, mu] = sum_c counts[r, c] * log_p[r, mu ^ c]`` per row.
+
+    Each cell adds its 256 terms in increasing ``c``, every product
+    rounded before its add, on the calling thread; see
+    :func:`repro.core.likelihood.single.xor_log_likelihoods`, which runs
+    the same order in numpy.  ``counts`` and ``log_p`` are C-contiguous
+    float64 ``(n, 256)`` arrays; returns a new float64 ``(n, 256)``.
+    """
+    lib = _load()
+    assert lib is not None, "call available() first"
+    if not (
+        counts.dtype == log_p.dtype == np.float64
+        and counts.ndim == 2 and counts.shape[1] == 256
+        and counts.shape == log_p.shape
+        and counts.flags.c_contiguous and log_p.flags.c_contiguous
+    ):
+        raise ValueError(
+            "xor_loglik needs two C-contiguous float64 (n, 256) arrays"
+        )
+    out = np.empty(counts.shape, dtype=np.float64)
+    # Plain addresses: data_as() pointers hold reference cycles that only
+    # the garbage collector frees, and this runs once per TSC value.
+    lib.rc4_xor_loglik(
+        counts.ctypes.data, log_p.ctypes.data, counts.shape[0], out.ctypes.data
+    )
+    return out

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.candidates.lazy import lazy_candidate_blocks
-from ..core.likelihood.single import single_byte_log_likelihoods
-from ..errors import AttackError
+from ..core.likelihood.single import xor_log_likelihoods
+from ..errors import AttackError, LikelihoodError
 from .crc import Crc32, crc32_rows
 from .injection import CaptureSet
 from .michael import michael, michael_header, recover_key
@@ -62,7 +62,16 @@ def position_log_likelihoods(
     """Single-byte log-likelihoods for each unknown position (§5.1).
 
     Per-TSC estimates are combined by multiplying likelihoods over all
-    observed TSC values — summation in log domain.
+    observed TSC values — summation in log domain, in ``capture.counts``
+    order.  Each TSC's positions with any counts go through one
+    :func:`~repro.core.likelihood.single.xor_log_likelihoods` call, so the
+    scratch is one TSC's ``(positions, 256)`` rows however many TSC
+    values the capture holds.
+
+    Raises:
+        AttackError: on a position outside the capture or the per-TSC
+            distributions.
+        LikelihoodError: on a non-positive probability where counts are.
 
     Returns:
         float64 array (len(unknown_positions), 256).
@@ -75,16 +84,24 @@ def position_log_likelihoods(
             raise AttackError(
                 f"position {pos} beyond per-TSC distributions ({per_tsc.length})"
             )
+    count_rows = np.asarray(
+        [pos_index[pos] for pos in unknown_positions], dtype=np.intp
+    )
+    dist_rows = np.asarray(unknown_positions, dtype=np.intp) - 1
     loglik = np.zeros((len(unknown_positions), 256), dtype=np.float64)
     for tsc_low, counts in capture.counts.items():
         if not per_tsc.covers(tsc_low):
             continue
-        dists = per_tsc.for_tsc(tsc_low)
-        for out_row, pos in enumerate(unknown_positions):
-            row = counts[pos_index[pos]]
-            if row.sum() == 0:
-                continue
-            loglik[out_row] += single_byte_log_likelihoods(row, dists[pos - 1])
+        rows = counts[count_rows]
+        live = np.flatnonzero(rows.sum(axis=1))
+        if live.size == 0:
+            continue
+        dists = per_tsc.for_tsc(tsc_low)[dist_rows[live]]
+        if np.any(dists <= 0.0):
+            raise LikelihoodError(
+                "keystream distribution must be strictly positive"
+            )
+        loglik[live] += xor_log_likelihoods(rows[live], np.log(dists))
     return loglik
 
 

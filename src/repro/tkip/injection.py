@@ -39,6 +39,43 @@ PAPER_INJECTION_RATE = 2500.0
 MAX_FRAGMENTS = 16
 
 
+#: Every byte value, the bins an XOR permutes.
+_BYTES = np.arange(256, dtype=np.uint8)
+
+
+def ciphertext_counts(
+    keystream_counts: np.ndarray,
+    plaintext: np.ndarray,
+    positions: range,
+    plaintext_len: int,
+) -> np.ndarray:
+    """Ciphertext byte counts at ``positions`` from keystream byte counts.
+
+    XOR with a fixed plaintext byte permutes the 256 bins, so row i
+    (position ``p = positions[i]``) counts ciphertext value c
+    ``keystream_counts[p - 1, c ^ plaintext[p - 1]]`` times.
+
+    Raises:
+        AttackError: on a histogram without 256 bins per row or short of
+            the last position, or a plaintext not ``plaintext_len`` long.
+    """
+    rows = np.asarray(positions, dtype=np.intp) - 1
+    plaintext = np.asarray(plaintext, dtype=np.uint8)
+    if (
+        keystream_counts.ndim != 2 or keystream_counts.shape[1] != 256
+        or keystream_counts.shape[0] <= rows.max(initial=-1)
+    ):
+        raise AttackError(
+            f"keystream counts {keystream_counts.shape} do not cover "
+            f"positions {positions}"
+        )
+    if plaintext.shape != (plaintext_len,):
+        raise AttackError(
+            f"plaintext must be ({plaintext_len},), got {plaintext.shape}"
+        )
+    return keystream_counts[rows[:, None], _BYTES ^ plaintext[rows, None]]
+
+
 @dataclass
 class CaptureSet:
     """Ciphertext statistics for one injected packet.
@@ -47,8 +84,8 @@ class CaptureSet:
     snapshots, exact int64 :meth:`merge` (statistic-level shards from
     independent processes combine losslessly), canonical-JSON summaries,
     and NPZ persistence for checkpointed captures.  :meth:`add_frame` is
-    the bit-exact per-frame reference path; :meth:`ingest_rows` is the
-    batched entry the capture engine drives.
+    the bit-exact per-frame reference path; :meth:`add_keystream_counts`
+    is the batched entry the capture engine drives.
 
     Attributes:
         positions: 1-indexed keystream positions covered (the full
@@ -91,25 +128,28 @@ class CaptureSet:
         self.num_captured += 1
         return True
 
-    def ingest_rows(self, tsc: int, rows: np.ndarray) -> None:
-        """Count a batch of ciphertext rows captured at one TSC value.
+    def add_keystream_counts(
+        self,
+        tsc: int,
+        keystream_counts: np.ndarray,
+        plaintext: np.ndarray,
+        packets: int,
+    ) -> None:
+        """Count ``packets`` encryptions of ``plaintext`` at one TSC value.
 
-        The vectorized equivalent of :meth:`add_frame` over ``rows`` of
-        shape (num_packets, plaintext_len): one grouped flat bincount
-        per position block instead of a Python loop per byte.  Rows are
-        statistic-level packets (distinct fresh TSCs with the same low
-        16 bits), so no per-frame dedup applies.
+        The batched equivalent of :meth:`add_frame`: ``keystream_counts``
+        is the int64 histogram of those packets' keystream bytes, row
+        ``r - 1`` for position r and at least up to the last covered
+        position, and ``plaintext`` is the uint8 plaintext
+        (``plaintext_len`` bytes).  Packets are statistic-level (distinct
+        fresh TSCs with the same low 16 bits), so no per-frame dedup
+        applies.
         """
-        from ..datasets.generate import bytewise_row_counts
-
-        if rows.ndim != 2 or rows.shape[1] != self.plaintext_len:
-            raise AttackError(
-                f"rows must be (n, {self.plaintext_len}), got {rows.shape}"
-            )
-        pos_idx = np.asarray(self.positions, dtype=np.intp) - 1
-        columns = np.ascontiguousarray(rows.T[pos_idx])
-        bytewise_row_counts(columns, self._table(tsc))
-        self.num_captured += rows.shape[0]
+        table = self._table(tsc)
+        table += ciphertext_counts(
+            keystream_counts, plaintext, self.positions, self.plaintext_len
+        )
+        self.num_captured += packets
 
     def snapshot(self) -> "CaptureSet":
         """Independent deep copy (checkpointing / shard seeds)."""

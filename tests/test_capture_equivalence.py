@@ -474,6 +474,31 @@ class TestTkipCaptureEquivalence:
         source = self._source(config, positions=range(5, 23))
         self._assert_equal(run_capture(source), self._reference(source))
 
+    @pytest.mark.parametrize(
+        "positions", [range(5, 23), range(2, 60, 7)], ids=["subrange", "stepped"]
+    )
+    def test_victim_set(self, config, backend, positions):
+        """Three victims share one keystream histogram per batch; each
+        victim's permutation of it equals that victim's own per-frame
+        capture and its own bare batched capture.  150 packets per TSC
+        in batches of 64 end on a short batch of 22."""
+        rng = np.random.default_rng(9)
+        plaintexts = tuple(
+            bytes(rng.integers(0, 256, 60, dtype=np.uint8)) for _ in range(3)
+        )
+        ids = ("v0", "v1", "v2")
+        group = self._source(
+            config, plaintext=None, plaintexts=plaintexts, victim_ids=ids,
+            positions=positions,
+        )
+        assert group.packets_per_tsc % group.batch_size == 22
+        stats = run_capture(group)
+        for victim_id, plaintext in zip(ids, plaintexts):
+            bare = self._source(config, plaintext=plaintext, positions=positions)
+            victim = stats.victim(victim_id)
+            self._assert_equal(victim, self._reference(bare))
+            self._assert_equal(victim, run_capture(bare))
+
     def test_rejects_positions_outside_plaintext(self, config):
         with pytest.raises(CaptureError):
             self._source(config, positions=range(1, 100))

@@ -204,6 +204,35 @@ class TestVictimAxis:
         with pytest.raises(CaptureError, match="not both"):
             make(plaintext=plaintexts(2)[0], plaintexts=plaintexts(2)[1:])
 
+    def test_https_statistics_reject_repeated_ids(self, tmp_path):
+        """Built empty or loaded from a hand-built checkpoint, victim-set
+        statistics refuse a repeated id, naming it."""
+        with pytest.raises(CaptureError, match=r"duplicate victim ids \['a'\]"):
+            MultiTemplateStatistics.empty(_LAYOUT, ("a", "b", "a"), max_gap=8)
+        stats = MultiTemplateStatistics.empty(_LAYOUT, ("a", "b"), max_gap=8)
+        stats.victim_ids = ("a", "a")
+        path = stats.save(tmp_path / "repeated.npz")
+        with pytest.raises(
+            CaptureError, match=r"repeated\.npz: duplicate victim ids \['a'\]"
+        ):
+            MultiTemplateStatistics.load(path)
+
+    def test_tkip_statistics_reject_repeated_ids(self, tmp_path):
+        with pytest.raises(CaptureError, match=r"duplicate victim ids \['v'\]"):
+            MultiTkipStatistics(
+                positions=range(1, 21), plaintext_len=20,
+                victim_ids=("v", "w", "v"),
+            )
+        stats = run_capture(
+            _tkip(plaintexts=_tkip_plaintexts(2), victim_ids=("v", "w"))
+        )
+        stats.victim_ids = ("v", "v")
+        path = stats.save(tmp_path / "repeated.npz")
+        with pytest.raises(
+            CaptureError, match=r"repeated\.npz: duplicate victim ids \['v'\]"
+        ):
+            MultiTkipStatistics.load(path)
+
     def test_plaintext_lengths_are_checked_per_victim(self):
         short = _https_plaintexts(2)[0][:-1]
         with pytest.raises(CaptureError, match="plaintext 1 is"):

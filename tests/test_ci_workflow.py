@@ -3,7 +3,8 @@
 `act` is not available in the offline environment, so this is the
 equivalent gate: parse the workflow and assert the properties the repo
 relies on — the REPRO_NATIVE matrix, `make verify`, the compile cache
-keyed on _native.c's hash, the thread-determinism matrix, the lint job,
+keyed on the hashes of _native.c and _native.py (whose ``_CFLAGS`` the
+build depends on), the thread-determinism matrix, the lint job,
 and the soft-fail regression step.  A workflow edit that breaks any of
 these fails the tier-1 suite locally instead of failing silently on the
 first push.
@@ -66,14 +67,21 @@ def test_verify_job_covers_simd_dispatch_leg(workflow):
 
 
 def test_verify_job_caches_native_build_keyed_on_source_hash(workflow):
-    job = workflow["jobs"]["verify"]
-    cache_steps = [
-        s for s in _steps(job) if "actions/cache" in str(s.get("uses", ""))
-    ]
-    assert cache_steps, "verify job must cache ~/.cache/repro-rc4"
-    cache = cache_steps[0]["with"]
-    assert "repro-rc4" in cache["path"]
-    assert "hashFiles('src/repro/rc4/_native.c')" in cache["key"]
+    """Both jobs that build the backend cache it under a key that
+    changes with the C source and with the compiler flags, which
+    ``_CFLAGS`` in ``_native.py`` holds."""
+    for name in ("verify", "thread-determinism"):
+        job = workflow["jobs"][name]
+        cache_steps = [
+            s for s in _steps(job) if "actions/cache" in str(s.get("uses", ""))
+        ]
+        assert cache_steps, f"{name} job must cache ~/.cache/repro-rc4"
+        cache = cache_steps[0]["with"]
+        assert "repro-rc4" in cache["path"]
+        assert (
+            "hashFiles('src/repro/rc4/_native.c', 'src/repro/rc4/_native.py')"
+            in cache["key"]
+        ), name
 
 
 def test_verify_job_smokes_the_experiment_api(workflow):

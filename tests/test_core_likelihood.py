@@ -13,8 +13,12 @@ from repro.core import (
     single_byte_log_likelihoods,
 )
 from repro.core.likelihood.combine import normalize_log_likelihoods
-from repro.core.likelihood.single import single_byte_log_likelihoods_many
+from repro.core.likelihood.single import (
+    single_byte_log_likelihoods_many,
+    xor_log_likelihoods,
+)
 from repro.errors import LikelihoodError
+from repro.rc4 import _native
 from repro.simulate import (
     sample_absab_differential_counts,
     sample_digraph_counts,
@@ -70,6 +74,104 @@ class TestSingleByte:
             single_byte_log_likelihoods(np.zeros(255), np.full(256, 1 / 256))
         with pytest.raises(LikelihoodError):
             single_byte_log_likelihoods(np.zeros(256), np.zeros(256))
+
+
+def _log_dists(rng, rows: int) -> np.ndarray:
+    dists = rng.random((rows, 256)) + 0.05
+    return np.log(dists / dists.sum(axis=1, keepdims=True))
+
+
+def _left_to_right(counts: np.ndarray, log_p: np.ndarray) -> np.ndarray:
+    """The primitive's summation order in plain Python floats."""
+    out = np.empty(counts.shape)
+    for r in range(counts.shape[0]):
+        n, lp = counts[r].tolist(), log_p[r].tolist()
+        for mu in range(256):
+            acc = 0.0
+            for c in range(256):
+                acc = acc + n[c] * lp[mu ^ c]
+            out[r, mu] = acc
+    return out
+
+
+class TestXorLogLikelihoods:
+    """The one primitive behind every single-byte likelihood (and the §5
+    per-TSC sums): the native kernel and the numpy fallback add each
+    cell's 256 terms in the same order, so they agree bit for bit."""
+
+    @staticmethod
+    def _both(counts, log_p, monkeypatch) -> np.ndarray:
+        if not _native.available():
+            pytest.skip("native backend unavailable (no C compiler?)")
+        native = xor_log_likelihoods(counts, log_p)
+        with monkeypatch.context() as m:
+            m.setattr(_native, "available", lambda: False)
+            fallback = xor_log_likelihoods(counts, log_p)
+        assert native.shape == fallback.shape == (counts.shape[0], 256)
+        np.testing.assert_array_equal(
+            native.view(np.int64), fallback.view(np.int64)
+        )
+        return native
+
+    @pytest.mark.parametrize("backend", ["native", "numpy"])
+    def test_left_to_right_reference(self, rng, monkeypatch, backend):
+        counts = rng.integers(0, 1000, (2, 256)).astype(np.float64)
+        counts[1] *= rng.random(256)
+        log_p = _log_dists(rng, 2)
+        if backend == "numpy":
+            monkeypatch.setattr(_native, "available", lambda: False)
+        elif not _native.available():
+            pytest.skip("native backend unavailable (no C compiler?)")
+        out = xor_log_likelihoods(counts, log_p)
+        np.testing.assert_array_equal(
+            out.view(np.int64), _left_to_right(counts, log_p).view(np.int64)
+        )
+
+    def test_zero_count_rows(self, rng, monkeypatch):
+        counts = rng.integers(0, 50, (5, 256)).astype(np.float64)
+        counts[[0, 3]] = 0.0
+        out = self._both(counts, _log_dists(rng, 5), monkeypatch)
+        # 0 * log p is -0.0, and 0.0 + -0.0 is +0.0 in every cell.
+        assert not out[[0, 3]].view(np.int64).any()
+
+    @pytest.mark.parametrize("rows", [1, 3072])
+    def test_row_counts(self, rng, monkeypatch, rows):
+        counts = rng.integers(0, 1 << 12, (rows, 256)).astype(np.float64)
+        self._both(counts, _log_dists(rng, rows), monkeypatch)
+
+    def test_large_and_fractional_counts(self, rng, monkeypatch):
+        large = (1 << 40) + rng.integers(-(1 << 20), 1 << 20, (3, 256))
+        fractional = rng.random((3, 256)) * 1e3
+        counts = np.concatenate([large.astype(np.float64), fractional])
+        self._both(counts, _log_dists(rng, 6), monkeypatch)
+
+    def test_probabilities_near_1e_300(self, rng, monkeypatch):
+        dists = rng.random((4, 256)) + 0.5
+        dists[:, ::3] = 1e-300 * (1.0 + rng.random((4, 86)))
+        dists /= dists.sum(axis=1, keepdims=True)
+        counts = rng.integers(0, 1 << 16, (4, 256)).astype(np.float64)
+        out = self._both(counts, np.log(dists), monkeypatch)
+        assert np.isfinite(out).all()
+
+    def test_non_contiguous_inputs(self, rng, monkeypatch):
+        wide = rng.integers(0, 100, (6, 512)).astype(np.float64)
+        log_p = np.asfortranarray(_log_dists(rng, 12)[::2])
+        counts = wide[:, ::2]
+        assert not counts.flags.c_contiguous
+        assert not log_p.flags.c_contiguous
+        out = self._both(counts, log_p, monkeypatch)
+        np.testing.assert_array_equal(
+            out,
+            xor_log_likelihoods(
+                np.ascontiguousarray(counts), np.ascontiguousarray(log_p)
+            ),
+        )
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(LikelihoodError, match="matching"):
+            xor_log_likelihoods(np.zeros((2, 256)), np.zeros((3, 256)))
+        with pytest.raises(LikelihoodError, match="matching"):
+            xor_log_likelihoods(np.zeros(256), np.zeros(256))
 
 
 class TestDigraphSparse:

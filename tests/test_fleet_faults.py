@@ -30,14 +30,13 @@ from repro.capture.https import HttpsCaptureSource
 from repro.capture.tkip import TkipCaptureSource
 from repro.config import ReproConfig
 from repro.datasets import DatasetSpec, dataset_cache_path
-from repro.errors import CaptureError, FleetError, ManifestError
+from repro.errors import CaptureError, ManifestError
 from repro.fleet.coordinator import Coordinator
 from repro.fleet.lease import try_acquire
 from repro.fleet.manifest import (
     DONE,
     FAILED,
     JobManifest,
-    JobPaths,
     LEASED,
     PENDING,
     read_shard_state,

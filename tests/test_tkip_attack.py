@@ -4,6 +4,7 @@
 the native backend at 1-3 threads and requires the same bits."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from repro.tkip import (
 )
 from repro.tkip.attack import biased_position_strength
 from repro.tkip.crc import icv as compute_icv
+from repro.tkip.injection import CaptureSet
+from repro.tkip.per_tsc import PerTscDistributions
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +54,36 @@ class TestPositionLikelihoods:
         )
         loglik = position_log_likelihoods(capture, per_tsc, [56, 57, 58])
         assert loglik.shape == (3, 256)
+
+    @staticmethod
+    def _scratch_peak(num_tsc: int) -> int:
+        """Peak bytes allocated by one call over ``num_tsc`` TSC values of
+        a 20-byte capture with 12 unknown positions."""
+        rng = np.random.default_rng(num_tsc)
+        tscs = list(range(num_tsc))
+        capture = CaptureSet(positions=range(1, 21), plaintext_len=20)
+        for tsc in tscs:
+            capture.counts[tsc] = rng.integers(0, 64, (20, 256))
+        dists = rng.random((num_tsc, 20, 256)) + 0.5
+        per_tsc = PerTscDistributions(
+            tscs, dists / dists.sum(axis=2, keepdims=True)
+        )
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            position_log_likelihoods(capture, per_tsc, list(range(9, 21)))
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    def test_scratch_does_not_grow_with_tsc_count(self, engine_threads):
+        """One primitive call per TSC: scratch is a few copies of one
+        TSC's (12, 256) rows, neither all TSC values' rows stacked (6 MiB
+        at 256) nor a (256, 256) XOR gather per row (512 KiB)."""
+        self._scratch_peak(8)  # first-call set-up is not scratch
+        few, many = self._scratch_peak(8), self._scratch_peak(256)
+        assert many <= few + (4 << 10), (few, many)
+        assert many < 512 << 10
 
     def test_uncovered_position_rejected(self, sim_setup):
         config, sim, plaintext, per_tsc = sim_setup
