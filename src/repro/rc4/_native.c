@@ -29,12 +29,17 @@
  *   when __builtin_cpu_supports("avx2") says the CPU has them, so one
  *   artefact serves every x86-64 machine and non-x86 builds skip the
  *   tier entirely at preprocessing time.
- * - POSIX threads: keys split into contiguous ranges, one range per
- *   thread.  Keystream threads write disjoint output rows; counting
- *   threads accumulate into private zero-initialised counter blocks that
- *   the caller's thread merges serially at the end.  int64 addition is
- *   exact and commutative, so the merged counters are bit-identical to a
- *   single-threaded run for any thread count and any key partition.
+ * - POSIX threads, through one work-sharing fan-out (share_units): the
+ *   calling thread starts at once, threads - 1 helpers join it, and each
+ *   takes the next unit of RC4_UNIT keys (four SIMD groups) from a
+ *   mutex-guarded cursor until none is left, so a helper that starts
+ *   late takes fewer units instead of holding up the call.  Keystream
+ *   units write disjoint output rows; counting units of the calling
+ *   thread add straight into the caller's counters, and those of each
+ *   helper into a private zero-initialised block added in after the
+ *   join.  int64 addition is exact and commutative, so the counters are
+ *   bit-identical to a single-threaded run for any thread count and any
+ *   schedule.
  *
  * Every tier processes whole keys independently, so any dispatch choice
  * (SIMD groups of 32 with a scalar remainder, or no SIMD at all) yields
@@ -42,14 +47,13 @@
  * this in tests/test_dataset_equivalence.py across thread counts and
  * the SIMD tier.
  *
- * Besides the RC4 kernels, the file holds two row kernels that split
- * output rows across the same threads: the §6 capture's digraph rows
- * (digraph_rows, into uint32 counters) and the §6 statistic sampler's
- * multinomial rows
- * (multinomial_rows, which calls numpy's own C sampler on one bit
- * generator per row, the threads taking the rows one at a time).  Each
- * row owns its output, so they are bit-identical for any thread count
- * too.  The last two kernels are single-threaded.  The §5 CRC search's
+ * Besides the RC4 kernels, the file holds two row kernels that hand
+ * their output rows, one at a time, to the same fan-out: the §6
+ * capture's digraph rows (digraph_row, into uint32 counters) and the §6
+ * statistic sampler's multinomial rows (multinomial_row, which calls
+ * numpy's own C sampler on one bit generator per row).  Each row owns
+ * its output, so they are bit-identical for any thread count too.  The
+ * last two kernels are single-threaded.  The §5 CRC search's
  * best-first walk (rc4_lazy_walk) pops candidates from a binary heap
  * that lives in a buffer the caller owns and grows, so it allocates
  * nothing.  The single-byte likelihoods of §4.1 and §5.1
@@ -83,17 +87,23 @@
  * the per-group scratch. */
 #define RC4_WIDE 32
 
+/* Keys are 1..256 bytes (_native.py checks).  The key index wraps by
+ * compare-and-reset: `k % keylen` with a run-time keylen is a 64-bit
+ * division in each of the 256 rounds. */
 static void rc4_init(uint8_t *S, const uint8_t *key, ptrdiff_t keylen)
 {
     int k;
+    ptrdiff_t m = 0;
     uint8_t j = 0, tmp;
     for (k = 0; k < 256; k++)
         S[k] = (uint8_t)k;
     for (k = 0; k < 256; k++) {
-        j = (uint8_t)(j + S[k] + key[k % keylen]);
+        j = (uint8_t)(j + S[k] + key[m]);
         tmp = S[k];
         S[k] = S[j];
         S[j] = tmp;
+        if (++m == keylen)
+            m = 0;
     }
 }
 
@@ -364,12 +374,15 @@ typedef struct {
 
 /* KSA for all lanes: key bytes are transposed once into KT so the
  * per-round key addend is one aligned vector load; the swap is the same
- * gather/scatter/row-store as the PRGA rounds. */
+ * gather/scatter/row-store as the PRGA rounds.  KT holds a row per key
+ * byte, so keylen must be 1..256 (_native.py checks); the row index
+ * wraps as in rc4_init. */
 __attribute__((target("avx2")))
 static void wide_ksa(rc4_wide *V, const uint8_t *keys, ptrdiff_t keylen)
 {
     uint8_t KT[256 * RC4_WIDE] __attribute__((aligned(32)));
     __m256i vj;
+    ptrdiff_t m = 0;
     int i, k;
     for (i = 0; i < (int)keylen; i++)
         for (k = 0; k < RC4_WIDE; k++)
@@ -385,9 +398,11 @@ static void wide_ksa(rc4_wide *V, const uint8_t *keys, ptrdiff_t keylen)
         vj = _mm256_add_epi8(vj, vsi);
         vj = _mm256_add_epi8(
             vj, _mm256_load_si256(
-                    (const __m256i *)(KT + (size_t)(i % keylen) * RC4_WIDE)));
+                    (const __m256i *)(KT + (size_t)m * RC4_WIDE)));
         WIDE_SWAP(V, i, vj, vsj);
         (void)vsj;
+        if (++m == keylen)
+            m = 0;
     }
 }
 
@@ -513,7 +528,7 @@ typedef struct {
     long drop;
     long gap;
     uint8_t *out_u8;   /* keystream rows for this range (disjoint) */
-    int64_t *out_i64;  /* private counter block for this range */
+    int64_t *out_i64;  /* counter block for this range */
 } rc4_job;
 
 /* Dispatch one key range across the tiers: full groups of RC4_WIDE keys
@@ -570,95 +585,153 @@ static void run_job(const rc4_job *job)
     }
 }
 
-static void *thread_main(void *arg)
+/* The file's one thread fan-out.  A call's work is cut into `units`
+ * independent units, run as run(ctx, worker, unit) by the calling thread
+ * (worker 0) and up to `threads` - 1 helper POSIX threads (workers 1..).
+ * The calling thread starts on the units at once, and every thread takes
+ * the next untaken unit under `lock` until none is left, so a helper
+ * whose CPU is busy elsewhere, or that the scheduler starts late, takes
+ * fewer units instead of holding up the call with a fixed share.  Which
+ * worker runs a unit is up to the scheduler; every kernel makes its
+ * result independent of that. */
+typedef void (*unit_fn)(void *ctx, int worker, ptrdiff_t unit);
+
+typedef struct {
+    unit_fn run;
+    void *ctx;
+    ptrdiff_t units;
+    pthread_mutex_t lock;
+    ptrdiff_t next; /* first unit not yet taken; guarded by lock */
+} share;
+
+typedef struct {
+    share *sh;
+    int worker;
+} share_helper;
+
+static void share_loop(share *sh, int worker)
 {
-    run_job((const rc4_job *)arg);
+    for (;;) {
+        ptrdiff_t unit;
+        pthread_mutex_lock(&sh->lock);
+        unit = sh->next++;
+        pthread_mutex_unlock(&sh->lock);
+        if (unit >= sh->units)
+            return;
+        sh->run(sh->ctx, worker, unit);
+    }
+}
+
+static void *share_main(void *arg)
+{
+    const share_helper *h = arg;
+    share_loop(h->sh, h->worker);
     return NULL;
 }
 
-/* Run jobs[0..threads-1] (each `stride` bytes apart) on their own POSIX
- * threads and join them.  A job whose thread fails to spawn runs on the
- * calling thread instead — degraded but still correct, because every
- * job owns its output. */
-static void spawn_join(void *(*body)(void *), char *jobs, size_t stride,
-                       int threads)
+/* Run all units and join.  At most units - 1 helpers are started, and a
+ * helper that fails to spawn (or whose bookkeeping fails to allocate)
+ * only leaves more units to the others.  Returns the number of helpers
+ * that ran: they were workers 1..returned. */
+static int share_units(unit_fn run, void *ctx, ptrdiff_t units, int threads)
 {
-    pthread_t *tids = malloc((size_t)threads * sizeof(pthread_t));
-    char *spawned = calloc((size_t)threads, 1);
-    int t;
-    if (tids && spawned)
-        for (t = 0; t < threads; t++)
-            spawned[t] = pthread_create(&tids[t], NULL, body,
-                                        jobs + (size_t)t * stride) == 0;
-    for (t = 0; t < threads; t++) {
-        if (spawned && spawned[t])
-            pthread_join(tids[t], NULL);
-        else
-            body(jobs + (size_t)t * stride);
+    share sh;
+    pthread_t *tids = NULL;
+    share_helper *helpers = NULL;
+    int spawned = 0, t;
+
+    sh.run = run;
+    sh.ctx = ctx;
+    sh.units = units;
+    sh.next = 0;
+    pthread_mutex_init(&sh.lock, NULL);
+    if (threads > units)
+        threads = (int)units;
+    if (threads > 1) {
+        tids = malloc((size_t)(threads - 1) * sizeof(pthread_t));
+        helpers = malloc((size_t)(threads - 1) * sizeof(share_helper));
     }
+    if (tids && helpers)
+        for (t = 1; t < threads; t++) {
+            helpers[spawned].sh = &sh;
+            helpers[spawned].worker = spawned + 1;
+            spawned += pthread_create(&tids[spawned], NULL, share_main,
+                                      &helpers[spawned]) == 0;
+        }
+    share_loop(&sh, 0);
+    for (t = 0; t < spawned; t++)
+        pthread_join(tids[t], NULL);
     free(tids);
-    free(spawned);
+    free(helpers);
+    pthread_mutex_destroy(&sh.lock);
+    return spawned;
 }
 
-/* Split `template` (covering all n keys) into `threads` contiguous key
- * ranges and run them concurrently.  For counting jobs each range gets a
- * private zeroed counter block of `counter_cells` int64 cells, merged
- * serially into `template->out_i64` afterwards; keystream jobs write
- * disjoint rows and need no merge.  Any allocation or spawn failure
- * degrades to running the remaining work on the calling thread — the
- * result is identical either way. */
-static void run_threaded(const rc4_job *template, int threads,
+/* Keys per work-sharing unit: four SIMD groups, tens of microseconds of
+ * work per take of the lock, and still 16 units in a 2048-key call for
+ * a late helper to share.  On a 2-CPU AVX2 Xeon, units of 32 to 256
+ * keys timed within noise of one another on 2048- and 8192-key calls. */
+#define RC4_UNIT (4 * RC4_WIDE)
+
+/* One call's keys and the helpers' private counter blocks. */
+typedef struct {
+    rc4_job whole;       /* all n keys, counting into the caller's block */
+    int64_t *blocks;     /* helper w counts into blocks[(w-1) * cells] */
+    ptrdiff_t cells;
+} rc4_call;
+
+/* Unit u is keys u*RC4_UNIT.. of the call.  Only the last unit can be
+ * short, so the SIMD groups and the scalar remainder fall on the same
+ * keys as in one serial run_job over the whole call. */
+static void rc4_unit(void *ctx, int worker, ptrdiff_t unit)
+{
+    const rc4_call *call = ctx;
+    rc4_job job = call->whole;
+    ptrdiff_t start = unit * RC4_UNIT;
+    job.keys += start * job.keylen;
+    job.n = job.n - start < RC4_UNIT ? job.n - start : RC4_UNIT;
+    if (job.kind == JOB_KEYSTREAM)
+        job.out_u8 += start * job.length;
+    else if (worker > 0)
+        job.out_i64 = call->blocks + (ptrdiff_t)(worker - 1) * call->cells;
+    run_job(&job);
+}
+
+/* Run `whole` (all n keys) over share_units.  Keystream units write
+ * disjoint rows.  For counting kinds the calling thread counts straight
+ * into whole->out_i64, which may already hold counts, and each helper
+ * into a private zeroed block of `counter_cells` int64 cells, added in
+ * after the join; if the blocks cannot be allocated the call runs on the
+ * calling thread alone.  The result is identical either way. */
+static void run_threaded(const rc4_job *whole, int threads,
                          ptrdiff_t counter_cells)
 {
-    ptrdiff_t n = template->n;
-    rc4_job *jobs;
-    int64_t *blocks = NULL;
-    ptrdiff_t base, extra, start;
-    int t;
+    rc4_call call;
+    ptrdiff_t units = (whole->n + RC4_UNIT - 1) / RC4_UNIT;
+    int helpers, t;
 
-    if (threads > n)
-        threads = (int)(n > 0 ? n : 1);
-    if (threads <= 1) {
-        run_job(template);
-        return;
+    call.whole = *whole;
+    call.blocks = NULL;
+    call.cells = counter_cells;
+    if (threads > units)
+        threads = (int)(units > 0 ? units : 1);
+    if (whole->kind != JOB_KEYSTREAM && threads > 1) {
+        call.blocks = calloc((size_t)(threads - 1) * (size_t)counter_cells,
+                             sizeof(int64_t));
+        if (!call.blocks)
+            threads = 1;
     }
-    jobs = malloc((size_t)threads * sizeof(rc4_job));
-    if (template->kind != JOB_KEYSTREAM)
-        blocks = calloc((size_t)threads * (size_t)counter_cells,
-                        sizeof(int64_t));
-    if (!jobs || (template->kind != JOB_KEYSTREAM && !blocks)) {
-        free(jobs);
-        free(blocks);
-        run_job(template);
-        return;
-    }
-
-    base = n / threads;
-    extra = n % threads;
-    start = 0;
-    for (t = 0; t < threads; t++) {
-        ptrdiff_t count = base + (t < extra ? 1 : 0);
-        jobs[t] = *template;
-        jobs[t].keys = template->keys + start * template->keylen;
-        jobs[t].n = count;
-        if (template->kind == JOB_KEYSTREAM)
-            jobs[t].out_u8 = template->out_u8 + start * template->length;
-        else
-            jobs[t].out_i64 = blocks + (ptrdiff_t)t * counter_cells;
-        start += count;
-    }
-    spawn_join(thread_main, (char *)jobs, sizeof(rc4_job), threads);
-    if (template->kind != JOB_KEYSTREAM) {
-        int64_t *out = template->out_i64;
-        for (t = 0; t < threads; t++) {
-            const int64_t *block = blocks + (ptrdiff_t)t * counter_cells;
+    helpers = share_units(rc4_unit, &call, units, threads);
+    if (call.blocks) {
+        int64_t *out = whole->out_i64;
+        for (t = 0; t < helpers; t++) {
+            const int64_t *block = call.blocks + (ptrdiff_t)t * counter_cells;
             ptrdiff_t c;
             for (c = 0; c < counter_cells; c++)
                 out[c] += block[c];
         }
+        free(call.blocks);
     }
-    free(jobs);
-    free(blocks);
 }
 
 /* ---- digraph rows over keystream columns (§6 capture) ------------------- */
@@ -680,7 +753,7 @@ static void run_threaded(const rc4_job *template, int threads,
  * partner[r]+1 — an ABSAB differential — or zero when partner[r] < 0, a
  * plain Fluhrer-McGrew digraph.  tmpl[r] is the row's plaintext template
  * constant folded into one 16-bit code.  Every row writes only its own
- * 65536 uint32 cells out[r], so a range of rows is an independent job.
+ * 65536 uint32 cells out[r], so each row is an independent unit.
  * A cell never exceeds the requests its statistics object holds, which
  * the caller keeps below 2^32, so the increments never wrap; the 256 KiB
  * row is half the int64 row's cache and memory traffic. */
@@ -692,45 +765,37 @@ typedef struct {
     const ptrdiff_t *partner;
     const uint16_t *tmpl;
     uint32_t *const *out;
-    ptrdiff_t r0, r1; /* this job's rows */
 } rows_job;
 
-static void digraph_rows(const rows_job *job)
+static void digraph_row(void *ctx, int worker, ptrdiff_t r)
 {
+    const rows_job *job = ctx;
     uint16_t codes[ROW_BLOCK];
-    ptrdiff_t r;
-    for (r = job->r0; r < job->r1; r++) {
-        const uint8_t *a = job->cols + job->first[r] * job->ld;
-        const uint8_t *b = a + job->ld;
-        const uint8_t *p = NULL, *q = NULL;
-        uint32_t *row = job->out[r];
-        unsigned x = job->tmpl[r];
-        ptrdiff_t k0, k;
-        if (job->partner[r] >= 0) {
-            p = job->cols + job->partner[r] * job->ld;
-            q = p + job->ld;
-        }
-        for (k0 = 0; k0 < job->n; k0 += ROW_BLOCK) {
-            ptrdiff_t m = job->n - k0 < ROW_BLOCK ? job->n - k0 : ROW_BLOCK;
-            if (p)
-                for (k = 0; k < m; k++)
-                    codes[k] = (uint16_t)((((unsigned)(a[k0 + k] ^ p[k0 + k])
-                                            << 8) |
-                                           (b[k0 + k] ^ q[k0 + k])) ^ x);
-            else
-                for (k = 0; k < m; k++)
-                    codes[k] = (uint16_t)((((unsigned)a[k0 + k] << 8) |
-                                           b[k0 + k]) ^ x);
-            for (k = 0; k < m; k++)
-                row[codes[k]] += 1;
-        }
+    const uint8_t *a = job->cols + job->first[r] * job->ld;
+    const uint8_t *b = a + job->ld;
+    const uint8_t *p = NULL, *q = NULL;
+    uint32_t *row = job->out[r];
+    unsigned x = job->tmpl[r];
+    ptrdiff_t k0, k;
+    (void)worker;
+    if (job->partner[r] >= 0) {
+        p = job->cols + job->partner[r] * job->ld;
+        q = p + job->ld;
     }
-}
-
-static void *rows_main(void *arg)
-{
-    digraph_rows((const rows_job *)arg);
-    return NULL;
+    for (k0 = 0; k0 < job->n; k0 += ROW_BLOCK) {
+        ptrdiff_t m = job->n - k0 < ROW_BLOCK ? job->n - k0 : ROW_BLOCK;
+        if (p)
+            for (k = 0; k < m; k++)
+                codes[k] = (uint16_t)((((unsigned)(a[k0 + k] ^ p[k0 + k])
+                                        << 8) |
+                                       (b[k0 + k] ^ q[k0 + k])) ^ x);
+        else
+            for (k = 0; k < m; k++)
+                codes[k] = (uint16_t)((((unsigned)a[k0 + k] << 8) |
+                                       b[k0 + k]) ^ x);
+        for (k = 0; k < m; k++)
+            row[codes[k]] += 1;
+    }
 }
 
 /* ---- multinomial rows through numpy's own sampler (§6 statistics) -------- */
@@ -756,47 +821,28 @@ typedef void (*np_multinomial_fn)(void *bitgen, int64_t n, int64_t *out,
                                   double *probs, ptrdiff_t d,
                                   np_binomial *binomial);
 
-/* One call's rows, shared by all its threads.  Each thread takes the
- * next untaken row under `lock` until none is left, so a thread whose
- * CPU is busy elsewhere takes fewer rows instead of holding up the call
- * with a fixed share of them; the rows cost milliseconds each, so the
- * lock is taken rarely. */
 typedef struct {
     np_multinomial_fn draw;
     int64_t n;
-    ptrdiff_t d, rows;
+    ptrdiff_t d;
     double *const *probs;
     void *const *bitgens;
     int64_t *const *out;
-    pthread_mutex_t lock;
-    ptrdiff_t next; /* first row not yet taken; guarded by lock */
 } multinomial_job;
 
 /* Row r draws multinomial(n, probs[r]) into out[r] on bitgens[r], exactly
  * as Generator.multinomial does: into a zeroed row (the routine stops
  * writing once the trials run out) with the generator's binomial cache,
  * here a fresh one per row.  Which thread draws a row does not matter. */
-static void multinomial_rows(multinomial_job *job)
+static void multinomial_row(void *ctx, int worker, ptrdiff_t r)
 {
-    for (;;) {
-        np_binomial binomial;
-        ptrdiff_t r;
-        pthread_mutex_lock(&job->lock);
-        r = job->next++;
-        pthread_mutex_unlock(&job->lock);
-        if (r >= job->rows)
-            return;
-        memset(&binomial, 0, sizeof binomial);
-        memset(job->out[r], 0, (size_t)job->d * sizeof(int64_t));
-        job->draw(job->bitgens[r], job->n, job->out[r], job->probs[r],
-                  job->d, &binomial);
-    }
-}
-
-static void *multinomial_main(void *arg)
-{
-    multinomial_rows((multinomial_job *)arg);
-    return NULL;
+    const multinomial_job *job = ctx;
+    np_binomial binomial;
+    (void)worker;
+    memset(&binomial, 0, sizeof binomial);
+    memset(job->out[r], 0, (size_t)job->d * sizeof(int64_t));
+    job->draw(job->bitgens[r], job->n, job->out[r], job->probs[r], job->d,
+              &binomial);
 }
 
 /* ---- lazy best-first walk over rank vectors (§5.3 CRC search) ---------- */
@@ -871,81 +917,31 @@ void rc4_count_longterm(const uint8_t *keys, ptrdiff_t n, ptrdiff_t keylen,
     run_threaded(&job, threads, (ptrdiff_t)256 * 65536);
 }
 
-/* Digraph rows (see digraph_rows above) split across `threads` POSIX
- * threads as contiguous row ranges.  Rows own disjoint counters, so no
- * private blocks or merge are needed and the counters are bit-identical
- * for any thread count; the caller guarantees the out[] rows are
- * distinct. */
+/* Digraph rows (see digraph_row above), one unit each on share_units.
+ * Rows own disjoint counters, so no private blocks or merge are needed
+ * and the counters are bit-identical for any thread count; the caller
+ * guarantees the out[] rows are distinct. */
 void rc4_count_digraph_rows(const uint8_t *cols, ptrdiff_t ld, ptrdiff_t n,
                             ptrdiff_t rows, const ptrdiff_t *first,
                             const ptrdiff_t *partner, const uint16_t *tmpl,
                             uint32_t *const *out, int threads)
 {
-    rows_job whole = {cols, ld, n, first, partner, tmpl, out, 0, rows};
-    rows_job *jobs;
-    ptrdiff_t base, extra, start;
-    int t;
-
-    if (threads > rows)
-        threads = (int)(rows > 0 ? rows : 1);
-    jobs = threads > 1 ? malloc((size_t)threads * sizeof(rows_job)) : NULL;
-    if (!jobs) {
-        digraph_rows(&whole);
-        return;
-    }
-    base = rows / threads;
-    extra = rows % threads;
-    start = 0;
-    for (t = 0; t < threads; t++) {
-        jobs[t] = whole;
-        jobs[t].r0 = start;
-        start += base + (t < extra ? 1 : 0);
-        jobs[t].r1 = start;
-    }
-    spawn_join(rows_main, (char *)jobs, sizeof(rows_job), threads);
-    free(jobs);
+    rows_job job = {cols, ld, n, first, partner, tmpl, out};
+    share_units(digraph_row, &job, rows, threads);
 }
 
-/* Multinomial rows (see multinomial_rows above) drawn by the calling
- * thread and `threads` - 1 helper POSIX threads, each taking the next
- * untaken row until none is left.  The calling thread starts drawing at
- * once rather than waiting for its helpers to be scheduled, and a helper
- * that fails to spawn only leaves more rows to the others.  Every row
- * has its own bit generator, binomial cache and output, so each row's
- * draw is bit-identical to numpy's for any thread count and any order
- * the rows are taken in; the caller guarantees distinct rows and
- * generators, n >= 0 and rows numpy would accept. */
+/* Multinomial rows (see multinomial_row above), one unit each on
+ * share_units.  Every row has its own bit generator, binomial cache and
+ * output, so each row's draw is bit-identical to numpy's for any thread
+ * count and any order the rows are taken in; the caller guarantees
+ * distinct rows and generators, n >= 0 and rows numpy would accept. */
 void rc4_multinomial_rows(np_multinomial_fn draw, int64_t n, ptrdiff_t d,
                           ptrdiff_t rows, double *const *probs,
                           void *const *bitgens, int64_t *const *out,
                           int threads)
 {
-    multinomial_job job;
-    pthread_t *helpers = NULL;
-    int spawned = 0, t;
-
-    job.draw = draw;
-    job.n = n;
-    job.d = d;
-    job.rows = rows;
-    job.probs = probs;
-    job.bitgens = bitgens;
-    job.out = out;
-    job.next = 0;
-    pthread_mutex_init(&job.lock, NULL);
-    if (threads > rows)
-        threads = (int)rows;
-    if (threads > 1)
-        helpers = malloc((size_t)(threads - 1) * sizeof(pthread_t));
-    if (helpers)
-        for (t = 1; t < threads; t++)
-            spawned += pthread_create(&helpers[spawned], NULL,
-                                      multinomial_main, &job) == 0;
-    multinomial_rows(&job);
-    for (t = 0; t < spawned; t++)
-        pthread_join(helpers[t], NULL);
-    free(helpers);
-    pthread_mutex_destroy(&job.lock);
+    multinomial_job job = {draw, n, d, probs, bitgens, out};
+    share_units(multinomial_row, &job, rows, threads);
 }
 
 /* Pop up to `block` entries, best first, from the binary heap of *size

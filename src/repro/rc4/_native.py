@@ -22,14 +22,14 @@ Two performance knobs ride on the kernels; the walk and the likelihoods
 take neither and run on the calling thread:
 
 - ``threads`` (default ``os.cpu_count()``, overridable per call or via
-  ``REPRO_NATIVE_THREADS``): the C side splits keys into contiguous
-  ranges, one POSIX thread each.  Counting threads accumulate into
-  private blocks merged serially at the end, so results are bit-exact
-  for any thread count.  The row kernels split output rows instead:
-  the digraph rows as one contiguous range per thread, the multinomial
-  rows one at a time to whichever thread is free.  Each row owns its
-  output, so they need no private blocks or merge and are bit-exact as
-  well.
+  ``REPRO_NATIVE_THREADS``): the C side runs one work-sharing fan-out.
+  The calling thread starts at once and ``threads - 1`` POSIX helpers
+  join it, each taking the next unit of work until none is left: 128
+  keys for the RC4 kernels, one output row for the row kernels.  The
+  calling thread counts straight into ``out`` and each helper into a
+  private zeroed block added in after the join; exact int64 sums and
+  rows that own their output make the result bit-exact for any thread
+  count and any schedule.
 - ``simd`` (default on, ``REPRO_NATIVE_SIMD=0`` to disable; RC4 kernels
   only): selects the AVX2 wide kernels that advance 32 states per loop
   in a transposed lane-major layout, with the scalar kernels taking
@@ -78,6 +78,7 @@ from ..config import (
     env_native_simd,
     env_native_threads,
 )
+from ..errors import KeyLengthError
 from ..fleet.retry import retry_call
 from ..utils.serialization import durable_replace
 
@@ -222,44 +223,38 @@ def _compile() -> Path:
 
 
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
-    u8p = ctypes.POINTER(ctypes.c_uint8)
-    i64p = ctypes.POINTER(ctypes.c_int64)
+    # Every array goes in as its plain address (ndarray.ctypes.data):
+    # data_as() pointers hold reference cycles that only the cyclic
+    # garbage collector frees, and the kernels run per TSC, per batch or
+    # per walk block.
+    vp = ctypes.c_void_p
     ssize = ctypes.c_ssize_t
     cint = ctypes.c_int
+    clong = ctypes.c_long
     lib.rc4_batch_keystream.argtypes = [
-        u8p, ssize, ssize, ctypes.c_long, ctypes.c_long, u8p, cint, cint,
+        vp, ssize, ssize, clong, clong, vp, cint, cint,
     ]
     lib.rc4_batch_keystream.restype = None
-    lib.rc4_count_single.argtypes = [
-        u8p, ssize, ssize, ctypes.c_long, i64p, cint, cint,
-    ]
+    lib.rc4_count_single.argtypes = [vp, ssize, ssize, clong, vp, cint, cint]
     lib.rc4_count_single.restype = None
-    lib.rc4_count_digraph.argtypes = [
-        u8p, ssize, ssize, ctypes.c_long, i64p, cint, cint,
-    ]
+    lib.rc4_count_digraph.argtypes = [vp, ssize, ssize, clong, vp, cint, cint]
     lib.rc4_count_digraph.restype = None
     lib.rc4_count_longterm.argtypes = [
-        u8p, ssize, ssize, ctypes.c_long, ctypes.c_long, ctypes.c_long,
-        i64p, cint, cint,
+        vp, ssize, ssize, clong, clong, clong, vp, cint, cint,
     ]
     lib.rc4_count_longterm.restype = None
     lib.rc4_count_digraph_rows.argtypes = [
-        u8p, ssize, ssize, ssize, ctypes.POINTER(ssize),
-        ctypes.POINTER(ssize), ctypes.POINTER(ctypes.c_uint16),
-        ctypes.POINTER(ctypes.POINTER(ctypes.c_uint32)), cint,
+        vp, ssize, ssize, ssize, vp, vp, vp, vp, cint,
     ]
     lib.rc4_count_digraph_rows.restype = None
-    ptrs = ctypes.POINTER(ctypes.c_void_p)
     lib.rc4_multinomial_rows.argtypes = [
-        ctypes.c_void_p, ctypes.c_int64, ssize, ssize, ptrs, ptrs, ptrs, cint,
+        vp, ctypes.c_int64, ssize, ssize, vp, vp, vp, cint,
     ]
     lib.rc4_multinomial_rows.restype = None
-    f64p = ctypes.POINTER(ctypes.c_double)
     lib.rc4_lazy_walk.argtypes = [
-        f64p, ssize, u8p, ssize, ctypes.POINTER(ssize), ssize, u8p, f64p,
+        vp, ssize, vp, ssize, ctypes.POINTER(ssize), ssize, vp, vp,
     ]
     lib.rc4_lazy_walk.restype = ssize
-    vp = ctypes.c_void_p
     lib.rc4_xor_loglik.argtypes = [vp, vp, ssize, vp]
     lib.rc4_xor_loglik.restype = None
     lib.rc4_simd_available.argtypes = []
@@ -344,12 +339,14 @@ def resolve_threads(
     ``None`` means "the configured default": ``REPRO_NATIVE_THREADS`` if
     set, else ``os.cpu_count()``.  The result is clamped to at least 1
     and, for counting kernels, so that
-    ``threads * (counter_bytes + lane_bytes)`` of private scratch stays
-    within the 4 GiB ``_THREAD_SCRATCH_BUDGET``.  ``counter_bytes`` is
-    the per-thread private counter block; ``lane_bytes`` the per-thread
-    SIMD working set (pass :data:`_SIMD_LANE_SCRATCH` when the wide tier
-    may run) so wide kernels can't blow the cap the scalar tier was
-    sized for.
+    ``threads * (counter_bytes + lane_bytes)`` of scratch stays within
+    the 4 GiB ``_THREAD_SCRATCH_BUDGET``.  ``counter_bytes`` is one
+    private counter block, of which the ``threads - 1`` helpers take one
+    each (the calling thread counts into the caller's own ``out``, so
+    the bound leaves one block to spare); ``lane_bytes`` is the
+    per-thread SIMD working set (pass :data:`_SIMD_LANE_SCRATCH` when
+    the wide tier may run) so wide kernels can't blow the cap the scalar
+    tier was sized for.
     """
     if threads is None:
         # env_native_threads raises ConfigError (a ValueError) when the
@@ -372,18 +369,19 @@ def _simd(simd: bool | None) -> int:
 
 
 def _check_keys(keys: np.ndarray) -> np.ndarray:
+    """Keys as a C-contiguous uint8 ``(n, keylen)`` block, 1..256 bytes
+    wide like :func:`repro.rc4.batch.batch_keystream` requires: the C
+    KSA transposes at most 256 key bytes per SIMD group."""
     keys = np.ascontiguousarray(keys, dtype=np.uint8)
-    if keys.ndim != 2 or keys.shape[1] < 1:
-        raise ValueError(f"keys must be 2-D (n, keylen), got shape {keys.shape}")
+    if keys.ndim != 2:
+        raise KeyLengthError(
+            f"keys must be 2-D (n, keylen), got shape {keys.shape}"
+        )
+    if not 1 <= keys.shape[1] <= 256:
+        raise KeyLengthError(
+            f"RC4 key must be 1..256 bytes, got {keys.shape[1]}"
+        )
     return keys
-
-
-def _u8p(array: np.ndarray):
-    return array.ctypes.data_as(ctypes.POINTER(ctypes.c_uint8))
-
-
-def _i64p(array: np.ndarray):
-    return array.ctypes.data_as(ctypes.POINTER(ctypes.c_int64))
 
 
 def batch_keystream(
@@ -402,7 +400,7 @@ def batch_keystream(
     assert lib is not None, "call available() first"
     use_simd = _simd(simd)
     lib.rc4_batch_keystream(
-        _u8p(keys), n, keys.shape[1], drop, length, _u8p(out),
+        keys.ctypes.data, n, keys.shape[1], drop, length, out.ctypes.data,
         resolve_threads(
             threads, lane_bytes=_SIMD_LANE_SCRATCH if use_simd else 0
         ),
@@ -426,7 +424,7 @@ def count_single(
     assert out.dtype == np.int64 and out.flags.c_contiguous
     use_simd = _simd(simd)
     lib.rc4_count_single(
-        _u8p(keys), keys.shape[0], keys.shape[1], positions, _i64p(out),
+        keys.ctypes.data, keys.shape[0], keys.shape[1], positions, out.ctypes.data,
         resolve_threads(
             threads, out.nbytes,
             lane_bytes=_SIMD_LANE_SCRATCH if use_simd else 0,
@@ -450,7 +448,7 @@ def count_digraph(
     assert out.dtype == np.int64 and out.flags.c_contiguous
     use_simd = _simd(simd)
     lib.rc4_count_digraph(
-        _u8p(keys), keys.shape[0], keys.shape[1], positions, _i64p(out),
+        keys.ctypes.data, keys.shape[0], keys.shape[1], positions, out.ctypes.data,
         resolve_threads(
             threads, out.nbytes,
             lane_bytes=_SIMD_LANE_SCRATCH if use_simd else 0,
@@ -478,8 +476,8 @@ def count_longterm(
     assert out.dtype == np.int64 and out.flags.c_contiguous
     use_simd = _simd(simd)
     lib.rc4_count_longterm(
-        _u8p(keys), keys.shape[0], keys.shape[1], stream_len, drop, gap,
-        _i64p(out),
+        keys.ctypes.data, keys.shape[0], keys.shape[1], stream_len, drop, gap,
+        out.ctypes.data,
         resolve_threads(
             threads, out.nbytes,
             lane_bytes=_SIMD_LANE_SCRATCH if use_simd else 0,
@@ -507,10 +505,10 @@ def count_digraph_rows(
     uint8 ``(L, n)`` block with unit column stride (row views of a wider
     block are fine) and every index must lie in ``0..L-2``; every
     ``out`` block is a C-contiguous uint32 ``(rows, 65536)`` array whose
-    cells the caller keeps below 2^32.  Rows split across threads as
-    disjoint ranges with no private counters, so the result is bit-exact
-    for any thread count; a row that appears twice (two views of one
-    counter) runs serially.
+    cells the caller keeps below 2^32.  The threads take the rows one at
+    a time with no private counters, so the result is bit-exact for any
+    thread count; a row that appears twice (two views of one counter)
+    runs serially.
     """
     lib = _load()
     assert lib is not None, "call available() first"
@@ -533,13 +531,10 @@ def count_digraph_rows(
     threads = resolve_threads(threads)
     if np.unique(pointers).shape[0] != rows:
         threads = 1
-    ssize_p = ctypes.POINTER(ctypes.c_ssize_t)
-    rows_p = ctypes.POINTER(ctypes.POINTER(ctypes.c_uint32))
     lib.rc4_count_digraph_rows(
-        _u8p(columns), columns.strides[0], columns.shape[1], rows,
-        first.ctypes.data_as(ssize_p), partner.ctypes.data_as(ssize_p),
-        xor.ctypes.data_as(ctypes.POINTER(ctypes.c_uint16)),
-        pointers.ctypes.data_as(rows_p), threads,
+        columns.ctypes.data, columns.strides[0], columns.shape[1], rows,
+        first.ctypes.data, partner.ctypes.data, xor.ctypes.data,
+        pointers.ctypes.data, threads,
     )
 
 
@@ -605,16 +600,14 @@ def multinomial_rows(
                 "rows must be C-contiguous 1-D float64 probabilities and "
                 "writeable int64 outputs of one length"
             )
-    ptrs = ctypes.POINTER(ctypes.c_void_p)
     prob_ptrs = np.array([p.ctypes.data for p in probs], dtype=np.uintp)
     out_ptrs = np.array([o.ctypes.data for o in out], dtype=np.uintp)
     gen_ptrs = np.array(
         [g.ctypes.bit_generator.value for g in bitgens], dtype=np.uintp
     )
     lib.rc4_multinomial_rows(
-        draw, n, cells, rows, prob_ptrs.ctypes.data_as(ptrs),
-        gen_ptrs.ctypes.data_as(ptrs), out_ptrs.ctypes.data_as(ptrs),
-        resolve_threads(threads),
+        draw, n, cells, rows, prob_ptrs.ctypes.data, gen_ptrs.ctypes.data,
+        out_ptrs.ctypes.data, resolve_threads(threads),
     )
 
 
@@ -669,9 +662,8 @@ def lazy_walk(
         )
     new_size = ctypes.c_ssize_t(size)
     popped = lib.rc4_lazy_walk(
-        sorted_lam.ctypes.data_as(ctypes.POINTER(ctypes.c_double)), length,
-        _u8p(heap), heap.dtype.itemsize, ctypes.byref(new_size), block,
-        _u8p(ranks), scores.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
+        sorted_lam.ctypes.data, length, heap.ctypes.data, heap.dtype.itemsize,
+        ctypes.byref(new_size), block, ranks.ctypes.data, scores.ctypes.data,
     )
     return popped, new_size.value
 
@@ -697,8 +689,6 @@ def xor_loglik(counts: np.ndarray, log_p: np.ndarray) -> np.ndarray:
             "xor_loglik needs two C-contiguous float64 (n, 256) arrays"
         )
     out = np.empty(counts.shape, dtype=np.float64)
-    # Plain addresses: data_as() pointers hold reference cycles that only
-    # the garbage collector frees, and this runs once per TSC value.
     lib.rc4_xor_loglik(
         counts.ctypes.data, log_p.ctypes.data, counts.shape[0], out.ctypes.data
     )

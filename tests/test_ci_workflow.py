@@ -246,6 +246,9 @@ def test_thread_determinism_job_covers_one_and_default(workflow):
     matrix = job["strategy"]["matrix"]
     assert "1" in matrix["threads"], "must pin REPRO_NATIVE_THREADS=1"
     assert "default" in matrix["threads"], "must also run the default"
+    # More workers than a runner's cores: helpers start late and take
+    # fewer of the native fan-out's work-sharing units.
+    assert "5" in matrix["threads"], "must oversubscribe the runner's cores"
     runs = _run_lines(job)
     assert "REPRO_NATIVE_THREADS" in runs
     assert "test_dataset_equivalence" in runs

@@ -4,8 +4,9 @@ The engine has five layers that must all be byte-identical to the naive
 reference: the fused counting kernels (numpy grouped-bincount path), the
 optional compiled backend (``repro.rc4._native``) with its scalar PRGA
 kernels, the runtime-dispatched AVX2 wide kernels
-(``REPRO_NATIVE_SIMD``), the POSIX-threaded native fan-out (private
-per-thread counters merged in C), and the shard accumulation in
+(``REPRO_NATIVE_SIMD``), the POSIX-threaded native fan-out (the
+calling thread counting into the caller's counters, each helper into a
+private block added in C), and the shard accumulation in
 ``generate_dataset``.  Every test here counts the same keystreams
 with :func:`repro.rc4.reference.rc4_keystream` Python loops (or the
 single-threaded kernel output) and asserts cell-for-cell equality.
@@ -204,8 +205,9 @@ ALL_KIND_IDS = [spec.kind for spec in ALL_KIND_SPECS]
 NATIVE_KERNELS = ["keystream", "single", "digraph", "longterm"]
 
 
-def _run_native(kernel, keys, *, threads, simd):
-    """One native RC4 kernel call on small fixed shapes."""
+def _run_native(kernel, keys, *, threads, simd, out=None):
+    """One native RC4 kernel call on small fixed shapes; a counting
+    kernel adds into ``out`` when one is given."""
     if kernel == "keystream":
         return _native.batch_keystream(
             keys, 40, drop=13, threads=threads, simd=simd
@@ -215,7 +217,8 @@ def _run_native(kernel, keys, *, threads, simd):
         "digraph": (_native.count_digraph, (5, 256, 256), (5,)),
         "longterm": (_native.count_longterm, (256, 256, 256), (24, 100, 1)),
     }[kernel]
-    out = np.zeros(shape, dtype=np.int64)
+    if out is None:
+        out = np.zeros(shape, dtype=np.int64)
     count(keys, *args, out, threads=threads, simd=simd)
     return out
 
@@ -262,10 +265,10 @@ class TestThreadedNativeEquivalence:
     @pytest.mark.parametrize("num_keys", [1, 31, 32, 33, 64, 65])
     def test_simd_group_boundaries(self, rng, num_keys, kernel):
         """Key counts around the 32-lane SIMD group width, on 1-3 threads:
-        each thread's range runs its whole groups on the wide kernels and
-        hands the rest (or, on a short range, everything) straight to the
-        scalar ones.  Every split matches the serial scalar tier, whose
-        keystream rows match the reference RC4."""
+        the call's single work unit runs its whole groups on the wide
+        kernels and hands the rest (or, below 32 keys, everything)
+        straight to the scalar ones.  Every split matches the serial
+        scalar tier, whose keystream rows match the reference RC4."""
         keys = rng.integers(0, 256, size=(num_keys, 16), dtype=np.uint8)
         base = _run_native(kernel, keys, threads=1, simd=False)
         if kernel == "keystream":
@@ -310,6 +313,112 @@ class TestThreadedNativeEquivalence:
             monkeypatch.setenv("REPRO_NATIVE_SIMD", env_value)
             got = _run_native(kernel, keys, threads=1, simd=None)
             assert np.array_equal(base, got), f"REPRO_NATIVE_SIMD={env_value}"
+
+
+#: Key counts around the native fan-out's 128-key work-sharing unit
+#: (RC4_UNIT in _native.c): a unit short by one, one unit, a unit and a
+#: key, a unit and a SIMD group and a key, and two units either side.
+UNIT_KEY_COUNTS = [127, 128, 129, 161, 255, 257]
+
+
+class TestWorkSharing:
+    """The native fan-out: the calling thread and its helpers take
+    128-key units from a shared cursor in whatever order the scheduler
+    allows, the caller counting straight into ``out`` and each helper
+    into a private block added in after the join.  Every schedule must
+    give the serial scalar tier's bits, whose keystream rows are the
+    reference RC4's."""
+
+    @pytest.fixture(autouse=True)
+    def _require_native(self):
+        if not _native.available():
+            pytest.skip("native backend unavailable (no C compiler?)")
+
+    @pytest.mark.parametrize("kernel", NATIVE_KERNELS)
+    @pytest.mark.parametrize("num_keys", UNIT_KEY_COUNTS)
+    def test_unit_boundaries(self, rng, num_keys, kernel):
+        keys = rng.integers(0, 256, size=(num_keys, 16), dtype=np.uint8)
+        base = _run_native(kernel, keys, threads=1, simd=False)
+        if kernel == "keystream":
+            for key, row in zip(keys, base):
+                assert row.tobytes() == rc4_keystream(key.tobytes(), 40, drop=13)
+        for threads in (1, 2, 3):
+            for simd in (False, True):
+                got = _run_native(kernel, keys, threads=threads, simd=simd)
+                assert np.array_equal(base, got), (threads, simd)
+
+    @pytest.mark.parametrize("kernel", NATIVE_KERNELS)
+    def test_more_threads_than_units(self, rng, kernel):
+        """129 keys are two units; the fan-out starts no more helpers than
+        that, and the counters still add up."""
+        keys = rng.integers(0, 256, size=(129, 16), dtype=np.uint8)
+        base = _run_native(kernel, keys, threads=1, simd=False)
+        for simd in (False, True):
+            got = _run_native(kernel, keys, threads=8, simd=simd)
+            assert np.array_equal(base, got), simd
+
+    @pytest.mark.parametrize("keylen", [1, 5, 13, 17, 40, 256])
+    def test_key_lengths(self, rng, keylen):
+        """Key lengths that do not divide 256, and the widest key: the KSA
+        steps its key index with a wrap on both tiers.  70 keys are two
+        SIMD groups and a scalar remainder."""
+        keys = rng.integers(0, 256, size=(70, keylen), dtype=np.uint8)
+        for simd in (False, True):
+            rows = _native.batch_keystream(
+                keys, 40, drop=13, threads=2, simd=simd
+            )
+            for key, row in zip(keys, rows):
+                assert row.tobytes() == rc4_keystream(key.tobytes(), 40, drop=13)
+        for kernel in NATIVE_KERNELS[1:]:
+            base = _run_native(kernel, keys, threads=1, simd=False)
+            got = _run_native(kernel, keys, threads=2, simd=True)
+            assert np.array_equal(base, got), kernel
+        expected = np.zeros((7, 256), dtype=np.int64)
+        for key in keys:
+            for r, z in enumerate(rc4_keystream(key.tobytes(), 7)):
+                expected[r, z] += 1
+        assert np.array_equal(
+            _run_native("single", keys, threads=1, simd=False), expected
+        )
+
+    @pytest.mark.parametrize("kernel", NATIVE_KERNELS[1:])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_counts_add_to_what_out_holds(self, rng, kernel, threads):
+        """The calling thread adds straight into the caller's counters, so
+        what they already hold must survive, counted once."""
+        keys = rng.integers(0, 256, size=(300, 16), dtype=np.uint8)
+        other = rng.integers(0, 256, size=(200, 16), dtype=np.uint8)
+        base = _run_native(kernel, keys, threads=1, simd=False)
+        start = _run_native(kernel, other, threads=1, simd=False)
+        got = _run_native(
+            kernel, keys, threads=threads, simd=True, out=start.copy()
+        )
+        got -= start
+        assert np.array_equal(base, got)
+
+    @pytest.mark.parametrize("rows", [0, 1, 3])
+    def test_digraph_rows_with_more_threads_than_rows(self, rng, rows):
+        """The capture's row kernel shares its rows over the same fan-out:
+        8 threads on at most 3 rows, into counters that already hold
+        counts, match one thread and a per-cell reference."""
+        columns = rng.integers(0, 256, size=(12, 500), dtype=np.uint8)
+        first = rng.integers(0, 11, rows)
+        partner = np.where(np.arange(rows) % 2, rng.integers(0, 11, rows), -1)
+        xor = rng.integers(0, 1 << 16, rows).astype(np.uint16)
+        start = rng.integers(0, 5, (rows, 65536), dtype=np.uint32)
+        expected = start.copy()
+        for r in range(rows):
+            hi, lo = columns[first[r]], columns[first[r] + 1]
+            if partner[r] >= 0:
+                hi, lo = hi ^ columns[partner[r]], lo ^ columns[partner[r] + 1]
+            codes = ((hi.astype(np.int64) << 8) | lo) ^ xor[r]
+            np.add.at(expected[r], codes, 1)
+        for threads in (1, 8):
+            got = start.copy()
+            _native.count_digraph_rows(
+                columns, first, partner, xor, [got], threads=threads
+            )
+            assert np.array_equal(got, expected), threads
 
 
 #: Multi-shard specs (worker_chunk=256) covering every dataset kind.

@@ -150,11 +150,12 @@ class TestNativeMultinomialRows:
             np.random.Generator(bitgen).multinomial(n, p)
         assert [g.state for g in bitgens] == [g.state for g in after]
 
-    @pytest.mark.parametrize("threads", [2, 3])
+    @pytest.mark.parametrize("threads", [2, 3, 8])
     def test_many_short_rows_each_drawn_once(self, threads):
         """The threads take rows one at a time from a shared counter;
         short rows make them take it often, and every row must still be
-        drawn exactly once, on its own stream."""
+        drawn exactly once, on its own stream, also with more threads
+        than cores."""
         _need_native_multinomial()
         num_rows = 400
         probs = _prob_rows(num_rows, 16, seed=3)
