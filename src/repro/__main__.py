@@ -11,8 +11,6 @@ Every command drives the unified experiment API (:mod:`repro.api`):
     store query <dir> [filters]   query warehoused runs
     store report <dir> [filters]  comparison table / figure from stored runs
     info [--json]                 version, config, backend, registry inventory
-    fleet-worker <job_dir>        pull-based capture worker (see repro.fleet)
-    fleet-status <job_dir>        shard states of a fleet job directory
 
 Global flags ``--scale`` / ``--seed`` / ``--threads`` override the
 ``REPRO_SCALE`` / ``REPRO_SEED`` / ``REPRO_NATIVE_THREADS`` environment
@@ -125,7 +123,6 @@ def _api_surface() -> list[tuple[str, str]]:
     """
     from .api import ExperimentResult, Session
     from .capture import run_capture
-    from .fleet import fleet_capture
     from .warehouse import RunStore, run_sweep
 
     surface = [
@@ -134,7 +131,6 @@ def _api_surface() -> list[tuple[str, str]]:
         ("repro.api.Session.sweep", Session.sweep),
         ("repro.api.ExperimentResult", ExperimentResult),
         ("repro.capture.run_capture", run_capture),
-        ("repro.fleet.fleet_capture", fleet_capture),
         ("repro.warehouse.RunStore", RunStore),
         ("repro.warehouse.run_sweep", run_sweep),
     ]
@@ -172,7 +168,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print(f"scale={config.scale} seed={config.seed}")
     print(f"backend: {_native.status()}")
     print("subsystems: rc4, stats, biases, datasets, core, net, tkip, tls, "
-          "simulate, analysis, capture, fleet, warehouse, api")
+          "simulate, analysis, capture, warehouse, api")
     print(f"experiments ({len(specs)} registered):")
     for spec in specs:
         print(f"  {spec.name}: {spec.description} "
@@ -339,53 +335,6 @@ def _cmd_store_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_fleet_worker(args: argparse.Namespace) -> int:
-    """Run one pull-based fleet worker over a shared job directory."""
-    from .fleet import run_worker
-
-    config = _build_config(args)
-    report = run_worker(
-        args.job_dir,
-        worker_id=args.worker_id,
-        config=config,
-        max_shards=args.max_shards,
-        throttle=args.throttle,
-        wait_for_peers=args.wait_for_peers,
-    )
-    print(json.dumps(report.to_jsonable()))
-    return 0 if not report.shards_failed else 1
-
-
-def _cmd_fleet_status(args: argparse.Namespace) -> int:
-    """Print the shard state machine of a fleet job directory."""
-    from .fleet import Coordinator
-
-    coordinator = Coordinator.open(args.job_dir, config=_build_config(args))
-    status = coordinator.status()
-    if args.json:
-        print(json.dumps(
-            {
-                "fingerprint": coordinator.manifest.fingerprint,
-                "kind": coordinator.manifest.kind,
-                "num_shards": len(coordinator.manifest.shards),
-                "counts": status.counts,
-                "shards": [s.to_jsonable() for s in status.states],
-            },
-            indent=2,
-        ))
-        return 0
-    counts = status.counts
-    print(f"fleet job {args.job_dir} "
-          f"[{coordinator.manifest.kind} {coordinator.manifest.fingerprint[:16]}]")
-    print("  " + "  ".join(f"{k}: {v}" for k, v in counts.items()))
-    for shard in status.states:
-        if shard.state != "done":
-            detail = f" ({shard.error})" if shard.error else ""
-            print(f"  shard {shard.index:>5}: {shard.state} "
-                  f"attempts={shard.attempts}{detail}")
-    return 0 if status.terminal and not counts["failed"] else 1
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -497,43 +446,6 @@ def main(argv: list[str] | None = None) -> int:
     p_info.add_argument("--json", action="store_true",
                         help="machine-readable info dump")
     p_info.set_defaults(func=_cmd_info)
-
-    p_worker = sub.add_parser(
-        "fleet-worker",
-        help="claim and capture shards from a fleet job directory",
-    )
-    p_worker.add_argument("job_dir", help="directory holding manifest.json")
-    p_worker.add_argument("--worker-id", default=None,
-                          help="stable worker identity (default: host:pid)")
-    p_worker.add_argument("--max-shards", type=int, default=None,
-                          help="stop after completing this many shards")
-    p_worker.add_argument("--throttle", type=float, default=0.0,
-                          help="extra seconds to sleep after each batch "
-                          "(rate-limit-aware pacing)")
-    p_worker.add_argument("--wait-for-peers", action="store_true",
-                          help="keep polling while peers hold live leases "
-                          "instead of exiting when nothing is claimable")
-    p_worker.set_defaults(func=_cmd_fleet_worker)
-
-    from .fleet import STATE_DESCRIPTIONS
-
-    state_lines = "\n".join(
-        f"  {state:<8} {description}"
-        for state, description in STATE_DESCRIPTIONS.items()
-    )
-    p_status = sub.add_parser(
-        "fleet-status",
-        help="show shard states of a fleet job directory",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog="shard states (pending -> leased -> done | failed):\n"
-        f"{state_lines}\n"
-        "See README.md's failure matrix for the recovery behaviour "
-        "behind each transition.",
-    )
-    p_status.add_argument("job_dir", help="directory holding manifest.json")
-    p_status.add_argument("--json", action="store_true",
-                          help="machine-readable status dump")
-    p_status.set_defaults(func=_cmd_fleet_status)
 
     args = parser.parse_args(argv)
     try:

@@ -18,10 +18,10 @@ result matrix:
   configurable position range via the fused counting kernels (§3.3.1);
 - ``bias-sweep-pertsc`` — per-TSC keystream sweeps riding the batched
   capture engine (§5.1), exposing the TSC-dependent Paterson biases;
-- ``campaign-https`` / ``campaign-tkip`` — the two attacks at fleet
-  scale: a heterogeneous victim population captured in shared-keystream
-  groups via the multi-template kernel, reduced to per-cell
-  success-rate and time-to-first-recovery surfaces.
+- ``campaign-https`` / ``campaign-tkip`` — the two attacks against a
+  heterogeneous victim population captured in shared-keystream groups
+  via the multi-template kernel, reduced to per-cell success-rate and
+  time-to-first-recovery surfaces.
 
 Implementations receive a :class:`~repro.api.session.RunContext` and
 return a JSON-able metrics dict; parameters are declared on the spec so
@@ -51,55 +51,6 @@ from ..stats import BiasDetector, detectable_relative_bias, required_samples
 from .registry import Param, experiment
 
 UNIFORM_BYTE = 1.0 / 256.0
-
-
-def _validate_distributed(p) -> None:
-    """Shared checks for the ``distributed``/``job_dir`` fleet params."""
-    if p["distributed"] < 0:
-        raise ExperimentParamError(
-            f"distributed must be >= 0, got {p['distributed']}"
-        )
-    if p["distributed"]:
-        if p["capture"] != "batched":
-            raise ExperimentParamError("distributed requires capture=batched")
-        if p["checkpoint"]:
-            raise ExperimentParamError(
-                "the fleet manages its own per-shard checkpoints; "
-                "drop checkpoint for distributed runs"
-            )
-    elif p["job_dir"]:
-        raise ExperimentParamError("job_dir requires distributed > 0")
-
-
-def _run_fleet_capture(ctx, source, *, num_shards, job_dir, stage):
-    """Route a batched capture through the fleet coordinator.
-
-    Returns ``(statistics, fleet_metrics)``; the statistics are the
-    exact merge of every completed shard (bit-identical to a local
-    ``run_capture`` when the job completes), and the metrics record the
-    coverage report plus where the job directory lives.
-    """
-    import os
-    import tempfile
-
-    from ..fleet import fleet_capture
-
-    if not job_dir:
-        job_dir = tempfile.mkdtemp(prefix="repro-fleet-")
-    workers = ctx.config.fleet_workers or (os.cpu_count() or 1)
-    workers = max(1, min(workers, num_shards))
-    stats, report = fleet_capture(
-        source,
-        job_dir,
-        num_shards=num_shards,
-        workers=workers,
-        config=ctx.config,
-        progress=ctx.fleet_progress(stage),
-    )
-    metrics = dict(report.to_jsonable())
-    metrics["job_dir"] = str(job_dir)
-    metrics["workers"] = workers
-    return stats, metrics
 
 
 # --------------------------------------------------------------------------
@@ -557,12 +508,6 @@ def _absab_gap(ctx) -> dict[str, Any]:
               help="packets per engine batch (capture=batched)"),
         Param("checkpoint", kind="str", default="",
               help="resumable-capture checkpoint path (capture=batched)"),
-        Param("distributed", default=0,
-              help="fleet shard count (0 = off; capture=batched only; "
-                   "local worker count from REPRO_FLEET_WORKERS)"),
-        Param("job_dir", kind="str", default="",
-              help="fleet job directory shared by coordinator and workers "
-                   "(distributed > 0; default: a fresh temp dir)"),
     ),
 )
 def _attack_tkip(ctx) -> dict[str, Any]:
@@ -581,7 +526,6 @@ def _attack_tkip(ctx) -> dict[str, Any]:
         )
     if p["capture"] != "batched" and p["checkpoint"]:
         raise ExperimentParamError("checkpoint requires capture=batched")
-    _validate_distributed(p)
     sim = WifiAttackSimulation(ctx.config)
     plaintext = sim.true_plaintext
 
@@ -607,21 +551,8 @@ def _attack_tkip(ctx) -> dict[str, Any]:
         f"(~{timeline.capture_hours:.2f} h on-air at 2500 pkts/s)",
         total_packets=total_packets,
     )
-    fleet_metrics = None
     with ctx.timer("capture"):
-        if p["capture"] == "batched" and p["distributed"]:
-            capture, fleet_metrics = _run_fleet_capture(
-                ctx,
-                sim.capture_source(
-                    default_tsc_space(p["num_tsc"]),
-                    p["packets_per_tsc"],
-                    batch_size=p["batch_size"],
-                ),
-                num_shards=p["distributed"],
-                job_dir=p["job_dir"],
-                stage="capture",
-            )
-        elif p["capture"] == "batched":
+        if p["capture"] == "batched":
             capture = sim.batched_capture(
                 default_tsc_space(p["num_tsc"]),
                 p["packets_per_tsc"],
@@ -671,7 +602,6 @@ def _attack_tkip(ctx) -> dict[str, Any]:
         "plaintext_len": len(plaintext),
         "capture_hours_equivalent": timeline.capture_hours,
         "forged": forged,
-        "fleet": fleet_metrics,
     }
 
 
@@ -1074,12 +1004,6 @@ def _bias_sweep_pertsc(ctx) -> dict[str, Any]:
                    "the Fig 10 record-churn regime)"),
         Param("checkpoint", kind="str", default="",
               help="resumable-capture checkpoint path (capture=batched)"),
-        Param("distributed", default=0,
-              help="fleet shard count (0 = off; capture=batched only; "
-                   "local worker count from REPRO_FLEET_WORKERS)"),
-        Param("job_dir", kind="str", default="",
-              help="fleet job directory shared by coordinator and workers "
-                   "(distributed > 0; default: a fresh temp dir)"),
     ),
 )
 def _attack_https(ctx) -> dict[str, Any]:
@@ -1101,7 +1025,6 @@ def _attack_https(ctx) -> dict[str, Any]:
         raise ExperimentParamError(
             "reconnect_every/checkpoint require capture=batched"
         )
-    _validate_distributed(p)
     cookie_len = p["cookie_len"]
     if cookie_len <= 0:
         cookie_len = 3 if ctx.config.scale < 4 else 16
@@ -1118,21 +1041,8 @@ def _attack_https(ctx) -> dict[str, Any]:
         f"(~{timeline.capture_hours:.1f} victim-hours at paper rate)",
         num_requests=p["num_requests"],
     )
-    fleet_metrics = None
     with ctx.timer("collect"):
-        if p["capture"] == "batched" and p["distributed"]:
-            stats, fleet_metrics = _run_fleet_capture(
-                ctx,
-                sim.capture_source(
-                    p["num_requests"],
-                    batch_size=p["batch_size"],
-                    reconnect_every=p["reconnect_every"],
-                ),
-                num_shards=p["distributed"],
-                job_dir=p["job_dir"],
-                stage="collect",
-            )
-        elif p["capture"] == "batched":
+        if p["capture"] == "batched":
             stats = sim.batched_statistics(
                 p["num_requests"],
                 batch_size=p["batch_size"],
@@ -1168,29 +1078,12 @@ def _attack_https(ctx) -> dict[str, Any]:
         "fm_transitions": int(stats.fm_counts.shape[0]),
         "capture_hours_equivalent": timeline.capture_hours,
         "bruteforce_seconds_equivalent": result.attempts / PAPER_TEST_RATE,
-        "fleet": fleet_metrics,
     }
 
 
 # --------------------------------------------------------------------------
-# §5/§6 at fleet scale — victim-population campaigns
+# §5/§6 against victim populations — campaigns
 # --------------------------------------------------------------------------
-
-
-def _validate_campaign_fleet(p) -> None:
-    """Fleet/checkpoint checks for the campaign experiments (which have a
-    checkpoint *directory* and no ``capture`` fidelity switch)."""
-    if p["distributed"] < 0:
-        raise ExperimentParamError(
-            f"distributed must be >= 0, got {p['distributed']}"
-        )
-    if p["distributed"] and p["checkpoint"]:
-        raise ExperimentParamError(
-            "the fleet manages its own per-shard checkpoints; "
-            "drop checkpoint for distributed campaigns"
-        )
-    if p["job_dir"] and not p["distributed"]:
-        raise ExperimentParamError("job_dir requires distributed > 0")
 
 
 def _parse_names(p, name: str) -> tuple[str, ...]:
@@ -1228,7 +1121,7 @@ def _emit_surface(ctx, result, stage: str) -> None:
 
 @experiment(
     "campaign-https",
-    description="§6 at fleet scale: cookie-recovery success surface over "
+    description="§6 campaign: cookie-recovery success surface over "
                 "a heterogeneous victim population",
     section="§6",
     params=(
@@ -1257,12 +1150,6 @@ def _emit_surface(ctx, result, stage: str) -> None:
               help="campaign checkpoint directory: per-group capture "
                    "NPZs plus finished-group outcome records; rerunning "
                    "with the same directory resumes mid-campaign"),
-        Param("distributed", default=0,
-              help="fleet shards per victim group (0 = off; local worker "
-                   "count from REPRO_FLEET_WORKERS)"),
-        Param("job_dir", kind="str", default="",
-              help="fleet job directory, one subdir per victim group "
-                   "(distributed > 0; default: fresh temp dirs)"),
     ),
 )
 def _campaign_https(ctx) -> dict[str, Any]:
@@ -1274,7 +1161,6 @@ def _campaign_https(ctx) -> dict[str, Any]:
         raise ExperimentParamError(
             f"population must be >= 0, got {p['population']}"
         )
-    _validate_campaign_fleet(p)
     population = Population.sample(
         ctx.config,
         p["population"],
@@ -1303,8 +1189,6 @@ def _campaign_https(ctx) -> dict[str, Any]:
             batch_size=p["batch_size"],
             group_size=p["group_size"],
             checkpoint_dir=p["checkpoint"] or None,
-            distributed=p["distributed"],
-            job_dir=p["job_dir"] or None,
             on_group=lambda i, n, tag: ctx.emit(
                 "capture", f"group {i + 1}/{n}: {tag}"
             ),
@@ -1330,7 +1214,7 @@ def _campaign_https(ctx) -> dict[str, Any]:
 
 @experiment(
     "campaign-tkip",
-    description="§5 at fleet scale: TKIP decryption campaign over a "
+    description="§5 campaign: TKIP decryption campaign over a "
                 "population of per-TSC injection budgets",
     section="§5",
     params=(
@@ -1352,10 +1236,6 @@ def _campaign_https(ctx) -> dict[str, Any]:
               help="max victims sharing one keystream capture group"),
         Param("checkpoint", kind="str", default="",
               help="campaign checkpoint directory (as campaign-https)"),
-        Param("distributed", default=0,
-              help="fleet shards per victim group (0 = off)"),
-        Param("job_dir", kind="str", default="",
-              help="fleet job directory (distributed > 0)"),
     ),
 )
 def _campaign_tkip(ctx) -> dict[str, Any]:
@@ -1371,7 +1251,6 @@ def _campaign_tkip(ctx) -> dict[str, Any]:
         raise ExperimentParamError(
             f"num_tsc must be 1..65536, got {p['num_tsc']}"
         )
-    _validate_campaign_fleet(p)
     population = Population.sample(
         ctx.config,
         p["population"],
@@ -1397,8 +1276,6 @@ def _campaign_tkip(ctx) -> dict[str, Any]:
             batch_size=p["batch_size"],
             group_size=p["group_size"],
             checkpoint_dir=p["checkpoint"] or None,
-            distributed=p["distributed"],
-            job_dir=p["job_dir"] or None,
             on_group=lambda i, n, tag: ctx.emit(
                 "capture", f"group {i + 1}/{n}: {tag}"
             ),

@@ -353,29 +353,3 @@ class RunContext:
             )
 
         return callback
-
-    def fleet_progress(self, stage: str = "fleet"):
-        """Progress callback bridging the fleet coordinator to the session.
-
-        Returns a callable for :class:`repro.fleet.Coordinator`'s
-        ``progress`` argument that emits one :class:`ProgressEvent` per
-        coordinator notification (shard completions, quarantines, the
-        final merge verdict).
-        """
-
-        def callback(progress) -> None:
-            detail = f" — {progress.message}" if progress.message else ""
-            self.emit(
-                stage,
-                f"fleet {progress.stage}: "
-                f"{progress.shards_done}/{progress.num_shards} shards done"
-                f" ({progress.shards_failed} failed){detail}",
-                fleet_stage=progress.stage,
-                shards_done=progress.shards_done,
-                shards_failed=progress.shards_failed,
-                num_shards=progress.num_shards,
-                requests_done=progress.requests_done,
-                total_requests=progress.total_requests,
-            )
-
-        return callback

@@ -18,9 +18,8 @@ label (tests/test_campaign.py holds both properties).
 
 Group captures ride :func:`repro.capture.run_capture`: resumable via a
 per-group checkpoint NPZ plus a per-group outcome record inside
-``checkpoint_dir``, and `distributed=N`-capable through the fleet
-coordinator.  Each finished group is immediately reduced to per-victim
-:class:`VictimOutcome` records (success, candidate rank,
+``checkpoint_dir``.  Each finished group is immediately reduced to
+per-victim :class:`VictimOutcome` records (success, candidate rank,
 time-to-first-recovery) and its counter banks are dropped, bounding
 peak memory by the group size, not the population size.
 """
@@ -28,7 +27,6 @@ peak memory by the group size, not the population size.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -36,13 +34,13 @@ from typing import Any, Callable, Sequence
 
 from ..analysis.report import SurfaceCheck, check_surface_within_ci
 from ..config import ReproConfig
-from ..errors import AttackError, CampaignError, ManifestError
-from ..fleet.manifest import atomic_write_json, read_json
+from ..errors import AttackError, CampaignError, DatasetError
 from ..simulate.https import HttpsAttackSimulation
 from ..simulate.timing import tkip_timeline, tls_timeline
 from ..simulate.wifi import WifiAttackSimulation
 from ..tls.attack import recover_candidates
 from ..tls.cookies import charset as charset_by_name
+from ..utils.serialization import atomic_write_json, read_json
 from .population import Population, VictimSpec
 
 #: Axis names of the two campaign kinds' success surfaces.
@@ -249,34 +247,13 @@ def _capture_group(
     source,
     tag: str,
     *,
-    config: ReproConfig,
     checkpoint_dir: str | Path | None,
     checkpoint_every: int,
-    distributed: int,
-    job_dir: str | Path | None,
     progress,
 ):
-    """One group's statistics via the engine, a checkpoint, or the fleet."""
+    """One group's statistics via the engine, resuming its checkpoint."""
     from ..capture import run_capture
 
-    if distributed:
-        from ..fleet import fleet_capture
-
-        group_dir = Path(job_dir) / tag if job_dir else None
-        if group_dir is None:
-            import tempfile
-
-            group_dir = tempfile.mkdtemp(prefix=f"repro-campaign-{tag}-")
-        workers = config.fleet_workers or (os.cpu_count() or 1)
-        workers = max(1, min(workers, distributed))
-        stats, _report = fleet_capture(
-            source,
-            group_dir,
-            num_shards=distributed,
-            workers=workers,
-            config=config,
-        )
-        return stats
     checkpoint_path = (
         Path(checkpoint_dir) / f"{tag}.npz" if checkpoint_dir else None
     )
@@ -314,7 +291,7 @@ def _load_done(
             VictimOutcome.from_jsonable(fields)
             for fields in record["outcomes"]
         ]
-    except (ManifestError, KeyError, TypeError, ValueError) as exc:
+    except (DatasetError, KeyError, TypeError, ValueError) as exc:
         warnings.warn(
             f"{path}: unreadable outcome record ({exc}); recomputing the "
             "group",
@@ -344,7 +321,7 @@ def _store_done(
 
 
 # ---------------------------------------------------------------------------
-# HTTPS campaigns (§6 at fleet scale).
+# HTTPS campaigns (§6 over a victim population).
 # ---------------------------------------------------------------------------
 
 
@@ -436,8 +413,6 @@ def run_https_campaign(
     group_size: int = 8,
     checkpoint_dir: str | Path | None = None,
     checkpoint_every: int = 16,
-    distributed: int = 0,
-    job_dir: str | Path | None = None,
     progress=None,
     on_group: Callable[[int, int, str], None] | None = None,
 ) -> CampaignResult:
@@ -448,11 +423,6 @@ def run_https_campaign(
     score a (browser, charset, reconnect regime) success-surface cell.
     An empty population yields an empty result, not an exception.
     """
-    if distributed and checkpoint_dir:
-        raise CampaignError(
-            "the fleet manages its own per-shard checkpoints; "
-            "drop checkpoint_dir for distributed campaigns"
-        )
     groups = plan_https_groups(
         config,
         population,
@@ -472,11 +442,8 @@ def run_https_campaign(
             stats = _capture_group(
                 group.source,
                 group.tag,
-                config=config,
                 checkpoint_dir=checkpoint_dir,
                 checkpoint_every=checkpoint_every,
-                distributed=distributed,
-                job_dir=job_dir,
                 progress=progress,
             )
             done = [
@@ -531,7 +498,7 @@ def _https_outcome(
 
 
 # ---------------------------------------------------------------------------
-# TKIP campaigns (§5 at fleet scale).
+# TKIP campaigns (§5 over a victim population).
 # ---------------------------------------------------------------------------
 
 
@@ -601,8 +568,6 @@ def run_tkip_campaign(
     group_size: int = 8,
     checkpoint_dir: str | Path | None = None,
     checkpoint_every: int = 16,
-    distributed: int = 0,
-    job_dir: str | Path | None = None,
     progress=None,
     on_group: Callable[[int, int, str], None] | None = None,
 ) -> CampaignResult:
@@ -615,11 +580,6 @@ def run_tkip_campaign(
     """
     from ..tkip.per_tsc import default_tsc_space, generate_per_tsc
 
-    if distributed and checkpoint_dir:
-        raise CampaignError(
-            "the fleet manages its own per-shard checkpoints; "
-            "drop checkpoint_dir for distributed campaigns"
-        )
     if not population.victims:
         return CampaignResult(
             kind="tkip", label=population.label, axes=TKIP_AXES, outcomes=[]
@@ -650,11 +610,8 @@ def run_tkip_campaign(
             stats = _capture_group(
                 group.source,
                 group.tag,
-                config=config,
                 checkpoint_dir=checkpoint_dir,
                 checkpoint_every=checkpoint_every,
-                distributed=distributed,
-                job_dir=job_dir,
                 progress=progress,
             )
             done = [

@@ -99,8 +99,7 @@ def shard_batches(num_batches: int, num_shards: int) -> list[range]:
 
     Every returned range is non-empty: asking for more shards than there
     are batches yields exactly ``num_batches`` single-batch shards, and
-    an empty batch space yields no shards at all.  (Empty-range shards
-    would show up in a fleet manifest as permanently-pending work.)
+    an empty batch space yields no shards at all.
     """
     if num_batches < 0:
         raise CaptureError(f"num_batches must be >= 0, got {num_batches}")
@@ -132,11 +131,7 @@ def merge_shards(shards: Iterable[SufficientStatistics]) -> SufficientStatistics
 
 
 def batch_digest(batch_list: list[int]) -> str:
-    """Compact identity of the batch subsequence a checkpoint covers.
-
-    Public because the fleet coordinator re-derives it per shard to
-    verify a worker-written NPZ really covers the manifest's range.
-    """
+    """Compact identity of the batch subsequence a checkpoint covers."""
     payload = canonical_json(batch_list).encode("utf-8")
     return hashlib.sha256(payload).hexdigest()
 
@@ -174,8 +169,8 @@ def run_capture(
     hand the source the batches up to the next checkpoint boundary
     (:meth:`CaptureSource.capture_batches` folds their ciphertexts into
     the campaign's :class:`SufficientStatistics`), optionally
-    checkpoint, repeat.  Fleet shards call this with disjoint
-    ``batches`` ranges and merge the results bit-exactly.
+    checkpoint, repeat.  Shards call this with disjoint ``batches``
+    ranges and merge the results bit-exactly.
 
     Example:
 
@@ -250,9 +245,9 @@ def run_capture(
                 requests_done = int(cursor["requests_done"])
                 stats = loaded
         except CORRUPT_CHECKPOINT_ERRORS as exc:
-            # A half-written or truncated checkpoint (worker killed mid
-            # write, disk full) must cost a restart of this shard, not
-            # an opaque zipfile/numpy traceback for the whole campaign.
+            # A half-written or truncated checkpoint (process killed mid
+            # write, disk full) must cost a restart of this capture, not
+            # an opaque zipfile/numpy traceback.
             warnings.warn(
                 f"checkpoint {path} is corrupted or truncated "
                 f"({exc.__class__.__name__}: {exc}); restarting capture "
@@ -290,8 +285,8 @@ def run_capture(
             "requests_done": requests_done,
         }
         # save_arrays writes a per-process temp file and publishes it
-        # durably, so a rescuer and the stalled worker it replaced can
-        # share this path.
+        # durably, so two processes checkpointing to this path never
+        # publish each other's half-written archive.
         stats.save(path, extra={"capture_checkpoint": cursor})
 
     while done < len(batch_list):

@@ -34,7 +34,7 @@ connection the per-request reference path
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -48,12 +48,7 @@ from ..rc4.keygen import derive_keys
 from ..tls.attack import MAX_CAPTURE_REQUESTS, CookieLayout, CookieStatistics
 from ..tls.record import MAC_LEN
 from .engine import source_fingerprint
-from .multi import (
-    MultiTemplateStatistics,
-    layout_from_meta,
-    layout_to_meta,
-    victim_axis,
-)
+from .multi import MultiTemplateStatistics, layout_to_meta, victim_axis
 
 #: Bytes of keystream columns one counting call takes at most: a fixed
 #: budget, not a knob.  A capture counts every batch up to its next
@@ -300,13 +295,12 @@ class HttpsCaptureSource:
         return self.num_requests * len(self.plaintexts)
 
     def descriptor(self) -> dict:
-        """JSON-safe record sufficient to rebuild this source bit-exactly.
+        """JSON-safe record of every input that decides the counters.
 
-        This is exactly what :meth:`fingerprint` hashes, and what a fleet
-        manifest ships to workers on other machines (only the seed rides
-        along from the config — native-backend knobs stay per-worker and
-        cannot affect the counters).  A source with victim ids records
-        kind ``multi-https-capture`` and its ``templates``.
+        This is exactly what :meth:`fingerprint` hashes (only the seed
+        rides along from the config — native-backend knobs cannot affect
+        the counters).  A source with victim ids records kind
+        ``multi-https-capture`` and its ``templates``.
         """
         descriptor = {
             "kind": "https-capture",
@@ -328,40 +322,6 @@ class HttpsCaptureSource:
         else:
             descriptor["plaintext"] = self.plaintext.decode("latin-1")
         return descriptor
-
-    @classmethod
-    def from_descriptor(
-        cls, descriptor: dict, config: ReproConfig
-    ) -> "HttpsCaptureSource":
-        """Rebuild a source from :meth:`descriptor` output.
-
-        ``config`` supplies the local backend knobs; its seed is
-        overridden by the descriptor's so the keystreams match the
-        originating campaign.
-        """
-        kind = descriptor.get("kind")
-        if kind == "https-capture":
-            plaintexts, victim_ids = [descriptor["plaintext"]], []
-        elif kind == "multi-https-capture":
-            plaintexts = descriptor["templates"]
-            victim_ids = descriptor["victim_ids"]
-        else:
-            raise CaptureError(
-                f"descriptor kind {kind!r} is not 'https-capture' or "
-                "'multi-https-capture'"
-            )
-        return cls(
-            config=replace(config, seed=int(descriptor["seed"])),
-            layout=layout_from_meta(descriptor["layout"]),
-            plaintexts=tuple(p.encode("latin-1") for p in plaintexts),
-            victim_ids=tuple(str(v) for v in victim_ids),
-            num_requests=int(descriptor["num_requests"]),
-            batch_size=int(descriptor["batch_size"]),
-            reconnect_every=int(descriptor["reconnect_every"]),
-            max_gap=int(descriptor["max_gap"]),
-            record_overhead=int(descriptor["record_overhead"]),
-            label=str(descriptor["label"]),
-        )
 
     def fingerprint(self) -> str:
         return source_fingerprint(self.descriptor())

@@ -128,8 +128,8 @@ class MultiTemplateStatistics:
 
     Implements the :class:`repro.capture.SufficientStatistics` protocol
     (snapshot / exact merge of the uint32 counters / canonical-JSON
-    summary / one-NPZ persistence), so multi-victim captures shard,
-    checkpoint, and fleet exactly like single-victim ones.  Victim v's
+    summary / one-NPZ persistence), so multi-victim captures shard and
+    checkpoint exactly like single-victim ones.  Victim v's
     counters are an ordinary :class:`CookieStatistics` — the per-victim
     attack code needs no multi-victim awareness at all.
     """

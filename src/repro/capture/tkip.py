@@ -21,7 +21,7 @@ distributions on the identical engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -136,11 +136,11 @@ class TkipCaptureSource:
         )
 
     def descriptor(self) -> dict:
-        """JSON-safe record sufficient to rebuild this source bit-exactly.
+        """JSON-safe record of every input that decides the counters.
 
-        Exactly what :meth:`fingerprint` hashes; a fleet manifest ships
-        this to workers (the seed rides along, backend knobs stay local).
-        A source with victim ids records kind ``multi-tkip-capture``.
+        Exactly what :meth:`fingerprint` hashes (the seed rides along,
+        backend knobs cannot affect the counters).  A source with victim
+        ids records kind ``multi-tkip-capture``.
         """
         descriptor = {
             "kind": "tkip-capture",
@@ -162,34 +162,6 @@ class TkipCaptureSource:
         else:
             descriptor["plaintext"] = self.plaintext.decode("latin-1")
         return descriptor
-
-    @classmethod
-    def from_descriptor(
-        cls, descriptor: dict, config: ReproConfig
-    ) -> "TkipCaptureSource":
-        """Rebuild a source from :meth:`descriptor` output (seed wins)."""
-        kind = descriptor.get("kind")
-        if kind == "tkip-capture":
-            plaintexts, victim_ids = [descriptor["plaintext"]], []
-        elif kind == "multi-tkip-capture":
-            plaintexts = descriptor["plaintexts"]
-            victim_ids = descriptor["victim_ids"]
-        else:
-            raise CaptureError(
-                f"descriptor kind {kind!r} is not 'tkip-capture' or "
-                "'multi-tkip-capture'"
-            )
-        start, stop, step = (int(v) for v in descriptor["positions"])
-        return cls(
-            config=replace(config, seed=int(descriptor["seed"])),
-            plaintexts=tuple(p.encode("latin-1") for p in plaintexts),
-            victim_ids=tuple(str(v) for v in victim_ids),
-            tsc_values=tuple(int(t) for t in descriptor["tsc_values"]),
-            packets_per_tsc=int(descriptor["packets_per_tsc"]),
-            positions=range(start, stop, step),
-            batch_size=int(descriptor["batch_size"]),
-            label=str(descriptor["label"]),
-        )
 
     def fingerprint(self) -> str:
         return source_fingerprint(self.descriptor())

@@ -26,14 +26,6 @@ count and backend knob in the library:
     and the compiler pin act once per process, when the backend first
     loads, so they have no :class:`ReproConfig` field.
 
-``REPRO_FLEET_LEASE_TTL`` / ``REPRO_FLEET_RETRY_BUDGET`` /
-``REPRO_FLEET_BACKOFF_BASE`` / ``REPRO_FLEET_WORKERS``
-    The distributed capture fleet (:mod:`repro.fleet`): seconds without
-    a heartbeat before a shard lease is considered stale and reclaimed,
-    attempts per shard before it is marked failed, base delay of the
-    capped exponential retry backoff, and the default local worker
-    count for ``distributed`` experiment runs.
-
 This module is the *only* place in ``src/repro`` that reads ``REPRO_*``
 environment variables.  Library code goes through :func:`get_config` (or
 the ``env_native_*`` accessors for the process-global backend), so tests
@@ -56,17 +48,6 @@ _ENV_NATIVE = "REPRO_NATIVE"
 _ENV_NATIVE_THREADS = "REPRO_NATIVE_THREADS"
 _ENV_NATIVE_SIMD = "REPRO_NATIVE_SIMD"
 _ENV_NATIVE_CC = "REPRO_NATIVE_CC"
-_ENV_FLEET_LEASE_TTL = "REPRO_FLEET_LEASE_TTL"
-_ENV_FLEET_RETRY_BUDGET = "REPRO_FLEET_RETRY_BUDGET"
-_ENV_FLEET_BACKOFF_BASE = "REPRO_FLEET_BACKOFF_BASE"
-_ENV_FLEET_WORKERS = "REPRO_FLEET_WORKERS"
-
-#: Fleet defaults (see :mod:`repro.fleet`): a lease whose heartbeat is
-#: older than the TTL is stale and reclaimable; a shard is retried up to
-#: the budget with capped exponential backoff starting at the base.
-DEFAULT_FLEET_LEASE_TTL = 30.0
-DEFAULT_FLEET_RETRY_BUDGET = 3
-DEFAULT_FLEET_BACKOFF_BASE = 0.25
 
 #: Values that switch a boolean knob off (REPRO_NATIVE=0,
 #: REPRO_NATIVE_SIMD=0).
@@ -85,24 +66,12 @@ class ReproConfig:
         native_simd: allow the runtime-dispatched AVX2 wide kernels (32
             states per loop); silently degrades to the scalar tier on
             hardware or builds without AVX2.
-        fleet_lease_ttl: seconds without a heartbeat before a fleet
-            shard lease is stale and reclaimable (> 0).
-        fleet_retry_budget: attempts per fleet shard before it is marked
-            failed (>= 1).
-        fleet_backoff_base: base delay in seconds of the capped
-            exponential retry backoff (>= 0).
-        fleet_workers: default local worker count for ``distributed``
-            experiment runs; ``None`` means ``os.cpu_count()``.
     """
 
     scale: float = 1.0
     seed: int = DEFAULT_SEED
     native_threads: int | None = None
     native_simd: bool = True
-    fleet_lease_ttl: float = DEFAULT_FLEET_LEASE_TTL
-    fleet_retry_budget: int = DEFAULT_FLEET_RETRY_BUDGET
-    fleet_backoff_base: float = DEFAULT_FLEET_BACKOFF_BASE
-    fleet_workers: int | None = None
 
     def __post_init__(self) -> None:
         if not (self.scale > 0.0):
@@ -114,25 +83,6 @@ class ReproConfig:
                 raise ConfigError(
                     f"native_threads must be a positive int or None, "
                     f"got {self.native_threads!r}"
-                )
-        if not (self.fleet_lease_ttl > 0.0):
-            raise ConfigError(
-                f"fleet_lease_ttl must be positive, got {self.fleet_lease_ttl!r}"
-            )
-        if not isinstance(self.fleet_retry_budget, int) or self.fleet_retry_budget < 1:
-            raise ConfigError(
-                f"fleet_retry_budget must be a positive int, "
-                f"got {self.fleet_retry_budget!r}"
-            )
-        if not (self.fleet_backoff_base >= 0.0):
-            raise ConfigError(
-                f"fleet_backoff_base must be >= 0, got {self.fleet_backoff_base!r}"
-            )
-        if self.fleet_workers is not None:
-            if not isinstance(self.fleet_workers, int) or self.fleet_workers < 1:
-                raise ConfigError(
-                    f"fleet_workers must be a positive int or None, "
-                    f"got {self.fleet_workers!r}"
                 )
 
     def scaled(
@@ -195,48 +145,6 @@ def env_native_cc() -> str | None:
     return pinned or None
 
 
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{name} must be a float, got {raw!r}") from exc
-
-
-def _env_int(name: str, default: int | None) -> int | None:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{name} must be an integer, got {raw!r}") from exc
-
-
-def env_fleet_lease_ttl() -> float:
-    """``REPRO_FLEET_LEASE_TTL`` in seconds (default 30)."""
-    return _env_float(_ENV_FLEET_LEASE_TTL, DEFAULT_FLEET_LEASE_TTL)
-
-
-def env_fleet_retry_budget() -> int:
-    """``REPRO_FLEET_RETRY_BUDGET`` attempts per shard (default 3)."""
-    value = _env_int(_ENV_FLEET_RETRY_BUDGET, DEFAULT_FLEET_RETRY_BUDGET)
-    assert value is not None
-    return value
-
-
-def env_fleet_backoff_base() -> float:
-    """``REPRO_FLEET_BACKOFF_BASE`` in seconds (default 0.25)."""
-    return _env_float(_ENV_FLEET_BACKOFF_BASE, DEFAULT_FLEET_BACKOFF_BASE)
-
-
-def env_fleet_workers() -> int | None:
-    """``REPRO_FLEET_WORKERS`` as an int, or ``None`` when unset."""
-    return _env_int(_ENV_FLEET_WORKERS, None)
-
-
 def get_config() -> ReproConfig:
     """Build a :class:`ReproConfig` from the environment (or defaults)."""
     raw_scale = os.environ.get(_ENV_SCALE, "1.0")
@@ -253,16 +161,9 @@ def get_config() -> ReproConfig:
     if threads is not None:
         # The kernels clamp to >= 1 themselves; the typed field validates.
         threads = max(1, threads)
-    fleet_workers = env_fleet_workers()
-    if fleet_workers is not None:
-        fleet_workers = max(1, fleet_workers)
     return ReproConfig(
         scale=scale,
         seed=seed,
         native_threads=threads,
         native_simd=env_native_simd(),
-        fleet_lease_ttl=env_fleet_lease_ttl(),
-        fleet_retry_budget=max(1, env_fleet_retry_budget()),
-        fleet_backoff_base=max(0.0, env_fleet_backoff_base()),
-        fleet_workers=fleet_workers,
     )

@@ -68,18 +68,6 @@ class CampaignError(ReproError):
     """A victim-population campaign was declared or resumed inconsistently."""
 
 
-class FleetError(ReproError):
-    """The distributed capture fleet hit a coordination failure."""
-
-
-class ManifestError(FleetError):
-    """A fleet job manifest is missing, malformed, or mismatched."""
-
-
-class LeaseError(FleetError):
-    """A shard lease operation failed (lost lease, bad takeover)."""
-
-
 class WarehouseError(ReproError):
     """The results warehouse hit a malformed store or record."""
 

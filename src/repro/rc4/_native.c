@@ -185,7 +185,9 @@ static void digraph_scalar(const uint8_t *keys, ptrdiff_t n, ptrdiff_t keylen,
 /* Long-term digraphs binned by the PRGA counter (§3.4):
  * out[i*65536 + Z_r*256 + Z_{r+1+gap}] += 1 where i = (drop+r+1) mod 256
  * and r = 1..stream_len (1-indexed past the dropped prefix).  A rolling
- * window of gap+1 bytes supplies the first element of each pair. */
+ * window of gap+1 bytes supplies the first element of each pair; its
+ * slot wraps by compare-and-reset, like the KSA's key index, since
+ * `r % width` with a run-time width is a division in every round. */
 static void longterm_scalar(const uint8_t *keys, ptrdiff_t n,
                             ptrdiff_t keylen, long stream_len, long drop,
                             long gap, int64_t *out)
@@ -198,6 +200,7 @@ static void longterm_scalar(const uint8_t *keys, ptrdiff_t n,
         uint8_t window[256]; /* gap is validated <= 255 on the Python side */
         uint8_t i = 0, j = 0, tmp, z, first;
         uint8_t bin = (uint8_t)(drop & 0xFF);
+        long slot = 0;
         rc4_init(S, keys + k * keylen, keylen);
         for (r = 0; r < drop; r++)
             RC4_STEP(S, i, j, tmp);
@@ -208,8 +211,10 @@ static void longterm_scalar(const uint8_t *keys, ptrdiff_t n,
         for (r = 0; r < stream_len; r++) {
             RC4_STEP(S, i, j, tmp);
             z = RC4_OUT(S, i, j);
-            first = window[r % width];
-            window[r % width] = z;
+            first = window[slot];
+            window[slot] = z;
+            if (++slot == width)
+                slot = 0;
             bin = (uint8_t)(bin + 1); /* (drop + r + 1) mod 256 */
             out[(ptrdiff_t)bin * 65536 + (ptrdiff_t)first * 256 + z] += 1;
         }
@@ -486,7 +491,7 @@ static void longterm_wide(const uint8_t *keys, ptrdiff_t keylen,
     __m256i vj = _mm256_setzero_si256();
     unsigned i = 0;
     uint8_t bin = (uint8_t)(drop & 0xFF);
-    long r;
+    long r, next = 0;
     int k;
     wide_ksa(&V, keys, keylen);
     for (r = 0; r < drop; r++) {
@@ -499,8 +504,10 @@ static void longterm_wide(const uint8_t *keys, ptrdiff_t keylen,
         memcpy(WT + (size_t)r * RC4_WIDE, V.zb, RC4_WIDE);
     }
     for (r = 0; r < stream_len; r++) {
-        uint8_t *slot = WT + (size_t)(r % width) * RC4_WIDE;
+        uint8_t *slot = WT + (size_t)next * RC4_WIDE;
         int64_t *row;
+        if (++next == width)
+            next = 0;
         i = (i + 1) & 0xFF;
         WIDE_STEP(&V, i, vj, 1);
         bin = (uint8_t)(bin + 1); /* (drop + r + 1) mod 256 */

@@ -67,6 +67,7 @@ import hashlib
 import os
 import subprocess
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -79,7 +80,6 @@ from ..config import (
     env_native_threads,
 )
 from ..errors import KeyLengthError
-from ..fleet.retry import retry_call
 from ..utils.serialization import durable_replace
 
 _SOURCE = Path(__file__).with_name("_native.c")
@@ -189,16 +189,19 @@ def _compile() -> Path:
         cmd = [compiler, *_CFLAGS, str(_SOURCE), "-o", str(tmp_path)]
         try:
             # A wedged compiler (hung license check, dead NFS) gets one
-            # bounded retry with backoff instead of hanging the process;
-            # other failures fall through to the next compiler.
-            proc = retry_call(
-                lambda: subprocess.run(
-                    cmd, capture_output=True, text=True, timeout=_CC_TIMEOUT
-                ),
-                attempts=2,
-                base=_CC_RETRY_BACKOFF,
-                retry_on=(subprocess.TimeoutExpired,),
-            )
+            # bounded retry after a backoff instead of hanging the
+            # process; other failures fall through to the next compiler.
+            for attempt in (0, 1):
+                try:
+                    proc = subprocess.run(
+                        cmd, capture_output=True, text=True,
+                        timeout=_CC_TIMEOUT,
+                    )
+                    break
+                except subprocess.TimeoutExpired:
+                    if attempt:
+                        raise
+                    time.sleep(_CC_RETRY_BACKOFF)
         except (OSError, subprocess.TimeoutExpired) as exc:
             tmp_path.unlink(missing_ok=True)
             last_error = f"{compiler}: {exc}"

@@ -143,8 +143,8 @@ class HttpsAttackSimulation:
     ):
         """The deterministic batched source behind :meth:`batched_statistics`.
 
-        Exposed separately so the fleet coordinator can expand it into a
-        shard manifest (``distributed=N`` runs).
+        Exposed separately so a caller can checkpoint, shard or merge the
+        capture itself through :func:`repro.capture.run_capture`.
         """
         from ..capture import HttpsCaptureSource
 

@@ -170,9 +170,9 @@ def save_arrays(
     The archive is written to a temp name of this process
     (``<stem>.tmp.<pid>.npz``) and published with :func:`durable_replace`,
     so ``path`` is always the old archive or the whole new one, and is on
-    stable storage when this returns.  Two writers of one path (a
-    rescuer and the stalled worker it replaced) never share a temp file,
-    and a write that raises removes its temp file.
+    stable storage when this returns.  Two processes writing one path
+    never share a temp file, and a write that raises removes its temp
+    file.
 
     ``compress=False`` stores the members uncompressed (``np.savez``):
     each member keeps its zip CRC-32, and :func:`load_arrays` reads both
@@ -198,6 +198,39 @@ def save_arrays(
         tmp.unlink(missing_ok=True)
         raise
     return path
+
+
+def atomic_write_json(path: str | Path, payload: Mapping[str, Any]) -> None:
+    """Durably replace ``path`` with ``payload`` as canonical JSON.
+
+    Written to a temp name of this process and published with
+    :func:`durable_replace`, like :func:`save_arrays`.
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
+    try:
+        tmp.write_text(canonical_json(payload))
+        durable_replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def read_json(path: str | Path) -> dict[str, Any]:
+    """Read a JSON object written by :func:`atomic_write_json`.
+
+    Raises:
+        DatasetError: naming ``path`` when it cannot be read, is not
+            JSON (say, torn by a crash) or holds something other than an
+            object.
+    """
+    try:
+        payload = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise DatasetError(f"{path}: unreadable JSON record ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise DatasetError(f"{path}: expected a JSON object")
+    return payload
 
 
 def load_arrays(path: str | Path) -> tuple[dict[str, np.ndarray], dict[str, Any]]:

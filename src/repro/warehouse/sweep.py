@@ -12,12 +12,11 @@ That up-front fingerprinting is what makes sweeps crash-tolerant:
 :func:`run_sweep` skips every plan whose fingerprint the
 :class:`~repro.warehouse.RunStore` already holds, so re-launching a
 killed sweep re-runs only the missing points — the warehouse analogue
-of the fleet's lease/requeue resume (shards there, whole runs here).
+of :func:`repro.capture.run_capture`'s checkpoints (batches there,
+whole runs here).
 
 Sweep points run through the ordinary :meth:`~repro.api.Session.run`
-path, so a point with ``distributed=N`` in its grid fans out through
-the :mod:`repro.fleet` coordinator exactly as a hand-typed CLI run
-would.
+path, exactly as a hand-typed CLI run would.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ class SweepSpec:
             product.  Values pass through the parameter's declared
             coercion, so CLI strings and Python literals both work.
         base: fixed overrides applied to every grid point (e.g.
-            ``{"capture": "batched"}`` for a distributed leg).
+            ``{"capture": "batched"}`` for a keystream-level leg).
     """
 
     experiment: str

@@ -391,6 +391,23 @@ class TestCampaignResume:
         assert records[0].read_bytes() == whole
         assert not list(ckpt.glob("*.tmp*"))
 
+    def test_non_object_done_record_is_recomputed(self, config, tmp_path):
+        """Valid JSON that is not an object is unreadable as a record."""
+        pop = Population.sample(config, 4, label="resume")
+        ckpt = tmp_path / "campaign"
+        first = run_https_campaign(
+            config, pop, checkpoint_dir=ckpt, **self._kwargs(),
+        )
+        records = sorted(ckpt.glob("*.done.json"))
+        whole = records[0].read_bytes()
+        records[0].write_text("[1, 2, 3]")
+        with pytest.warns(RuntimeWarning, match="expected a JSON object"):
+            again = run_https_campaign(
+                config, pop, checkpoint_dir=ckpt, **self._kwargs(),
+            )
+        assert again.outcomes == first.outcomes
+        assert records[0].read_bytes() == whole
+
     def test_mismatched_checkpoint_dir_is_rejected(self, config, tmp_path):
         pop = Population.sample(config, 3, label="resume")
         ckpt = tmp_path / "campaign"
@@ -399,14 +416,6 @@ class TestCampaignResume:
         with pytest.raises(CampaignError):
             run_https_campaign(
                 config, pop, checkpoint_dir=ckpt, **kwargs,
-            )
-
-    def test_distributed_excludes_checkpoint_dir(self, config, tmp_path):
-        pop = Population.sample(config, 2, label="resume")
-        with pytest.raises(CampaignError):
-            run_https_campaign(
-                config, pop, num_requests=128, distributed=2,
-                checkpoint_dir=tmp_path,
             )
 
 

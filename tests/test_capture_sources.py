@@ -6,8 +6,8 @@ plaintext).  A source without ids returns the bare statistics of one
 victim; a source with ids, even one, returns victim-set statistics.
 Only the statistics type, the descriptor's ``kind`` and its plaintext
 key depend on that form, so the fingerprints pinned here, and with them
-every checkpoint, campaign record and fleet manifest written before the
-two forms shared a class, stay valid.
+every checkpoint and campaign record written before the two forms shared
+a class, stay valid.
 """
 
 import numpy as np
@@ -23,7 +23,6 @@ from repro.capture import (
 )
 from repro.config import ReproConfig
 from repro.errors import CaptureError
-from repro.fleet.sources import build_source
 from repro.simulate import HttpsAttackSimulation, WifiAttackSimulation
 from repro.tkip.injection import CaptureSet
 from repro.tls.attack import CookieLayout, CookieStatistics
@@ -118,30 +117,6 @@ class TestCompatibility:
         assert len(_group(https, "https-safari-r16-g0000").specs) == 2
         assert len(_group(https, "https-chrome-r1-g0000").specs) == 1
         assert len(_group(tkip, "tkip-p4096-g0000").specs) == 4
-
-    def test_build_source_maps_every_kind_onto_two_classes(self, population):
-        classes = {
-            "https-capture": HttpsCaptureSource,
-            "multi-https-capture": HttpsCaptureSource,
-            "tkip-capture": TkipCaptureSource,
-            "multi-tkip-capture": TkipCaptureSource,
-        }
-        seen = set()
-        for source, kind, fingerprint in _pinned_sources(population):
-            rebuilt = build_source(source.descriptor(), ReproConfig(seed=999))
-            assert type(rebuilt) is classes[kind]
-            assert rebuilt.fingerprint() == fingerprint
-            assert rebuilt.descriptor() == source.descriptor()
-            seen.add(kind)
-        assert seen == set(classes)
-
-    @pytest.mark.parametrize("cls", [HttpsCaptureSource, TkipCaptureSource])
-    def test_from_descriptor_rejects_the_other_attack(self, cls):
-        other = _tkip(plaintext=bytes(20)) if cls is HttpsCaptureSource else (
-            _https(plaintext=_https_plaintexts(1)[0])
-        )
-        with pytest.raises(CaptureError, match="descriptor kind"):
-            cls.from_descriptor(other.descriptor(), _CONFIG)
 
 
 class TestVictimAxis:

@@ -123,17 +123,17 @@ def test_verify_job_smokes_capture_equivalence_on_both_native_legs(workflow):
     )
 
 
-def test_verify_job_smokes_fleet_crash_recovery_on_both_native_legs(workflow):
-    """The fleet fault-injection suite (worker SIGKILL mid-shard, shard
-    NPZ truncation, stale-lease reclaim, retry-budget exhaustion, each
-    diffed against the uninterrupted single-process capture) must run
-    inside the matrixed verify job so both REPRO_NATIVE legs assert
-    crash-recovery exactness."""
+def test_verify_job_smokes_crash_consistency_on_both_native_legs(workflow):
+    """The crash-consistency suite (capture and campaign SIGKILL
+    mid-run, torn and foreign checkpoints, fsync ordering, each resume
+    diffed against the uninterrupted run) must run inside the matrixed
+    verify job so both REPRO_NATIVE legs assert crash-recovery
+    exactness."""
     job = workflow["jobs"]["verify"]
     assert sorted(job["strategy"]["matrix"]["native"]) == ["0", "1"]
     runs = _run_lines(job)
-    assert "test_fleet_faults" in runs, (
-        "verify job must smoke tests/test_fleet_faults.py"
+    assert "test_crash_consistency" in runs, (
+        "verify job must smoke tests/test_crash_consistency.py"
     )
 
 

@@ -154,21 +154,6 @@ def test_store_report_cells_match_stored_records(capsys, tmp_path):
     assert "num_keys" in report
 
 
-def test_fleet_status_help_documents_shard_states(capsys):
-    """The --help epilog enumerates the manifest's shard state machine."""
-    from repro.fleet import STATE_DESCRIPTIONS
-
-    with pytest.raises(SystemExit) as exc:
-        main(["fleet-status", "--help"])
-    assert exc.value.code == 0
-    help_text = capsys.readouterr().out
-    for state, description in STATE_DESCRIPTIONS.items():
-        assert state in help_text
-        # The epilog carries the real description, not just the name.
-        assert description.split(";")[0] in help_text
-    assert "README" in help_text
-
-
 def test_bias_sweep_headline_cells_within_ci(capsys):
     """The emitted record's headline counts obey the binomial CI —
     exercising the reusable fidelity helper from another module."""

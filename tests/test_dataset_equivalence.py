@@ -13,6 +13,7 @@ single-threaded kernel output) and asserts cell-for-cell equality.
 """
 
 import dataclasses
+import functools
 import os
 
 import numpy as np
@@ -175,6 +176,50 @@ class TestBackendParity:
         monkeypatch.setattr(_native, "available", lambda: False)
         fallback = kernel(keys)
         assert np.array_equal(native, fallback)
+
+
+#: Long-term gaps covering the window widths 1..256: 0 and 1 (the only
+#: gaps the 600- and 1200-key dataset specs take to the wide tier), a
+#: few in between, and the two largest.
+LONGTERM_GAPS = [0, 1, 2, 7, 31, 254, 255]
+
+
+@functools.lru_cache(maxsize=None)
+def _longterm_reference(gap, *, num_keys=65, stream_len=300, drop=3):
+    """Keys plus the nonzero cells (flat indices, counts) of their
+    counter-binned long-term digraphs, counted from the reference RC4."""
+    keys = np.random.default_rng(gap).integers(
+        0, 256, size=(num_keys, 16), dtype=np.uint8
+    )
+    cells = []
+    for key in keys:
+        stream = rc4_keystream(bytes(key), drop + stream_len + 1 + gap)[drop:]
+        for r in range(stream_len):
+            i = (drop + r + 1) % 256
+            cells.append(i * 65536 + stream[r] * 256 + stream[r + 1 + gap])
+    flat, counts = np.unique(np.array(cells, dtype=np.int64), return_counts=True)
+    return keys, flat, counts
+
+
+class TestLongtermWindow:
+    """The long-term kernels' rolling window wraps its slot at every
+    width.  65 keys put two 32-key groups on the wide tier and one key
+    on the scalar one; 300 positions wrap even the 256-byte window."""
+
+    @pytest.fixture(autouse=True)
+    def _require_native(self):
+        if not _native.available():
+            pytest.skip("native backend unavailable (no C compiler?)")
+
+    @pytest.mark.parametrize("simd", [False, True], ids=["scalar", "wide"])
+    @pytest.mark.parametrize("gap", LONGTERM_GAPS)
+    def test_count_longterm_matches_reference(self, gap, simd):
+        keys, flat, counts = _longterm_reference(gap)
+        out = np.zeros((256, 256, 256), dtype=np.int64)
+        _native.count_longterm(keys, 300, 3, gap, out, threads=1, simd=simd)
+        cells = out.ravel()
+        assert np.array_equal(np.flatnonzero(cells), flat)
+        assert np.array_equal(cells[flat], counts)
 
 
 #: Thread counts every dataset kind is checked under: serial, the

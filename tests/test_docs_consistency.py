@@ -10,13 +10,13 @@ the ordinary verify job, so a registry edit without a docs edit fails CI.
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
 import pytest
 
 from repro.api import get_experiment, list_experiments
-from repro.fleet import STATE_DESCRIPTIONS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 ATLAS = REPO_ROOT / "docs" / "experiment-atlas.md"
@@ -119,17 +119,39 @@ def test_architecture_names_every_layer_package():
     )
 
 
-def test_readme_documents_fleet_states():
-    """README's fleet section and the fleet-status --help epilog draw on
-    the same state vocabulary."""
-    readme = README.read_text()
-    for state in STATE_DESCRIPTIONS:
-        assert _mentions(state, readme), (
-            f"README never mentions fleet shard state {state!r}"
-        )
-    assert "fleet-status" in readme and "--help" in readme, (
-        "README lost the fleet-status --help cross-link"
+def _defines(path: Path, chain: list[str]) -> bool:
+    """True when ``path`` defines the nested class/function ``chain``."""
+    body = ast.parse(path.read_text()).body
+    for name in chain:
+        found = [
+            node for node in body
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+            and node.name == name
+        ]
+        if not found:
+            return False
+        body = found[0].body
+    return True
+
+
+def test_readme_crash_recovery_matrix_names_real_tests():
+    """Every row of README's crash-recovery failure matrix names at
+    least one test, and every test it names exists."""
+    match = re.search(
+        r"## Crash recovery\n(.*?)\n## ", README.read_text(), re.DOTALL
     )
+    assert match, "README lost its '## Crash recovery' section"
+    table = [line for line in match.group(1).splitlines() if line.startswith("|")]
+    rows = table[2:]  # below the header and its separator
+    assert rows, "README's crash-recovery section lost its failure matrix"
+    for row in rows:
+        tests = re.findall(r"`(tests/test_\w+\.py)((?:::\w+)+)`", row)
+        assert tests, f"failure-matrix row names no test: {row}"
+        for path, chain in tests:
+            assert _defines(REPO_ROOT / path, chain.split("::")[1:]), (
+                f"README's failure matrix names {path}{chain}, which "
+                "does not exist"
+            )
 
 
 def test_readme_documents_warehouse():

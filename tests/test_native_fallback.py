@@ -148,6 +148,63 @@ def test_truncated_artifact_is_not_promoted(tmp_path, monkeypatch):
     assert not list(cache.glob("librc4stats-*.so"))
 
 
+def _fake_toolchain(monkeypatch, tmp_path, compile_outcomes):
+    """Fake ``subprocess.run`` for :func:`_native._compile`.
+
+    ``--version`` probes succeed; compile calls pop the next outcome
+    (``"timeout"`` raises ``TimeoutExpired``, ``"ok"`` writes an object)
+    and are recorded by compiler.  Sleeps are recorded, not slept, and
+    the cache lives under ``tmp_path``.  Returns ``(compiles, sleeps)``.
+    """
+    from repro.rc4 import _native
+
+    compiles, sleeps = [], []
+    outcomes = list(compile_outcomes)
+
+    def run(cmd, **kwargs):
+        if cmd[1:] == ["--version"]:
+            return subprocess.CompletedProcess(cmd, 0, f"{cmd[0]} 1.0\n", "")
+        compiles.append(cmd[0])
+        if outcomes.pop(0) == "timeout":
+            raise subprocess.TimeoutExpired(cmd, kwargs["timeout"])
+        Path(cmd[cmd.index("-o") + 1]).write_bytes(b"\x7fELF object")
+        return subprocess.CompletedProcess(cmd, 0, "", "")
+
+    monkeypatch.setattr(_native.subprocess, "run", run)
+    monkeypatch.setattr(_native.time, "sleep", sleeps.append)
+    monkeypatch.setattr(_native, "_cache_dir", lambda: tmp_path)
+    return compiles, sleeps
+
+
+def test_compile_retries_one_timeout_after_backoff(tmp_path, monkeypatch):
+    """A compiler that times out once is retried once, after the backoff."""
+    from repro.rc4 import _native
+
+    monkeypatch.setenv("REPRO_NATIVE_CC", "slow-cc")
+    compiles, sleeps = _fake_toolchain(
+        monkeypatch, tmp_path, ["timeout", "ok"]
+    )
+    target = _native._compile()
+    assert compiles == ["slow-cc", "slow-cc"]
+    assert sleeps == [_native._CC_RETRY_BACKOFF]
+    assert [p.name for p in tmp_path.iterdir()] == [target.name]
+    assert target.read_bytes() == b"\x7fELF object"
+
+
+def test_compile_moves_on_after_two_timeouts(tmp_path, monkeypatch):
+    """Two timeouts give up on a compiler: its temp object is removed and
+    the next compiler is tried; the error names the timeout."""
+    from repro.rc4 import _native
+
+    monkeypatch.setattr(_native, "_compilers", lambda: ("hung-a", "hung-b"))
+    compiles, sleeps = _fake_toolchain(monkeypatch, tmp_path, ["timeout"] * 4)
+    with pytest.raises(RuntimeError, match=r"hung-b: .*timed out"):
+        _native._compile()
+    assert compiles == ["hung-a", "hung-a", "hung-b", "hung-b"]
+    assert sleeps == [_native._CC_RETRY_BACKOFF] * 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_resolve_threads_env_and_clamps(monkeypatch):
     from repro.rc4 import _native
 

@@ -4,8 +4,8 @@ Covers the ISSUE-7 tentpole guarantees: concurrent-append safety of the
 JSONL index, canonical-JSON round-trip bit-identity, fingerprint-keyed
 dedup, corrupt-record skip-with-warning, query filters, blob sidecars,
 and sweep orchestration — including the acceptance sweep (two
-experiments, three-plus points, one leg fanned out through the fleet
-with ``distributed=2``) and a real kill-mid-sweep subprocess resume.
+experiments, three-plus points, plus a batched-capture attack run) and
+a real kill-mid-sweep subprocess resume.
 """
 
 from __future__ import annotations
@@ -22,10 +22,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.api import ExperimentResult, Session
+from repro.__main__ import main
+from repro.api import ExperimentResult, Session, get_experiment
 from repro.analysis import metric_cell, sweep_table
 from repro.config import ReproConfig
-from repro.errors import SweepError, WarehouseError
+from repro.errors import ExperimentParamError, SweepError, WarehouseError
 from repro.utils.serialization import append_jsonl, canonical_json, iter_jsonl
 from repro.warehouse import (
     RunStore,
@@ -40,7 +41,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def _config(**overrides) -> ReproConfig:
-    defaults = dict(seed=4321, scale=1.0, fleet_backoff_base=0.0)
+    defaults = dict(seed=4321, scale=1.0)
     defaults.update(overrides)
     return ReproConfig(**defaults)
 
@@ -127,6 +128,66 @@ class TestFingerprints:
         session = Session(config)
         result = session.run("dataset-single", **plans[0].params)
         assert result_fingerprint(result) == plans[0].fingerprint
+
+
+#: The experiments that lost the ``distributed`` and ``job_dir``
+#: parameters when multi-host capture was retired.
+RETIRED_PARAM_EXPERIMENTS = [
+    "attack-https", "attack-tkip", "campaign-https", "campaign-tkip",
+]
+
+
+class TestRetiredParams:
+    """Dropping ``distributed``/``job_dir`` changed the fingerprint of
+    every run of these experiments, so a sweep over an old store reruns
+    those points once.  Old records still load: each is checked against
+    its own stored params."""
+
+    def test_old_record_loads_and_reports(self, tmp_path, capsys):
+        config = _config()
+        (plan,) = plan_sweep([SweepSpec("attack-https")], config)
+        old_params = {**plan.params, "distributed": 0, "job_dir": ""}
+        old = ExperimentResult(
+            experiment="attack-https",
+            params=old_params,
+            metrics={"rank": 3, "cookie": "Q7!", "fleet": None},
+            timings={"total": 1.0},
+            provenance={"version": "0", "seed": config.seed,
+                        "scale": config.scale},
+        )
+        fingerprint = run_fingerprint(
+            "attack-https", old_params, seed=config.seed, scale=config.scale
+        )
+        append_jsonl(tmp_path / "runs.jsonl", {
+            "format_version": 1, "fingerprint": fingerprint,
+            "stored_at": 1.0, "blobs": [], "result": old.to_dict(),
+        })
+        store = RunStore(tmp_path)
+        (run,) = store.runs()
+        assert store.corrupt_records == 0
+        assert run.fingerprint == fingerprint
+        assert run.result == old
+        # Today's run of the same point has a new fingerprint.
+        assert plan.fingerprint not in store
+
+        assert main([
+            "store", "report", str(tmp_path), "--experiment", "attack-https",
+            "--metric", "rank,cookie",
+        ]) == 0
+        report = capsys.readouterr().out
+        assert "(1 runs)" in report
+        assert canonical_json("Q7!") in report
+
+    @pytest.mark.parametrize("experiment", RETIRED_PARAM_EXPERIMENTS)
+    def test_distributed_is_rejected(self, experiment):
+        with pytest.raises(ExperimentParamError) as caught:
+            Session(_config()).run(experiment, distributed=2)
+        message = str(caught.value)
+        assert "'distributed'" in message
+        valid = message.split("valid: ", 1)[1]
+        assert valid == ", ".join(
+            sorted(param.name for param in get_experiment(experiment).params)
+        )
 
 
 # --------------------------------------------------------------------------
@@ -340,13 +401,13 @@ class TestSweepExecution:
         specs = [
             SweepSpec("dataset-single", grid={"num_keys": [256, 512]},
                       base={"positions": 2}),
-            # distributed=N without capture=batched is a *run-time*
+            # checkpoint without capture=batched is a *run-time*
             # ExperimentParamError (plan-time validation only checks
             # names/kinds): recorded as failed, sweep continues.
             SweepSpec("attack-tkip", base={
                 "num_tsc": 2, "keys_per_tsc": 256,
                 "packets_per_tsc": 1 << 10, "max_candidates": 64,
-                "distributed": 2,
+                "checkpoint": str(tmp_path / "capture.npz"),
             }),
         ]
         statuses: list[tuple[str, str]] = []
@@ -396,10 +457,10 @@ ACCEPTANCE_GRID = ["4096", "16384", "65536"]
 
 
 class TestAcceptanceSweep:
-    """ISSUE-7 acceptance: >= 2 experiments x >= 3 points, a fleet leg
-    with distributed=2, full persistence, and bit-identical report cells."""
+    """>= 2 experiments x >= 3 points, an attack leg with a batched
+    capture, full persistence, and bit-identical report cells."""
 
-    def test_sweep_two_experiments_three_points_with_fleet_leg(self, tmp_path):
+    def test_sweep_two_experiments_three_points_with_attack_leg(self, tmp_path):
         config = _config(scale=0.25)
         session = Session(config)
         store = RunStore(tmp_path / "wh")
@@ -419,21 +480,13 @@ class TestAcceptanceSweep:
         assert report.counts() == {"ran": 6, "skipped": 0, "failed": 0}
         assert len(store) == 6
 
-        # Fleet leg: the same warehouse absorbs a distributed=2 run of a
-        # second *attack* experiment fanned out through repro.fleet.
-        https_params = dict(
-            cookie_len=2, num_candidates=1 << 13, max_gap=16,
-            num_requests=1 << 14, capture="batched",
+        # Attack leg: the same warehouse absorbs a run of an *attack*
+        # experiment whose capture ran through the batched engine.
+        batched = session.run(
+            "attack-https", cookie_len=2, num_candidates=1 << 13,
+            max_gap=16, num_requests=1 << 14, capture="batched",
         )
-        local = session.run("attack-https", **https_params)
-        distributed = session.run(
-            "attack-https", **https_params, distributed=2,
-            job_dir=str(tmp_path / "job"),
-        )
-        # Bit-exact fleet merge: identical recovery on identical counters.
-        assert distributed.metrics["rank"] == local.metrics["rank"]
-        assert distributed.metrics["cookie"] == local.metrics["cookie"]
-        store.append(distributed)
+        store.append(batched)
         assert len(store) == 7
 
         # Every stored cell in the regenerated comparison table is
