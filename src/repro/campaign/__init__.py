@@ -11,8 +11,7 @@ from .campaign import (
     HTTPS_AXES,
     TKIP_AXES,
     CampaignResult,
-    HttpsGroup,
-    TkipGroup,
+    Group,
     VictimOutcome,
     plan_https_groups,
     plan_tkip_groups,
@@ -37,9 +36,8 @@ __all__ = [
     "HTTPS_AXES",
     "TKIP_AXES",
     "CampaignResult",
-    "HttpsGroup",
+    "Group",
     "Population",
-    "TkipGroup",
     "VictimOutcome",
     "VictimSpec",
     "plan_https_groups",

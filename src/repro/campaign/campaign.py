@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -243,28 +244,6 @@ def _grouped(
     return groups
 
 
-def _capture_group(
-    source,
-    tag: str,
-    *,
-    checkpoint_dir: str | Path | None,
-    checkpoint_every: int,
-    progress,
-):
-    """One group's statistics via the engine, resuming its checkpoint."""
-    from ..capture import run_capture
-
-    checkpoint_path = (
-        Path(checkpoint_dir) / f"{tag}.npz" if checkpoint_dir else None
-    )
-    return run_capture(
-        source,
-        checkpoint_path=checkpoint_path,
-        checkpoint_every=checkpoint_every,
-        progress=progress,
-    )
-
-
 def _load_done(
     checkpoint_dir: str | Path | None, tag: str, fingerprint: str
 ) -> list[VictimOutcome] | None:
@@ -320,23 +299,66 @@ def _store_done(
     )
 
 
-# ---------------------------------------------------------------------------
-# HTTPS campaigns (§6 over a victim population).
-# ---------------------------------------------------------------------------
-
-
 @dataclass
-class HttpsGroup:
-    """One shared-keystream HTTPS capture group."""
+class Group:
+    """One shared-keystream capture group of either attack: its members
+    (``specs``), their simulations by victim id, and one capture source
+    with one plaintext and victim id per member.  ``tag`` names the
+    group's checkpoint and outcome record."""
 
     tag: str
     specs: list[VictimSpec]
-    sims: dict[str, HttpsAttackSimulation]
+    sims: dict[str, HttpsAttackSimulation | WifiAttackSimulation]
     source: Any
 
-    @property
-    def label(self) -> str:
-        return self.source.label
+
+def _run_groups(
+    groups: Sequence[Group],
+    outcome: Callable[[VictimSpec, Any, Any], VictimOutcome],
+    *,
+    checkpoint_dir: str | Path | None,
+    checkpoint_every: int,
+    progress,
+    on_group: Callable[[int, int, str], None] | None,
+) -> dict[str, VictimOutcome]:
+    """Every member's outcome by victim id, one group at a time.
+
+    A group whose outcome record matches its source fingerprint is not
+    captured again.  Any other is captured (resuming its checkpoint in
+    ``checkpoint_dir``), ``outcome(spec, sim, stats)`` scores each
+    member on its own statistics, and the group's counters are dropped
+    before the next group, so peak memory is one group's counters.
+    """
+    from ..capture import run_capture
+
+    outcomes: dict[str, VictimOutcome] = {}
+    for group_index, group in enumerate(groups):
+        if on_group is not None:
+            on_group(group_index, len(groups), group.tag)
+        fingerprint = group.source.fingerprint()
+        done = _load_done(checkpoint_dir, group.tag, fingerprint)
+        if done is None:
+            path = Path(checkpoint_dir) / f"{group.tag}.npz" if checkpoint_dir else None
+            stats = run_capture(
+                group.source,
+                checkpoint_path=path,
+                checkpoint_every=checkpoint_every,
+                progress=progress,
+            )
+            done = [
+                outcome(spec, group.sims[spec.victim_id], stats.victim(spec.victim_id))
+                for spec in group.specs
+            ]
+            del stats
+            _store_done(checkpoint_dir, group.tag, fingerprint, done)
+        for victim_outcome in done:
+            outcomes[victim_outcome.victim_id] = victim_outcome
+    return outcomes
+
+
+# ---------------------------------------------------------------------------
+# HTTPS campaigns (§6 over a victim population).
+# ---------------------------------------------------------------------------
 
 
 def plan_https_groups(
@@ -348,7 +370,7 @@ def plan_https_groups(
     max_gap: int = 4,
     batch_size: int = 4096,
     group_size: int = 8,
-) -> list[HttpsGroup]:
+) -> list[Group]:
     """Expand a population into shared-keystream capture groups.
 
     Exposed separately so tests can rebuild any group member as a
@@ -396,7 +418,7 @@ def plan_https_groups(
             label=f"{population.label}/{tag}",
         )
         groups.append(
-            HttpsGroup(tag=tag, specs=list(chunk), sims=sims, source=source)
+            Group(tag=tag, specs=list(chunk), sims=sims, source=source)
         )
     return groups
 
@@ -432,40 +454,17 @@ def run_https_campaign(
         batch_size=batch_size,
         group_size=group_size,
     )
-    outcomes: dict[str, VictimOutcome] = {}
-    for group_index, group in enumerate(groups):
-        if on_group is not None:
-            on_group(group_index, len(groups), group.tag)
-        fingerprint = group.source.fingerprint()
-        done = _load_done(checkpoint_dir, group.tag, fingerprint)
-        if done is None:
-            stats = _capture_group(
-                group.source,
-                group.tag,
-                checkpoint_dir=checkpoint_dir,
-                checkpoint_every=checkpoint_every,
-                progress=progress,
-            )
-            done = [
-                _https_outcome(
-                    spec,
-                    group.sims[spec.victim_id],
-                    stats.victim(spec.victim_id),
-                    num_candidates=num_candidates,
-                )
-                for spec in group.specs
-            ]
-            del stats  # per-group counter banks; keep peak memory bounded
-            _store_done(checkpoint_dir, group.tag, fingerprint, done)
-        for outcome in done:
-            outcomes[outcome.victim_id] = outcome
+    outcomes = _run_groups(
+        groups,
+        partial(_https_outcome, num_candidates=num_candidates),
+        checkpoint_dir=checkpoint_dir,
+        checkpoint_every=checkpoint_every,
+        progress=progress,
+        on_group=on_group,
+    )
     return CampaignResult(
-        kind="https",
-        label=population.label,
-        axes=HTTPS_AXES,
-        outcomes=[
-            outcomes[spec.victim_id] for spec in population.victims
-        ],
+        kind="https", label=population.label, axes=HTTPS_AXES,
+        outcomes=[outcomes[spec.victim_id] for spec in population.victims],
         num_groups=len(groups),
     )
 
@@ -502,20 +501,6 @@ def _https_outcome(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TkipGroup:
-    """One shared-keystream TKIP capture group."""
-
-    tag: str
-    specs: list[VictimSpec]
-    sims: dict[str, WifiAttackSimulation]
-    source: Any
-
-    @property
-    def label(self) -> str:
-        return self.source.label
-
-
 def plan_tkip_groups(
     config: ReproConfig,
     population: Population,
@@ -523,7 +508,7 @@ def plan_tkip_groups(
     tsc_values: Sequence[int],
     batch_size: int = 4096,
     group_size: int = 8,
-) -> list[TkipGroup]:
+) -> list[Group]:
     """Expand a population into shared-budget TKIP capture groups."""
     from ..capture import TkipCaptureSource
 
@@ -552,7 +537,7 @@ def plan_tkip_groups(
             label=f"{population.label}/{tag}",
         )
         groups.append(
-            TkipGroup(tag=tag, specs=list(chunk), sims=sims, source=source)
+            Group(tag=tag, specs=list(chunk), sims=sims, source=source)
         )
     return groups
 
@@ -600,41 +585,17 @@ def run_tkip_campaign(
         length=plaintext_len,
         label=f"{population.label}/per-tsc",
     )
-    outcomes: dict[str, VictimOutcome] = {}
-    for group_index, group in enumerate(groups):
-        if on_group is not None:
-            on_group(group_index, len(groups), group.tag)
-        fingerprint = group.source.fingerprint()
-        done = _load_done(checkpoint_dir, group.tag, fingerprint)
-        if done is None:
-            stats = _capture_group(
-                group.source,
-                group.tag,
-                checkpoint_dir=checkpoint_dir,
-                checkpoint_every=checkpoint_every,
-                progress=progress,
-            )
-            done = [
-                _tkip_outcome(
-                    spec,
-                    group.sims[spec.victim_id],
-                    stats.victim(spec.victim_id),
-                    per_tsc,
-                    max_candidates=max_candidates,
-                )
-                for spec in group.specs
-            ]
-            del stats
-            _store_done(checkpoint_dir, group.tag, fingerprint, done)
-        for outcome in done:
-            outcomes[outcome.victim_id] = outcome
+    outcomes = _run_groups(
+        groups,
+        partial(_tkip_outcome, per_tsc=per_tsc, max_candidates=max_candidates),
+        checkpoint_dir=checkpoint_dir,
+        checkpoint_every=checkpoint_every,
+        progress=progress,
+        on_group=on_group,
+    )
     return CampaignResult(
-        kind="tkip",
-        label=population.label,
-        axes=TKIP_AXES,
-        outcomes=[
-            outcomes[spec.victim_id] for spec in population.victims
-        ],
+        kind="tkip", label=population.label, axes=TKIP_AXES,
+        outcomes=[outcomes[spec.victim_id] for spec in population.victims],
         num_groups=len(groups),
     )
 

@@ -19,10 +19,10 @@ rides the same batched, vectorized machinery as keystream generation:
   (snapshot / exact merge / canonical-JSON summary / NPZ persistence)
   implemented by :class:`repro.tls.attack.CookieStatistics` (uint32
   counters, fewer than 2^32 requests per object) and
-  :class:`repro.tkip.injection.CaptureSet` (int64), and by their
-  victim-set forms (:mod:`.multi`) a source with victim ids returns,
-  making captures shardable across processes and resumable across
-  sessions;
+  :class:`repro.tkip.injection.CaptureSet` (int64), and by the
+  :class:`VictimSet` of either (:mod:`.multi`) a source with victim ids
+  returns, making captures shardable across processes and resumable
+  across sessions;
 - **orchestration** (:mod:`.engine`): :func:`run_capture` walks
   deterministic per-batch key derivations, hands the source each run of
   batches up to the next checkpoint, and reproduces uninterrupted counts
@@ -43,7 +43,7 @@ from .engine import (
     source_fingerprint,
 )
 from .https import HttpsCaptureSource, ingest_keystream_columns
-from .multi import MultiTemplateStatistics, MultiTkipStatistics
+from .multi import VictimSet
 from .protocol import SufficientStatistics
 from .tkip import TkipCaptureSource
 
@@ -51,10 +51,9 @@ __all__ = [
     "CaptureProgress",
     "CaptureSource",
     "HttpsCaptureSource",
-    "MultiTemplateStatistics",
-    "MultiTkipStatistics",
     "SufficientStatistics",
     "TkipCaptureSource",
+    "VictimSet",
     "batch_digest",
     "ingest_keystream_columns",
     "merge_shards",

@@ -48,7 +48,7 @@ from ..rc4.keygen import derive_keys
 from ..tls.attack import MAX_CAPTURE_REQUESTS, CookieLayout, CookieStatistics
 from ..tls.record import MAC_LEN
 from .engine import source_fingerprint
-from .multi import MultiTemplateStatistics, layout_to_meta, victim_axis
+from .multi import VictimSet, victim_axis
 
 #: Bytes of keystream columns one counting call takes at most: a fixed
 #: budget, not a knob.  A capture counts every batch up to its next
@@ -159,11 +159,6 @@ def ingest_keystream_columns(
                 "multi-template ingestion needs statistics sharing one "
                 "layout and alignment set"
             )
-        if stats.absab_matrix is None:
-            raise AttackError(
-                "batched ingestion needs the absab_matrix backing store "
-                "(build statistics with CookieStatistics.empty)"
-            )
         if stats.fm_counts.dtype != np.uint32:
             raise AttackError(
                 "batched ingestion needs uint32 counters (build statistics "
@@ -207,7 +202,7 @@ class HttpsCaptureSource:
     holds one plaintext and counts into a bare
     :class:`~repro.tls.attack.CookieStatistics`; with ids (a campaign
     group, even of one) it counts into a
-    :class:`~repro.capture.multi.MultiTemplateStatistics`.
+    :class:`~repro.capture.multi.VictimSet` of them.
 
     Args:
         config: run configuration (key derivation seeds).
@@ -306,7 +301,7 @@ class HttpsCaptureSource:
             "kind": "https-capture",
             "seed": self.config.seed,
             "label": self.label,
-            "layout": layout_to_meta(self.layout),
+            "layout": self.layout.to_meta(),
             "num_requests": self.num_requests,
             "batch_size": self.batch_size,
             "reconnect_every": self.reconnect_every,
@@ -326,29 +321,29 @@ class HttpsCaptureSource:
     def fingerprint(self) -> str:
         return source_fingerprint(self.descriptor())
 
-    def empty(self) -> CookieStatistics | MultiTemplateStatistics:
-        if self.victim_ids:
-            return MultiTemplateStatistics.empty(
-                self.layout, self.victim_ids, max_gap=self.max_gap
-            )
-        return CookieStatistics.empty(self.layout, max_gap=self.max_gap)
+    def empty(self) -> CookieStatistics | VictimSet:
+        bare = [
+            CookieStatistics.empty(self.layout, max_gap=self.max_gap)
+            for _ in self.plaintexts
+        ]
+        return VictimSet(self.victim_ids, bare) if self.victim_ids else bare[0]
 
     def load(
         self, path: str | Path
-    ) -> tuple[CookieStatistics | MultiTemplateStatistics, dict]:
+    ) -> tuple[CookieStatistics | VictimSet, dict]:
         if self.victim_ids:
-            return MultiTemplateStatistics.load(path)
+            return VictimSet.load(path, CookieStatistics)
         return CookieStatistics.load(path)
 
     def capture_batch(
-        self, stats: CookieStatistics | MultiTemplateStatistics, index: int
+        self, stats: CookieStatistics | VictimSet, index: int
     ) -> int:
         """One batch on its own: :meth:`capture_batches` of ``[index]``."""
         return self.capture_batches(stats, [index])[0]
 
     def capture_batches(
         self,
-        stats: CookieStatistics | MultiTemplateStatistics,
+        stats: CookieStatistics | VictimSet,
         indices: Sequence[int],
     ) -> list[int]:
         """Windowed keystream of each batch -> one column block -> count.
@@ -371,7 +366,7 @@ class HttpsCaptureSource:
             counts.append(min(self.batch_size, self.num_requests - first))
         if not counts:
             return counts
-        victims = stats.victims if self.victim_ids else [stats]
+        victims = stats.members if self.victim_ids else [stats]
         window = self._window
         height = window.stop - window.start
         per_conn = self.reconnect_every

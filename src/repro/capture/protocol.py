@@ -16,8 +16,11 @@ arrays — uint32 digraph/ABSAB cells for §6 (:class:`repro.tls.attack
 
 This module pins those properties down as a structural
 :class:`typing.Protocol` the engine (:mod:`repro.capture.engine`) is
-written against; implementations also expose a ``load(path) ->
-(stats, extra)`` classmethod the concrete sources wire up.
+written against, implemented by the two bare types and by
+:class:`repro.capture.VictimSet`, one bare object per victim of a
+campaign group.  A bare type's ``archive()`` and ``from_archive`` hold
+its NPZ form, which a victim set stores once per member, and its
+``check_merge`` every check its merge makes before changing a counter.
 """
 
 from __future__ import annotations

@@ -10,9 +10,8 @@ kernel the per-TSC tables use
 :func:`repro.tkip.keymix.simplified_key_batch` keys; no keystream block,
 XOR or bincount), and each victim's counters gather that histogram
 through its own plaintext's permutation
-(:meth:`repro.tkip.injection.CaptureSet.add_keystream_counts`, or
-:meth:`repro.capture.multi.MultiTkipStatistics.add_keystream_counts`
-for a campaign group of victims sharing a packets-per-TSC budget).
+(:meth:`repro.tkip.injection.CaptureSet.add_keystream_counts`, once
+per victim of a campaign group sharing a packets-per-TSC budget).
 
 With an all-zero plaintext the ciphertext *is* the keystream, which is
 how the ``bias-sweep-pertsc`` experiment measures raw per-TSC keystream
@@ -33,7 +32,7 @@ from ..errors import CaptureError
 from ..tkip.injection import CaptureSet
 from ..tkip.keymix import simplified_key_batch
 from .engine import source_fingerprint
-from .multi import MultiTkipStatistics, victim_axis
+from .multi import VictimSet, victim_axis
 
 
 @dataclass(kw_only=True)
@@ -52,7 +51,7 @@ class TkipCaptureSource:
     ``label``.  Without ``victim_ids`` the source holds one plaintext
     and counts into a bare :class:`~repro.tkip.injection.CaptureSet`;
     with ids (a campaign group, even of one) it counts into a
-    :class:`~repro.capture.multi.MultiTkipStatistics`.
+    :class:`~repro.capture.multi.VictimSet` of them.
 
     Args:
         config: run configuration (key-model seeds).
@@ -166,34 +165,28 @@ class TkipCaptureSource:
     def fingerprint(self) -> str:
         return source_fingerprint(self.descriptor())
 
-    def empty(self) -> CaptureSet | MultiTkipStatistics:
-        if self.victim_ids:
-            return MultiTkipStatistics(
-                positions=self.positions,
-                plaintext_len=self.plaintext_len,
-                victim_ids=self.victim_ids,
+    def empty(self) -> CaptureSet | VictimSet:
+        bare = [
+            CaptureSet(
+                positions=self.positions, plaintext_len=self.plaintext_len
             )
-        return CaptureSet(
-            positions=self.positions, plaintext_len=self.plaintext_len
-        )
+            for _ in self.plaintexts
+        ]
+        return VictimSet(self.victim_ids, bare) if self.victim_ids else bare[0]
 
-    def load(
-        self, path: str | Path
-    ) -> tuple[CaptureSet | MultiTkipStatistics, dict]:
+    def load(self, path: str | Path) -> tuple[CaptureSet | VictimSet, dict]:
         if self.victim_ids:
-            return MultiTkipStatistics.load(path)
+            return VictimSet.load(path, CaptureSet)
         return CaptureSet.load(path)
 
     def capture_batches(
-        self, stats: CaptureSet | MultiTkipStatistics, indices: Sequence[int]
+        self, stats: CaptureSet | VictimSet, indices: Sequence[int]
     ) -> list[int]:
         """Batch by batch: TKIP counters are small, so grouping buys
         nothing."""
         return [self.capture_batch(stats, index) for index in indices]
 
-    def capture_batch(
-        self, stats: CaptureSet | MultiTkipStatistics, index: int
-    ) -> int:
+    def capture_batch(self, stats: CaptureSet | VictimSet, index: int) -> int:
         """One batch: per-TSC keys -> keystream histogram -> per victim,
         its plaintext's permutation of that histogram.
 
@@ -211,10 +204,7 @@ class TkipCaptureSource:
             keys, max(self.positions), threads=self.config.native_threads,
             simd=self.config.native_simd,
         )
-        if self.victim_ids:
-            stats.add_keystream_counts(tsc, keystream, self._templates, count)
-        else:
-            stats.add_keystream_counts(
-                tsc, keystream, self._templates[0], count
-            )
+        members = stats.members if self.victim_ids else [stats]
+        for member, template in zip(members, self._templates, strict=True):
+            member.add_keystream_counts(tsc, keystream, template, count)
         return count * len(self.plaintexts)

@@ -14,11 +14,12 @@ import hashlib
 import re
 from dataclasses import asdict
 from pathlib import Path
+from typing import Self
 
 import numpy as np
 
 from ..config import ReproConfig
-from ..errors import DatasetError
+from ..errors import AttackError, DatasetError
 from ..utils.serialization import canonical_json, load_arrays, save_arrays
 from .manager import DatasetSpec
 
@@ -94,6 +95,41 @@ def load_statistics(
             f"{path}: statistics kind {found!r} does not match expected {kind!r}"
         )
     return arrays, meta
+
+
+class ArchivedStatistics:
+    """``save``/``load`` of capture statistics in archive form.
+
+    A subclass names its ``statistics_kind`` in ``KIND`` and splits its
+    NPZ form into ``archive() -> (arrays, meta)`` and the classmethod
+    ``from_archive(arrays, meta)``.
+    """
+
+    KIND: str
+
+    def save(self, path: str | Path, *, extra: dict | None = None) -> Path:
+        """Uncompressed NPZ persistence (:func:`save_statistics`) of the
+        archive, with ``extra`` in its metadata."""
+        arrays, meta = self.archive()
+        return save_statistics(
+            path, self.KIND, arrays, {**meta, "extra": extra or {}}
+        )
+
+    @classmethod
+    def load(cls, path: str | Path) -> tuple[Self, dict]:
+        """Load what :meth:`save` wrote; returns (stats, extra).
+
+        Raises:
+            DatasetError: on an unreadable archive or another kind.
+            AttackError: naming ``path``, on counters that do not match
+                their metadata.
+        """
+        arrays, meta = load_statistics(path, cls.KIND)
+        try:
+            stats = cls.from_archive(arrays, meta)
+        except AttackError as exc:
+            raise AttackError(f"{path}: {exc}") from None
+        return stats, meta.get("extra", {})
 
 
 def _spec_to_meta(spec: DatasetSpec) -> dict:

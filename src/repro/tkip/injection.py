@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..datasets.store import ArchivedStatistics
 from ..errors import AttackError
 from ..rc4.reference import rc4_crypt
 from .crc import icv as compute_icv
@@ -77,15 +78,18 @@ def ciphertext_counts(
 
 
 @dataclass
-class CaptureSet:
+class CaptureSet(ArchivedStatistics):
     """Ciphertext statistics for one injected packet.
 
     Implements the :class:`repro.capture.SufficientStatistics` protocol:
     snapshots, exact int64 :meth:`merge` (statistic-level shards from
     independent processes combine losslessly), canonical-JSON summaries,
-    and NPZ persistence for checkpointed captures.  :meth:`add_frame` is
-    the bit-exact per-frame reference path; :meth:`add_keystream_counts`
-    is the batched entry the capture engine drives.
+    and NPZ persistence for checkpointed captures (:meth:`save`/
+    :meth:`load` of the arrays and metadata of :meth:`archive`, which a
+    :class:`repro.capture.VictimSet` stores once per victim).
+    :meth:`add_frame` is the bit-exact per-frame reference path;
+    :meth:`add_keystream_counts` is the batched entry the capture engine
+    drives.
 
     Attributes:
         positions: 1-indexed keystream positions covered (the full
@@ -96,6 +100,9 @@ class CaptureSet:
         plaintext_len: length of the encrypted plaintext, used to reject
             foreign frames (the unique-length trick).
     """
+
+    #: The ``statistics_kind`` of this type's checkpoints.
+    KIND = "tkip-capture-set"
 
     positions: range
     plaintext_len: int
@@ -161,6 +168,18 @@ class CaptureSet:
             _seen_tsc=set(self._seen_tsc),
         )
 
+    def check_merge(self, other: "CaptureSet") -> None:
+        """Every check :meth:`merge` makes before it changes a counter.
+
+        Raises:
+            AttackError: on captures of different shapes.
+        """
+        if (
+            self.positions != other.positions
+            or self.plaintext_len != other.plaintext_len
+        ):
+            raise AttackError("cannot merge captures of different shapes")
+
     def merge(self, other: "CaptureSet") -> "CaptureSet":
         """Exact int64 merge of shard counts into ``self`` (in place).
 
@@ -169,11 +188,7 @@ class CaptureSet:
         packet-level shards are the caller's responsibility to keep
         disjoint.
         """
-        if (
-            self.positions != other.positions
-            or self.plaintext_len != other.plaintext_len
-        ):
-            raise AttackError("cannot merge captures of different shapes")
+        self.check_merge(other)
         for tsc, table in other.counts.items():
             mine = self.counts.get(tsc)
             if mine is None:
@@ -187,7 +202,7 @@ class CaptureSet:
     def to_jsonable(self) -> dict:
         """Canonical-JSON-ready summary (counters stay in NPZ files)."""
         return {
-            "type": "tkip-capture-set",
+            "type": self.KIND,
             "num_captured": int(self.num_captured),
             "plaintext_len": int(self.plaintext_len),
             "positions": [
@@ -199,54 +214,48 @@ class CaptureSet:
             ),
         }
 
-    def save(self, path, *, extra: dict | None = None):
-        """NPZ persistence via the dataset store (resumable captures).
+    def archive(self) -> tuple[dict[str, np.ndarray], dict]:
+        """The per-TSC tables, stacked in TSC order, and the metadata
+        :meth:`save` writes.
 
-        Packet identities (`_seen_tsc`) are not persisted — a saved
+        Packet identities (`_seen_tsc`) are not archived — a saved
         capture is a statistic-level artefact, like the paper's merged
         worker counters.
         """
-        from ..datasets.store import save_statistics
-
         tsc_values = sorted(self.counts)
-        stacked = (
-            np.stack([self.counts[tsc] for tsc in tsc_values])
-            if tsc_values
-            else np.zeros((0, len(self.positions), 256), dtype=np.int64)
-        )
+        stacked = np.array(
+            [self.counts[tsc] for tsc in tsc_values], dtype=np.int64
+        ).reshape(-1, len(self.positions), 256)
+        arrays = {
+            "counts": stacked, "tsc_values": np.asarray(tsc_values, np.int64)
+        }
         meta = {
             "positions": [
                 self.positions.start, self.positions.stop, self.positions.step
             ],
             "plaintext_len": self.plaintext_len,
             "num_captured": self.num_captured,
-            "extra": extra or {},
         }
-        return save_statistics(
-            path,
-            "tkip-capture-set",
-            {"counts": stacked, "tsc_values": np.asarray(tsc_values, np.int64)},
-            meta,
-        )
+        return arrays, meta
 
     @classmethod
-    def load(cls, path) -> tuple["CaptureSet", dict]:
-        """Load a capture saved by :meth:`save`; returns (capture, extra)."""
-        from ..datasets.store import load_statistics
+    def from_archive(cls, arrays: dict, meta: dict) -> "CaptureSet":
+        """A capture from :meth:`archive`'s arrays and metadata.
 
-        arrays, meta = load_statistics(path, "tkip-capture-set")
-        start, stop, step = meta["positions"]
+        Raises:
+            AttackError: if the tables do not match the positions.
+        """
         capture = cls(
-            positions=range(start, stop, step),
+            positions=range(*meta["positions"]),
             plaintext_len=meta["plaintext_len"],
             num_captured=meta["num_captured"],
         )
         stacked = arrays["counts"]
         if stacked.shape[1:] != (len(capture.positions), 256):
-            raise AttackError(f"{path}: capture counts shape mismatch")
+            raise AttackError("capture counts shape mismatch")
         for tsc, table in zip(arrays["tsc_values"], stacked):
             capture.counts[int(tsc)] = np.ascontiguousarray(table, np.int64)
-        return capture, meta.get("extra", {})
+        return capture
 
 
 @dataclass

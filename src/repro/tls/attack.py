@@ -29,6 +29,7 @@ from ..biases.mantin_absab import MAX_GAP, absab_alpha, usable_gaps
 from ..core.candidates.matrix import CandidateMatrix
 from ..core.candidates.viterbi import algorithm2
 from ..core.likelihood.digraph import digraph_log_likelihoods
+from ..datasets.store import ArchivedStatistics
 from ..errors import AttackError
 from .bruteforce import BruteForceOracle, CandidatePruner
 from .connection import RecordSniffer
@@ -110,15 +111,36 @@ class CookieLayout:
             raise AttackError("cookie must not start at the first keystream byte")
         return list(range(start - 1, end + 1))
 
+    def to_meta(self) -> dict:
+        """The layout as JSON-safe fields (descriptors, NPZ metadata)."""
+        return {
+            "prefix": self.prefix.decode("latin-1"),
+            "suffix": self.suffix.decode("latin-1"),
+            "cookie_len": self.cookie_len,
+            "base_offset": self.base_offset,
+        }
+
+    @classmethod
+    def from_meta(cls, fields: dict) -> "CookieLayout":
+        """The layout :meth:`to_meta` recorded."""
+        return cls(
+            prefix=fields["prefix"].encode("latin-1"),
+            suffix=fields["suffix"].encode("latin-1"),
+            cookie_len=int(fields["cookie_len"]),
+            base_offset=int(fields["base_offset"]),
+        )
+
 
 @dataclass
-class CookieStatistics:
+class CookieStatistics(ArchivedStatistics):
     """Sufficient statistics for the §6 attack.
 
     Implements the :class:`repro.capture.SufficientStatistics` protocol:
     snapshots, exact :meth:`merge` (so captures shard across processes),
     canonical-JSON summaries, and NPZ persistence (so captures
-    checkpoint and resume across sessions).
+    checkpoint and resume across sessions: :meth:`save`/:meth:`load`
+    of the arrays and metadata of :meth:`archive`, which a
+    :class:`repro.capture.VictimSet` stores once per victim).
 
     Capture counters are uint32 (:meth:`empty`, and :meth:`load` of any
     archive that fits): such an object holds at most
@@ -133,22 +155,26 @@ class CookieStatistics:
         fm_counts: (num_transitions, 256, 256) ciphertext digraph
             counts; row t is the digraph at transitions()[t].
         absab_counts: maps (transition_index, gap, side) -> 65536-entry
-            vector of ciphertext differential counts.  The vectors are
-            row views into ``absab_matrix``, one backing array of shape
-            (num_alignments, 65536) and the same dtype as ``fm_counts``,
-            so the batched capture engine and the merge/persistence
-            paths operate on a single contiguous block while
-            per-request code keeps the dict API.
+            vector of ciphertext differential counts, each a row view
+            into ``absab_matrix``, so per-request code keeps the dict
+            API.
+        absab_matrix: the one ABSAB counter store, (num_alignments,
+            65536) of the same dtype as ``fm_counts``, which the
+            batched capture engine and the merge/persistence paths
+            operate on.
         num_requests: requests accumulated.
         max_gap: ABSAB gap cap the alignment set was built with.
     """
 
+    #: The ``statistics_kind`` of this type's checkpoints.
+    KIND = "cookie-statistics"
+
     layout: CookieLayout
     fm_counts: np.ndarray
     absab_counts: dict[tuple[int, int, str], np.ndarray]
+    absab_matrix: np.ndarray
     num_requests: int = 0
     max_gap: int = MAX_GAP
-    absab_matrix: np.ndarray | None = None
 
     @classmethod
     def empty(
@@ -234,7 +260,7 @@ class CookieStatistics:
         return CookieStatistics.from_counters(
             self.layout,
             self.fm_counts.copy(),
-            self._matrix().copy(),
+            self.absab_matrix.copy(),
             max_gap=self.max_gap,
             num_requests=self.num_requests,
         )
@@ -254,45 +280,41 @@ class CookieStatistics:
                 f"{limit} that {self.fm_counts.dtype} counters hold"
             )
 
-    def merge(self, other: "CookieStatistics") -> "CookieStatistics":
-        """Exact merge of shard counts into ``self`` (in place).
+    def check_merge(self, other: "CookieStatistics") -> None:
+        """Every check :meth:`merge` makes before it changes a counter.
 
-        Associative and commutative — shards captured by independent
-        processes combine to the same counters in any order.  ``self``
-        keeps its counter dtype, and the request bound is checked before
-        any counter changes.
+        Raises:
+            AttackError: on another layout or alignment set, or if the
+                merged requests would pass the request bound.
         """
         if self.layout != other.layout or self.max_gap != other.max_gap:
             raise AttackError("cannot merge statistics of different layouts")
         if list(self.absab_counts) != list(other.absab_counts):
             raise AttackError("cannot merge statistics with different alignments")
         self.check_room(other.num_requests)
+
+    def merge(self, other: "CookieStatistics") -> "CookieStatistics":
+        """Exact merge of shard counts into ``self`` (in place).
+
+        Associative and commutative — shards captured by independent
+        processes combine to the same counters in any order.  ``self``
+        keeps its counter dtype, and :meth:`check_merge` runs before
+        any counter changes.
+        """
+        self.check_merge(other)
         # No cell exceeds its object's requests, so within the bound the
         # cast into a narrower dtype cannot wrap.
         np.add(self.fm_counts, other.fm_counts, out=self.fm_counts,
                casting="unsafe")
-        if self.absab_matrix is not None:
-            np.add(self.absab_matrix, other._matrix(), out=self.absab_matrix,
-                   casting="unsafe")
-        else:
-            for key, counts in other.absab_counts.items():
-                mine = self.absab_counts[key]
-                np.add(mine, counts, out=mine, casting="unsafe")
+        np.add(self.absab_matrix, other.absab_matrix, out=self.absab_matrix,
+               casting="unsafe")
         self.num_requests += other.num_requests
         return self
-
-    def _matrix(self) -> np.ndarray:
-        """The ABSAB rows as one (num_alignments, 65536) array."""
-        if self.absab_matrix is not None:
-            return self.absab_matrix
-        if not self.absab_counts:
-            return np.zeros((0, 65536), dtype=self.fm_counts.dtype)
-        return np.stack(list(self.absab_counts.values()))
 
     def to_jsonable(self) -> dict:
         """Canonical-JSON-ready summary (counters stay in NPZ files)."""
         return {
-            "type": "cookie-statistics",
+            "type": self.KIND,
             "num_requests": int(self.num_requests),
             "max_gap": int(self.max_gap),
             "layout": {
@@ -309,58 +331,34 @@ class CookieStatistics:
             ),
         }
 
-    def save(self, path, *, extra: dict | None = None):
-        """Uncompressed NPZ persistence via the dataset store (resumable
-        captures; see :func:`~repro.datasets.store.save_statistics`)."""
-        from ..datasets.store import save_statistics
-
+    def archive(self) -> tuple[dict[str, np.ndarray], dict]:
+        """The counters (uncopied) and the metadata :meth:`save` writes."""
+        arrays = {"fm_counts": self.fm_counts, "absab_matrix": self.absab_matrix}
         meta = {
-            "layout": {
-                "prefix": self.layout.prefix.decode("latin-1"),
-                "suffix": self.layout.suffix.decode("latin-1"),
-                "cookie_len": self.layout.cookie_len,
-                "base_offset": self.layout.base_offset,
-            },
+            "layout": self.layout.to_meta(),
             "max_gap": self.max_gap,
             "num_requests": self.num_requests,
-            "extra": extra or {},
         }
-        return save_statistics(
-            path,
-            "cookie-statistics",
-            {"fm_counts": self.fm_counts, "absab_matrix": self._matrix()},
-            meta,
-        )
+        return arrays, meta
 
     @classmethod
-    def load(cls, path) -> tuple["CookieStatistics", dict]:
-        """Load statistics saved by :meth:`save`; returns (stats, extra).
+    def from_archive(cls, arrays: dict, meta: dict) -> "CookieStatistics":
+        """Statistics from :meth:`archive`'s arrays and metadata.
 
         int64 counters of at most :data:`MAX_CAPTURE_REQUESTS` requests,
-        as older checkpoints hold, load narrowed to uint32.
-        """
-        from ..datasets.store import load_statistics
+        as older checkpoints hold, come back narrowed to uint32.
 
-        arrays, meta = load_statistics(path, "cookie-statistics")
-        fields = meta["layout"]
-        layout = CookieLayout(
-            prefix=fields["prefix"].encode("latin-1"),
-            suffix=fields["suffix"].encode("latin-1"),
-            cookie_len=fields["cookie_len"],
-            base_offset=fields["base_offset"],
-        )
+        Raises:
+            AttackError: if a counter's shape does not match the layout.
+        """
         num_requests = meta["num_requests"]
-        try:
-            stats = cls.from_counters(
-                layout,
-                capture_counters(arrays["fm_counts"], num_requests),
-                capture_counters(arrays["absab_matrix"], num_requests),
-                max_gap=meta["max_gap"],
-                num_requests=num_requests,
-            )
-        except AttackError as exc:
-            raise AttackError(f"{path}: {exc}") from None
-        return stats, meta.get("extra", {})
+        return cls.from_counters(
+            CookieLayout.from_meta(meta["layout"]),
+            capture_counters(arrays["fm_counts"], num_requests),
+            capture_counters(arrays["absab_matrix"], num_requests),
+            max_gap=meta["max_gap"],
+            num_requests=num_requests,
+        )
 
     def ingest_fragment(self, fragment: bytes, offset: int = 1) -> None:
         """Update counts from one encrypted request fragment.

@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from repro.capture import (
     HttpsCaptureSource,
     TkipCaptureSource,
+    VictimSet,
     ingest_keystream_columns,
     merge_shards,
     run_capture,
@@ -36,7 +37,12 @@ from repro.capture import (
 from repro.capture.https import keystream_window
 from repro.config import ReproConfig
 from repro.datasets.generate import templated_digraph_counts
-from repro.errors import AttackError, CaptureError, ExperimentParamError
+from repro.errors import (
+    AttackError,
+    CaptureError,
+    DatasetError,
+    ExperimentParamError,
+)
 from repro.rc4 import _native
 from repro.rc4.keygen import derive_keys
 from repro.rc4.reference import rc4_keystream
@@ -757,8 +763,6 @@ class TestCaptureBounds:
         _assert_cookie_stats_equal(stats, before)
 
     def test_merge_past_the_bound_changes_nothing(self):
-        from repro.capture import MultiTemplateStatistics
-
         big, small = _random_cookie_stats(1), _random_cookie_stats(2)
         big.num_requests, small.num_requests = 2**32 - 10, 10
         before = big.snapshot()
@@ -771,9 +775,9 @@ class TestCaptureBounds:
         assert big.fm_counts.dtype == np.uint32
 
         # Victim b's bound fails, so victim a is not merged either.
-        multi = MultiTemplateStatistics.empty(_LAYOUT, ["a", "b"], max_gap=3)
+        multi = _cookie_victim_set(["a", "b"])
         other = multi.snapshot()
-        other.victims = [_random_cookie_stats(3), _random_cookie_stats(4)]
+        other.members = [_random_cookie_stats(3), _random_cookie_stats(4)]
         multi.victim("b").num_requests = 2**32 - 1
         with pytest.raises(AttackError):
             multi.merge(other)
@@ -818,18 +822,19 @@ class TestCaptureBounds:
         _assert_cookie_stats_equal(resumed, run_capture(source))
 
     def test_int64_multi_template_archive_loads_narrowed(self, tmp_path):
-        from repro.capture import MultiTemplateStatistics
-
-        stats = MultiTemplateStatistics.empty(_LAYOUT, ["a", "b"], max_gap=3)
-        stats.victims = [_random_cookie_stats(6), _random_cookie_stats(7)]
+        stats = VictimSet(
+            ("a", "b"), [_random_cookie_stats(6), _random_cookie_stats(7)]
+        )
         path = stats.save(tmp_path / "multi.npz")
         with np.load(path) as archive:
             members = {name: archive[name] for name in archive.files}
-        for name in ("fm_counts", "absab_matrix"):
-            members[name] = members[name].astype(np.int64)
+        for v in range(2):
+            for name in ("fm_counts", "absab_matrix"):
+                key = f"{v}/{name}"
+                members[key] = members[key].astype(np.int64)
         np.savez(path, **members)
-        loaded, _ = MultiTemplateStatistics.load(path)
-        for mine, theirs in zip(loaded.victims, stats.victims):
+        loaded, _ = VictimSet.load(path, CookieStatistics)
+        for mine, theirs in zip(loaded.members, stats.members):
             assert mine.fm_counts.dtype == np.uint32
             _assert_cookie_stats_equal(mine, theirs)
 
@@ -914,6 +919,13 @@ def _random_capture_set(seed: int) -> CaptureSet:
     return capture
 
 
+def _cookie_victim_set(victim_ids, *, max_gap: int = 3) -> VictimSet:
+    return VictimSet(
+        tuple(victim_ids),
+        [CookieStatistics.empty(_LAYOUT, max_gap=max_gap) for _ in victim_ids],
+    )
+
+
 @pytest.mark.parametrize(
     "make,equal",
     [
@@ -957,6 +969,73 @@ class TestStatisticsAlgebra:
         )
 
 
+@pytest.mark.parametrize(
+    "make,equal,member_type",
+    [
+        (_random_cookie_stats, _assert_cookie_stats_equal, CookieStatistics),
+        (
+            _random_capture_set,
+            TestTkipCaptureEquivalence._assert_equal,
+            CaptureSet,
+        ),
+    ],
+    ids=["cookie", "tkip"],
+)
+class TestVictimSetArchive:
+    """A victim set saves each member's arrays as entries of their own
+    and loads them back bit for bit, as its member type only."""
+
+    def test_npz_round_trips_bit_identically(
+        self, make, equal, member_type, tmp_path
+    ):
+        stats = VictimSet(("a", "b", "c"), [make(seed) for seed in (1, 2, 3)])
+        path = stats.save(tmp_path / "set.npz", extra={"note": "round-trip"})
+        loaded, extra = VictimSet.load(path, member_type)
+        assert extra == {"note": "round-trip"}
+        assert loaded.victim_ids == stats.victim_ids
+        for mine, theirs in zip(loaded.members, stats.members, strict=True):
+            assert type(mine) is member_type
+            equal(mine, theirs)
+            mine_arrays, mine_meta = mine.archive()
+            theirs_arrays, theirs_meta = theirs.archive()
+            assert mine_meta == theirs_meta
+            for name, array in theirs_arrays.items():
+                assert mine_arrays[name].dtype == array.dtype, name
+        assert canonical_json(loaded.to_jsonable()) == canonical_json(
+            stats.to_jsonable()
+        )
+
+    def test_loading_as_the_other_member_type_raises(
+        self, make, equal, member_type, tmp_path
+    ):
+        path = VictimSet(("a",), [make(4)]).save(tmp_path / "set.npz")
+        other = CaptureSet if member_type is CookieStatistics else CookieStatistics
+        with pytest.raises(DatasetError, match=f"victim-set/{member_type.KIND}"):
+            VictimSet.load(path, other)
+        with pytest.raises(DatasetError, match=f"'{member_type.KIND}'"):
+            member_type.load(path)
+
+
+def test_victim_set_merge_checks_every_member_first():
+    """Victim b's shapes differ, so victim a is not merged either."""
+    equal = TestTkipCaptureEquivalence._assert_equal
+    stats = VictimSet(("a", "b"), [_random_capture_set(1), _random_capture_set(2)])
+    before = stats.snapshot()
+    other = VictimSet(
+        ("a", "b"),
+        [_random_capture_set(3), CaptureSet(positions=range(1, 6), plaintext_len=9)],
+    )
+    with pytest.raises(AttackError, match="different shapes"):
+        stats.merge(other)
+    with pytest.raises(AttackError, match="different victim sets"):
+        stats.merge(VictimSet(("a", "c"), before.snapshot().members))
+    for mine, theirs in zip(stats.members, before.members, strict=True):
+        equal(mine, theirs)
+    other.members[1] = _random_capture_set(4)
+    stats.merge(other)
+    equal(stats.victim("a"), before.victim("a").merge(other.victim("a")))
+
+
 class TestResumeMemory:
     """Loading a checkpoint keeps the loaded arrays as the counters: the
     load peaks at about 1x the counter bytes, not 2x."""
@@ -982,18 +1061,40 @@ class TestResumeMemory:
         key = next(iter(loaded.absab_counts))
         assert np.shares_memory(loaded.absab_counts[key], loaded.absab_matrix)
 
-    def test_multi_template_statistics_load_peak(self, tmp_path):
-        from repro.capture import MultiTemplateStatistics
-
-        stats = MultiTemplateStatistics.empty(_LAYOUT, ["a", "b"], max_gap=16)
+    def test_victim_set_load_peak(self, tmp_path):
+        stats = _cookie_victim_set(["a", "b"], max_gap=16)
         stats.victim("b").absab_matrix[:, ::89] = 3
         path = stats.save(tmp_path / "multi.npz")
-        loaded, peak = self._load_peak(MultiTemplateStatistics.load, path)
+        loaded, peak = self._load_peak(
+            lambda path: VictimSet.load(path, CookieStatistics), path
+        )
         counter_bytes = sum(
-            s.fm_counts.nbytes + s.absab_matrix.nbytes for s in stats.victims
+            s.fm_counts.nbytes + s.absab_matrix.nbytes for s in stats.members
         )
         assert counter_bytes <= peak <= 1.2 * counter_bytes
-        for mine, theirs in zip(loaded.victims, stats.victims):
+        for mine, theirs in zip(loaded.members, stats.members):
+            _assert_cookie_stats_equal(mine, theirs)
+
+    def test_victim_set_save_peak(self, tmp_path):
+        """Each member's counters are written as entries of their own,
+        so saving four victims peaks below one victim's counter bytes; a
+        save that stacked them would copy all four."""
+        stats = _cookie_victim_set(["a", "b", "c", "d"], max_gap=16)
+        for v, member in enumerate(stats.members):
+            member.absab_matrix[:, v::97] = v + 1
+        victim_bytes = (
+            stats.members[0].fm_counts.nbytes
+            + stats.members[0].absab_matrix.nbytes
+        )
+        tracemalloc.start()
+        try:
+            path = stats.save(tmp_path / "four.npz")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= victim_bytes
+        loaded, _ = VictimSet.load(path, CookieStatistics)
+        for mine, theirs in zip(loaded.members, stats.members, strict=True):
             _assert_cookie_stats_equal(mine, theirs)
 
 

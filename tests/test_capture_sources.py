@@ -3,11 +3,11 @@
 :class:`HttpsCaptureSource` and :class:`TkipCaptureSource` each take
 ``plaintexts`` (V >= 1) and ``victim_ids`` (empty, or one unique id per
 plaintext).  A source without ids returns the bare statistics of one
-victim; a source with ids, even one, returns victim-set statistics.
-Only the statistics type, the descriptor's ``kind`` and its plaintext
-key depend on that form, so the fingerprints pinned here, and with them
-every checkpoint and campaign record written before the two forms shared
-a class, stay valid.
+victim; a source with ids, even one, returns a :class:`VictimSet` of
+them.  Only the statistics type, the descriptor's ``kind`` and its
+plaintext key depend on that form, so the fingerprints pinned here, and
+with them every campaign record written before the two forms shared a
+class, stay valid.
 """
 
 import numpy as np
@@ -16,13 +16,12 @@ import pytest
 from repro.campaign import Population, plan_https_groups, plan_tkip_groups
 from repro.capture import (
     HttpsCaptureSource,
-    MultiTemplateStatistics,
-    MultiTkipStatistics,
     TkipCaptureSource,
+    VictimSet,
     run_capture,
 )
 from repro.config import ReproConfig
-from repro.errors import CaptureError
+from repro.errors import AttackError, CaptureError
 from repro.simulate import HttpsAttackSimulation, WifiAttackSimulation
 from repro.tkip.injection import CaptureSet
 from repro.tls.attack import CookieLayout, CookieStatistics
@@ -139,7 +138,8 @@ class TestVictimAxis:
     def test_named_source_of_one_victim_returns_a_victim_set(self):
         plaintext = _https_plaintexts(1)[0]
         named = run_capture(_https(plaintexts=(plaintext,), victim_ids=("v",)))
-        assert type(named) is MultiTemplateStatistics
+        assert type(named) is VictimSet
+        assert type(named.victim("v")) is CookieStatistics
         alone = run_capture(_https(plaintext=plaintext))
         assert np.array_equal(named.victim("v").fm_counts, alone.fm_counts)
         assert np.array_equal(
@@ -148,7 +148,8 @@ class TestVictimAxis:
 
         packet = _tkip_plaintexts(1)[0]
         named = run_capture(_tkip(plaintexts=(packet,), victim_ids=("v",)))
-        assert type(named) is MultiTkipStatistics
+        assert type(named) is VictimSet
+        assert type(named.victim("v")) is CaptureSet
         alone = run_capture(_tkip(plaintext=packet))
         assert sorted(named.victim("v").counts) == sorted(alone.counts)
         for tsc, counts in alone.counts.items():
@@ -183,20 +184,28 @@ class TestVictimAxis:
         """Built empty or loaded from a hand-built checkpoint, victim-set
         statistics refuse a repeated id, naming it."""
         with pytest.raises(CaptureError, match=r"duplicate victim ids \['a'\]"):
-            MultiTemplateStatistics.empty(_LAYOUT, ("a", "b", "a"), max_gap=8)
-        stats = MultiTemplateStatistics.empty(_LAYOUT, ("a", "b"), max_gap=8)
+            VictimSet(
+                ("a", "b", "a"),
+                [CookieStatistics.empty(_LAYOUT, max_gap=8) for _ in range(3)],
+            )
+        stats = _https(
+            plaintexts=_https_plaintexts(2), victim_ids=("a", "b")
+        ).empty()
         stats.victim_ids = ("a", "a")
         path = stats.save(tmp_path / "repeated.npz")
         with pytest.raises(
             CaptureError, match=r"repeated\.npz: duplicate victim ids \['a'\]"
         ):
-            MultiTemplateStatistics.load(path)
+            VictimSet.load(path, CookieStatistics)
 
     def test_tkip_statistics_reject_repeated_ids(self, tmp_path):
         with pytest.raises(CaptureError, match=r"duplicate victim ids \['v'\]"):
-            MultiTkipStatistics(
-                positions=range(1, 21), plaintext_len=20,
-                victim_ids=("v", "w", "v"),
+            VictimSet(
+                ("v", "w", "v"),
+                [
+                    CaptureSet(positions=range(1, 21), plaintext_len=20)
+                    for _ in range(3)
+                ],
             )
         stats = run_capture(
             _tkip(plaintexts=_tkip_plaintexts(2), victim_ids=("v", "w"))
@@ -206,7 +215,19 @@ class TestVictimAxis:
         with pytest.raises(
             CaptureError, match=r"repeated\.npz: duplicate victim ids \['v'\]"
         ):
-            MultiTkipStatistics.load(path)
+            VictimSet.load(path, CaptureSet)
+
+    def test_malformed_victim_sets_are_rejected(self):
+        cookie = CookieStatistics.empty(_LAYOUT, max_gap=8)
+        capture = CaptureSet(positions=range(1, 21), plaintext_len=20)
+        with pytest.raises(CaptureError, match="at least one member"):
+            VictimSet((), [])
+        with pytest.raises(CaptureError, match="2 members for 1 victim ids"):
+            VictimSet(("a",), [cookie, cookie.snapshot()])
+        with pytest.raises(CaptureError, match="share one type"):
+            VictimSet(("a", "b"), [cookie, capture])
+        with pytest.raises(AttackError, match="no victim 'c'"):
+            VictimSet(("a",), [capture]).victim("c")
 
     def test_plaintext_lengths_are_checked_per_victim(self):
         short = _https_plaintexts(2)[0][:-1]

@@ -157,9 +157,10 @@ def test_verify_job_smokes_warehouse_sweep_and_docs_consistency(workflow):
 
 def test_verify_job_smokes_the_campaign_simulator(workflow):
     """The verify job must run a tiny heterogeneous campaign-https
-    population through the shared-keystream multi-template path on both
+    population through the shared-keystream victim-set path on both
     REPRO_NATIVE legs: --json round-trip, a warehouse append, and the
-    campaign test suite."""
+    campaign test suite; and a tiny campaign-tkip run whose groups
+    include a victim set, with its own --json round-trip."""
     job = workflow["jobs"]["verify"]
     assert sorted(job["strategy"]["matrix"]["native"]) == ["0", "1"]
     runs = _run_lines(job)
@@ -177,6 +178,17 @@ def test_verify_job_smokes_the_campaign_simulator(workflow):
     )
     assert "test_campaign" in runs, (
         "verify job must run tests/test_campaign.py"
+    )
+    tkip_steps = [
+        s for s in _steps(job) if "campaign-tkip" in s.get("run", "")
+    ]
+    assert tkip_steps, "verify job must smoke campaign-tkip"
+    step = tkip_steps[0]["run"]
+    assert "population=4" in step and "group_size=2" in step, (
+        "the TKIP smoke must stay tiny and group victims into sets"
+    )
+    assert "campaign-tkip-smoke.json" in step and "from_json" in step, (
+        "the TKIP smoke must round-trip its --json record"
     )
 
 

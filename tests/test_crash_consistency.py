@@ -29,17 +29,17 @@ import pytest
 
 from repro.api import ExperimentResult, Session
 from repro.campaign import Population, run_https_campaign
-from repro.capture import MultiTemplateStatistics
-from repro.capture.engine import run_capture, shard_batches
+from repro.capture import VictimSet
+from repro.capture.engine import batch_digest, run_capture, shard_batches
 from repro.capture.https import HttpsCaptureSource
 from repro.capture.tkip import TkipCaptureSource
 from repro.config import ReproConfig
 from repro.datasets import DatasetSpec, dataset_cache_path
+from repro.datasets.store import save_statistics
 from repro.errors import CaptureError
 from repro.rc4 import _native
 from repro.tkip import PerTscDistributions
-from repro.tls.attack import CookieLayout
-from repro.utils.serialization import canonical_json
+from repro.tls.attack import CookieLayout, CookieStatistics
 from repro.warehouse import RunStore
 
 TESTS_DIR = Path(__file__).resolve().parent
@@ -62,11 +62,6 @@ def _tkip_source(config: ReproConfig, **overrides) -> TkipCaptureSource:
     )
     kwargs.update(overrides)
     return TkipCaptureSource(**kwargs)
-
-
-def _stats_equal(a, b) -> bool:
-    """Equality of the canonical JSON summaries."""
-    return canonical_json(a.to_jsonable()) == canonical_json(b.to_jsonable())
 
 
 # --------------------------------------------------------------------------
@@ -112,7 +107,7 @@ class TestCheckpointHardening:
         path.write_bytes(data[: len(data) // 2])  # torn write
         with pytest.warns(RuntimeWarning, match="corrupted or truncated"):
             recovered = run_capture(source, checkpoint_path=path)
-        assert _stats_equal(recovered, single)
+        _assert_same_counters(recovered, single)
 
     def test_garbage_checkpoint_warns_and_restarts(self, tmp_path):
         config = _config()
@@ -121,7 +116,7 @@ class TestCheckpointHardening:
         path.write_bytes(b"this is not an npz archive")
         with pytest.warns(RuntimeWarning, match="corrupted or truncated"):
             recovered = run_capture(source, checkpoint_path=path)
-        assert _stats_equal(recovered, run_capture(source))
+        _assert_same_counters(recovered, run_capture(source))
 
     def test_wrong_campaign_checkpoint_stays_a_hard_error(self, tmp_path):
         source = _tkip_source(_config())
@@ -130,6 +125,21 @@ class TestCheckpointHardening:
         run_capture(source, checkpoint_path=path)
         with pytest.raises(CaptureError, match="fingerprint"):
             run_capture(other, checkpoint_path=path)
+
+    @pytest.mark.parametrize("factory", ["_https_victim_set", "_tkip_victim_set"])
+    def test_stacked_victim_set_checkpoint_warns_and_restarts(
+        self, tmp_path, factory
+    ):
+        """A group checkpoint in the stacked layout older runs wrote
+        fails the statistics kind check: the capture warns, naming the
+        kind, and counts the group from scratch."""
+        source = globals()[factory]()
+        path = tmp_path / "group.npz"
+        kind = _save_stacked_checkpoint(source, path, batches_done=4)
+        with pytest.warns(RuntimeWarning, match=f"statistics kind '{kind}'"):
+            recovered = run_capture(source, checkpoint_path=path)
+        _assert_same_counters(recovered, run_capture(source))
+        _assert_same_counters(source.load(path)[0], recovered)
 
     def test_rescuer_leaves_stalled_writers_temp_file_alone(
         self, tmp_path, monkeypatch
@@ -157,8 +167,8 @@ class TestCheckpointHardening:
         # The array write inside save_arrays, which checkpoints go through.
         monkeypatch.setattr(np, "savez", stall_mid_save)
         stalled = run_capture(source, checkpoint_path=path)
-        assert _stats_equal(stalled, run_capture(source))
-        assert _stats_equal(run_capture(source, checkpoint_path=path), stalled)
+        _assert_same_counters(stalled, run_capture(source))
+        _assert_same_counters(run_capture(source, checkpoint_path=path), stalled)
         assert [p.name for p in tmp_path.iterdir()] == ["capture.npz"]
 
     def test_failed_checkpoint_save_leaves_no_temp_file(
@@ -368,6 +378,61 @@ def _tkip() -> TkipCaptureSource:
     return _tkip_source(_config(), packets_per_tsc=1200)
 
 
+def _tkip_victim_set() -> TkipCaptureSource:
+    return _tkip_source(
+        _config(),
+        plaintext=None,
+        plaintexts=(bytes(range(20)), bytes(range(100, 120))),
+        victim_ids=("a", "b"),
+    )
+
+
+def _save_stacked_checkpoint(source, path: Path, *, batches_done: int) -> str:
+    """Write the first ``batches_done`` batches of a victim-set source in
+    the stacked layout older runs checkpointed groups in (each counter
+    stacked over the victims); returns that layout's statistics kind."""
+    members = run_capture(source, batches=range(batches_done)).members
+    if isinstance(members[0], CookieStatistics):
+        kind = "multi-template-statistics"
+        arrays = {
+            "fm_counts": np.stack([m.fm_counts for m in members]),
+            "absab_matrix": np.stack([m.absab_matrix for m in members]),
+            "num_requests": np.asarray(
+                [m.num_requests for m in members], np.int64
+            ),
+        }
+        meta = {"layout": source.layout.to_meta(), "max_gap": source.max_gap}
+        requests = sum(m.num_requests for m in members)
+    else:
+        kind = "multi-tkip-statistics"
+        tsc_values = sorted(members[0].counts)
+        arrays = {
+            "counts": np.stack(
+                [np.stack([m.counts[t] for m in members]) for t in tsc_values]
+            ),
+            "tsc_values": np.asarray(tsc_values, np.int64),
+        }
+        positions = source.positions
+        meta = {
+            "positions": [positions.start, positions.stop, positions.step],
+            "plaintext_len": source.plaintext_len,
+            "num_captured": members[0].num_captured,
+        }
+        requests = sum(m.num_captured for m in members)
+    cursor = {
+        "fingerprint": source.fingerprint(),
+        "batch_digest": batch_digest(list(range(source.num_batches))),
+        "batches_done": batches_done,
+        "requests_done": requests,
+    }
+    meta.update(
+        victim_ids=list(source.victim_ids),
+        extra={"capture_checkpoint": cursor},
+    )
+    save_statistics(path, kind, arrays, meta)
+    return kind
+
+
 def _spawn(template: str, **fields) -> subprocess.Popen:
     script = template.format(
         src=str(SRC_DIR), tests=str(TESTS_DIR), pause=_PAUSE, **fields
@@ -408,18 +473,24 @@ def _batches_done(source, path: Path) -> int:
 
 
 def _assert_same_counters(got, want) -> None:
-    """Every counter cell equal, dtypes included."""
-    if isinstance(want, MultiTemplateStatistics):
+    """Every counter cell equal, dtypes included: bare statistics of
+    either attack, or a victim set of them member by member."""
+    assert type(got) is type(want)
+    if isinstance(want, VictimSet):
         assert got.victim_ids == want.victim_ids
-        for mine, theirs in zip(got.victims, want.victims):
-            assert mine.num_requests == theirs.num_requests
-            assert mine.fm_counts.dtype == theirs.fm_counts.dtype
-            assert np.array_equal(mine.fm_counts, theirs.fm_counts)
-            assert np.array_equal(mine.absab_matrix, theirs.absab_matrix)
+        for mine, theirs in zip(got.members, want.members, strict=True):
+            _assert_same_counters(mine, theirs)
+    elif isinstance(want, CookieStatistics):
+        assert got.num_requests == want.num_requests
+        for name in ("fm_counts", "absab_matrix"):
+            mine, theirs = getattr(got, name), getattr(want, name)
+            assert mine.dtype == theirs.dtype, name
+            assert np.array_equal(mine, theirs), name
     else:
         assert got.num_captured == want.num_captured
         assert sorted(got.counts) == sorted(want.counts)
         for tsc, table in want.counts.items():
+            assert got.counts[tsc].dtype == table.dtype
             assert np.array_equal(got.counts[tsc], table)
 
 
