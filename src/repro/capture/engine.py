@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Protocol, Sequence
 
-from ..errors import CaptureError, DatasetError
+from ..errors import CaptureError, DatasetError, StatisticsKindError
 from ..utils.serialization import canonical_json
 from .protocol import SufficientStatistics
 
@@ -246,12 +246,22 @@ def run_capture(
                 stats = loaded
         except CORRUPT_CHECKPOINT_ERRORS as exc:
             # A half-written or truncated checkpoint (process killed mid
-            # write, disk full) must cost a restart of this capture, not
-            # an opaque zipfile/numpy traceback.
+            # write, disk full), or one of another statistics kind (such
+            # as an older run's layout), must cost a restart of this
+            # capture, not an opaque zipfile/numpy traceback.
+            if isinstance(exc, StatisticsKindError):
+                problem = (
+                    f"holds statistics kind {exc.found!r}, not the "
+                    f"{exc.expected!r} this capture counts"
+                )
+            else:
+                problem = (
+                    "is corrupted or truncated "
+                    f"({exc.__class__.__name__}: {exc})"
+                )
             warnings.warn(
-                f"checkpoint {path} is corrupted or truncated "
-                f"({exc.__class__.__name__}: {exc}); restarting capture "
-                "from scratch",
+                f"checkpoint {path} {problem}; restarting capture from "
+                "scratch",
                 RuntimeWarning,
                 stacklevel=2,
             )

@@ -29,6 +29,16 @@ and Chiang, "Better k-best parsing", IWPT 2005, Algorithm 3):
 * A step-major backtrack gathers all N rows per plaintext position into
   the ``(N, L)`` uint8 :class:`CandidateMatrix`.
 
+The lazy lists have two engines, chosen per call: a single-threaded C
+engine (:func:`repro.rc4._native.lazy_lists`, N below 2^32) and the
+Python engine of :func:`_lazy_lists` (``heapq`` frontiers), the
+``REPRO_NATIVE=0`` fallback.  The C engine takes the same steps: the
+same frontiers, sifted as ``heapq`` sifts them, and the same
+arithmetic.  The rank-0 pass and the backtrack are numpy for both.  At
+paper shape (16 unknown bytes, N = 2^23) the C engine takes about 6 s
+and the Python engine about 70 s.  Either engine raises
+:class:`CandidateError` if its lists cannot be allocated.
+
 The order is *canonical*: a node's extensions come out by ``(score desc,
 flat index asc)``, the flat index being ``pred * K_prev + rank``, which
 is the heap's tuple order on ``(pooled, pred, rank)`` with ``pooled =
@@ -45,10 +55,12 @@ from __future__ import annotations
 from array import array
 from heapq import heapify, heappop, heappushpop
 from itertools import repeat
+from typing import Iterator
 
 import numpy as np
 
 from ...errors import CandidateError
+from ...rc4 import _native
 from .matrix import CandidateMatrix
 
 
@@ -77,8 +89,8 @@ def algorithm2(
         known m1/mL framing is stripped), best first.
 
     Raises:
-        CandidateError: on malformed arguments, or a NaN or +inf
-            log-likelihood.
+        CandidateError: on malformed arguments, a NaN or +inf
+            log-likelihood, or lists that cannot be allocated.
     """
     lam = np.asarray(log_likelihoods, dtype=np.float64)
     if lam.ndim != 3 or lam.shape[1:] != (256, 256):
@@ -116,26 +128,74 @@ def algorithm2(
         best.append(-pooled[np.arange(pred.size), pred])
         arg.append(pred.astype(np.uint8))
 
-    levels = _lazy_lists(lam, alphabet, ends, best, arg, num_candidates)
+    if _native.available() and num_candidates < 1 << 32:
+        lists = _native_lists(lam, alphabet, ends, best, arg, num_candidates)
+    else:
+        lists = _python_lists(lam, alphabet, ends, best, arg, num_candidates)
 
     # --- step-major vectorized backtrack -------------------------------------
     # One gather per plaintext position recovers all N candidates at once.
     length = num_steps - 1
-    final = levels[length][0]
-    if final is None:
-        final_scores = best[length].copy()
-    else:
-        final_scores = np.frombuffer(final.scores, dtype=np.float64).copy()
-    pred, rank, _ = _flatten(levels[length], arg[length])
+    final_scores = next(lists)
+    pred, rank, _ = next(lists)
     out = np.empty((final_scores.size, length), dtype=np.uint8)
     alphabet_u8 = alphabet.astype(np.uint8)
     out[:, length - 1] = alphabet_u8[pred]
-    for step in range(length - 1, 0, -1):
-        preds, ranks, starts = _flatten(levels[step], arg[step])
+    for step, (preds, ranks, starts) in zip(range(length - 1, 0, -1), lists):
         flat = starts[pred] + rank
         pred, rank = preds[flat], ranks[flat]
         out[:, step - 1] = alphabet_u8[pred]
     return CandidateMatrix(matrix=out, log_likelihoods=final_scores)
+
+
+def _native_lists(
+    lam: np.ndarray,
+    alphabet: np.ndarray,
+    ends: list[np.ndarray],
+    best: list[np.ndarray],
+    arg: list[np.ndarray],
+    n: int,
+) -> Iterator:
+    """The lazy lists from the C engine (:func:`repro.rc4._native.lazy_lists`):
+    the top node's scores, then each step's ``(preds, ranks, starts)``
+    from the top step down, as :func:`_python_lists` yields them."""
+    if lam.strides[1:] != (2048, 8):
+        lam = np.ascontiguousarray(lam)
+    best_rows = np.zeros((len(ends), alphabet.size), dtype=np.float64)
+    arg_rows = np.zeros(best_rows.shape, dtype=np.uint8)
+    for step, (b, a) in enumerate(zip(best, arg)):
+        best_rows[step, : b.size] = b
+        arg_rows[step, : a.size] = a
+    return _native.lazy_lists(
+        lam, alphabet.astype(np.uint8), int(ends[-1][0]), best_rows, arg_rows, n
+    )
+
+
+def _python_lists(
+    lam: np.ndarray,
+    alphabet: np.ndarray,
+    ends: list[np.ndarray],
+    best: list[np.ndarray],
+    arg: list[np.ndarray],
+    n: int,
+) -> Iterator:
+    """The lazy lists from :func:`_lazy_lists` (the ``REPRO_NATIVE=0``
+    engine): the top node's scores, then each step's ``(preds, ranks,
+    starts)`` (see :func:`_flatten`) from the top step down."""
+    try:
+        levels = _lazy_lists(lam, alphabet, ends, best, arg, n)
+    except MemoryError:
+        raise CandidateError(
+            f"Algorithm 2 ran out of memory for its lists at N = {n}"
+        ) from None
+    top = len(ends) - 1
+    final = levels[top][0]
+    if final is None:
+        yield best[top].copy()
+    else:
+        yield np.frombuffer(final.scores, dtype=np.float64).copy()
+    for step in range(top, 0, -1):
+        yield _flatten(levels[step], arg[step])
 
 
 class _Node:

@@ -19,7 +19,7 @@ from typing import Self
 import numpy as np
 
 from ..config import ReproConfig
-from ..errors import AttackError, DatasetError
+from ..errors import AttackError, DatasetError, StatisticsKindError
 from ..utils.serialization import canonical_json, load_arrays, save_arrays
 from .manager import DatasetSpec
 
@@ -87,12 +87,20 @@ def save_statistics(
 def load_statistics(
     path: str | Path, kind: str
 ) -> tuple[dict[str, np.ndarray], dict]:
-    """Load statistics written by :func:`save_statistics`, checking the kind."""
+    """Load statistics written by :func:`save_statistics`, checking the kind.
+
+    Raises:
+        StatisticsKindError: (a :class:`DatasetError`) if the archive is
+            readable but holds another ``statistics_kind``.
+    """
     arrays, meta = load_arrays(path)
     found = meta.get("statistics_kind")
     if found != kind:
-        raise DatasetError(
-            f"{path}: statistics kind {found!r} does not match expected {kind!r}"
+        raise StatisticsKindError(
+            f"{path}: statistics kind {found!r} does not match expected "
+            f"{kind!r}",
+            found=found,
+            expected=kind,
         )
     return arrays, meta
 

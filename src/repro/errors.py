@@ -28,6 +28,20 @@ class DatasetError(ReproError):
     """A keystream-statistics dataset is malformed or incompatible."""
 
 
+class StatisticsKindError(DatasetError):
+    """A readable statistics archive holds another kind than expected.
+
+    Attributes:
+        found: the archive's ``statistics_kind`` (None if it has none).
+        expected: the kind the loader asked for.
+    """
+
+    def __init__(self, message: str, *, found: object, expected: str):
+        super().__init__(message)
+        self.found = found
+        self.expected = expected
+
+
 class DistributionError(ReproError):
     """A keystream distribution is malformed (wrong shape, not normalised)."""
 

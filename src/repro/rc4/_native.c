@@ -53,12 +53,18 @@
  * statistic sampler's multinomial rows (multinomial_row, which calls
  * numpy's own C sampler on one bit generator per row).  Each row owns
  * its output, so they are bit-identical for any thread count too.  The
- * last two kernels are single-threaded.  The §5 CRC search's
- * best-first walk (rc4_lazy_walk) pops candidates from a binary heap
- * that lives in a buffer the caller owns and grows, so it allocates
- * nothing.  The single-byte likelihoods of §4.1 and §5.1
- * (rc4_xor_loglik) sum each output cell's 256 terms in one fixed order,
- * so they are bit-identical to the numpy loop that mirrors them.
+ * last four kernels are single-threaded, and each repeats its Python
+ * fallback's arithmetic in the same order, so they give its bits.  The
+ * §5 CRC search's best-first walk (rc4_lazy_walk) pops candidates from a
+ * binary heap that lives in a buffer the caller owns and grows, so it
+ * allocates nothing.  The single-byte likelihoods of §4.1 and §5.1
+ * (rc4_xor_loglik) sum each output cell's 256 terms in one fixed order.
+ * The §6 likelihoods (rc4_transition_loglik) fuse eq 15 and eq 22-25
+ * into one pass over the uint32 or int64 counters, read in place.
+ * Algorithm 2's lazy lists (rc4_lazy_lists) walk the same per-node
+ * frontiers as the Python engine, sifted as heapq sifts them; they
+ * allocate their lists and return NULL, leaving nothing allocated, if
+ * an allocation fails.
  *
  * Build contract (see _native.py): plain C99, no dependencies beyond
  * libc + pthreads, compiled with
@@ -1053,5 +1059,432 @@ void rc4_xor_loglik(const double *counts, const double *log_p,
             for (j = 0; j < XOR_BLOCK; j++)
                 out[r * 256 + mu0 + j] = acc[j];
         }
+    }
+}
+
+/* ---- eq 22-25 likelihoods of the §6 transitions ------------------------ */
+
+/* Output cells are summed in tiles of LOGLIK_BLOCKS aligned 256-cell
+ * blocks, one block per plaintext first byte mu1.  Within a block the
+ * counter of cell mu2 is read at (mu1 ^ k1, mu2 ^ k2) (the XOR identity
+ * of eq 24's gather), so a tile reads one aligned run of LOGLIK_BLOCKS
+ * blocks of each of its counter rows, front to back, and a transition
+ * reads each counter once. */
+#define LOGLIK_BLOCKS 16
+#define LOGLIK_TILE (LOGLIK_BLOCKS * 256)
+
+/* acc[l] = acc[l] + v[l ^ k2] for the 256 cells of a block, k2 = kh << 2
+ * | KL: four cells at a time, whose sources are four consecutive cells
+ * in the compile-time order j ^ KL, so the compiler can use vector
+ * adds. */
+#define LOGLIK_PERMUTED_ADD(acc, v, kh, KL)                                  \
+    do {                                                                     \
+        unsigned g_;                                                         \
+        for (g_ = 0; g_ < 64; g_++) {                                        \
+            const double *s_ = (v) + ((g_ ^ (kh)) << 2);                     \
+            double *d_ = (acc) + (g_ << 2);                                  \
+            d_[0] = d_[0] + s_[0 ^ (KL)];                                    \
+            d_[1] = d_[1] + s_[1 ^ (KL)];                                    \
+            d_[2] = d_[2] + s_[2 ^ (KL)];                                    \
+            d_[3] = d_[3] + s_[3 ^ (KL)];                                    \
+        }                                                                    \
+    } while (0)
+
+/* One tile of transition_loglik, blocks m0.. of the output row, for
+ * counters of type T converted to double as numpy's astype does (exact
+ * for uint32, round to nearest for int64).  Eq 15's biased counts bn
+ * are summed first; once they are added in, one block of their storage
+ * holds each alignment block's eq 22 values in counter order, lam_hat,
+ * before the permuted add. */
+#define LOGLIK_TILE_FN(name, T)                                              \
+    static void name(double *acc, const void *fm, const void *const *rows,  \
+                     unsigned m0, ptrdiff_t c0, ptrdiff_t c1,                \
+                     const uint16_t *cell_key, const double *cell_logp,      \
+                     double log_u, double total, ptrdiff_t a0, ptrdiff_t a1, \
+                     const uint16_t *row_key, const double *coef,            \
+                     const double *offset)                                   \
+    {                                                                        \
+        const unsigned mask = LOGLIK_BLOCKS - 1;                             \
+        double bn[LOGLIK_TILE], *const lam_hat = bn;                         \
+        ptrdiff_t c, a;                                                      \
+        unsigned l, sb;                                                      \
+        for (l = 0; l < LOGLIK_TILE; l++)                                    \
+            acc[l] = bn[l] = 0.0;                                            \
+        for (c = c0; c < c1; c++) {                                          \
+            const unsigned k1 = cell_key[c] >> 8u, k2 = cell_key[c] & 0xFFu; \
+            const T *src = (const T *)fm + (((m0 ^ k1) & ~mask) << 8);       \
+            const double lp = cell_logp[c];                                  \
+            for (sb = 0; sb < LOGLIK_BLOCKS; sb++, src += 256) {             \
+                double *ab = acc + ((sb ^ (k1 & mask)) << 8);                \
+                double *nb = bn + ((sb ^ (k1 & mask)) << 8);                 \
+                for (l = 0; l < 256; l++) {                                  \
+                    const double n = (double)src[l ^ k2];                    \
+                    ab[l] = ab[l] + n * lp;                                  \
+                    nb[l] = nb[l] + n;                                       \
+                }                                                            \
+            }                                                                \
+        }                                                                    \
+        for (l = 0; l < LOGLIK_TILE; l++)                                    \
+            acc[l] = acc[l] + (total - bn[l]) * log_u;                       \
+        for (a = a0; a < a1; a++) {                                          \
+            const unsigned k1 = row_key[a] >> 8u, k2 = row_key[a] & 0xFFu;   \
+            const T *src = (const T *)rows[a] + (((m0 ^ k1) & ~mask) << 8);  \
+            const double w = coef[a], b = offset[a];                         \
+            for (sb = 0; sb < LOGLIK_BLOCKS; sb++, src += 256) {             \
+                double *ab = acc + ((sb ^ (k1 & mask)) << 8);                \
+                for (l = 0; l < 256; l++)                                    \
+                    lam_hat[l] = (double)src[l] * w + b;                     \
+                switch (k2 & 3u) {                                           \
+                case 0: LOGLIK_PERMUTED_ADD(ab, lam_hat, k2 >> 2, 0); break; \
+                case 1: LOGLIK_PERMUTED_ADD(ab, lam_hat, k2 >> 2, 1); break; \
+                case 2: LOGLIK_PERMUTED_ADD(ab, lam_hat, k2 >> 2, 2); break; \
+                default: LOGLIK_PERMUTED_ADD(ab, lam_hat, k2 >> 2, 3);       \
+                }                                                            \
+            }                                                                \
+        }                                                                    \
+    }
+
+LOGLIK_TILE_FN(loglik_tile_u32, uint32_t)
+LOGLIK_TILE_FN(loglik_tile_i64, int64_t)
+
+/* Log-likelihoods of every (mu1, mu2) for `transitions` transitions
+ * (tls/attack.py transition_log_likelihoods), into out[t*65536 + mu].
+ * Transition t's sparse Fluhrer-McGrew estimate (eq 15) reads the 65536
+ * counters fm[t] at its cells cell_start[t]..cell_start[t+1]-1, each a
+ * known keystream pair key and its log p:
+ *     acc = 0;  bn = 0
+ *     per cell:  n = fm[t][mu ^ key];  acc = acc + n * log p;  bn = bn + n
+ *     acc = acc + (total - bn) * log_u[t]
+ * and then each of its ABSAB alignments row_start[t]..row_start[t+1]-1
+ * (eq 22-24, combined by eq 25) adds
+ *     acc = acc + (rows[a][mu ^ key[a]] * coef[a] + offset[a])
+ * in that order.  These are numpy's operations per cell in numpy's
+ * order (digraph_log_likelihoods, then one reused eq-22 row per
+ * alignment), each product rounded before its add, so the bits match
+ * the fallback.  Counters are uint32 (wide = 0) or int64 (wide = 1),
+ * read where they lie.  Every weight comes in computed; nothing here
+ * takes a log. */
+void rc4_transition_loglik(const void *const *fm, const void *const *rows,
+                           int wide, ptrdiff_t transitions,
+                           const ptrdiff_t *cell_start,
+                           const uint16_t *cell_key, const double *cell_logp,
+                           const double *log_u, double total,
+                           const ptrdiff_t *row_start, const uint16_t *row_key,
+                           const double *coef, const double *offset,
+                           double *out)
+{
+    ptrdiff_t t;
+    unsigned m0;
+    for (t = 0; t < transitions; t++)
+        for (m0 = 0; m0 < 256; m0 += LOGLIK_BLOCKS)
+            (wide ? loglik_tile_i64 : loglik_tile_u32)(
+                out + t * 65536 + m0 * 256, fm[t], rows, m0,
+                cell_start[t], cell_start[t + 1], cell_key, cell_logp,
+                log_u[t], total, row_start[t], row_start[t + 1], row_key,
+                coef, offset);
+}
+
+/* ---- Algorithm 2's lazy lists (§4.4; core/candidates/viterbi.py) ------- */
+
+/* The lazy list Viterbi of Huang and Chiang (IWPT 2005, Algorithm 3) as
+ * viterbi.py's _lazy_lists runs it, step for step.  A node (step, v)
+ * ends on value ends[step][v]: alphabet[v] below the top step, `last` at
+ * the top step's one node.  Its extensions come out in the total order
+ * of the tuples (pooled, pred, rank), pooled = neg_trans[pred] -
+ * score of the predecessor's rank, as Python compares them: pooled first
+ * (-0.0 == +0.0 falls through), then pred, then rank.  Each score is
+ * stored as -pooled and never recomputed, so signed zeros survive.  The
+ * frontier is a binary heap run by the same sift steps as CPython's
+ * heapq (heapify, heappop, heappushpop), so even the pop order within a
+ * frontier matches the fallback's.  The caller rejects NaN and +inf
+ * likelihoods; -inf is allowed. */
+typedef struct {
+    double pooled;
+    uint32_t pred;
+    uint32_t rank;
+} vit_entry;
+
+typedef struct {
+    double *scores;       /* extension scores, by rank */
+    uint32_t *ranks;      /* each extension's predecessor rank */
+    uint8_t *preds;       /* each extension's predecessor index */
+    ptrdiff_t len, cap;   /* cap 0: never asked past rank 0 */
+    vit_entry *frontier;  /* k - 1 slots; neg_trans follows it */
+    double *neg_trans;    /* -lam[step][alphabet[b]][end], per b */
+    ptrdiff_t nfront;
+    int done;             /* no extension left */
+} vit_node;
+
+typedef struct {
+    const double *lam;    /* lam[s][a][e] at lam[s * stride + a * 256 + e] */
+    ptrdiff_t stride, steps, k;
+    const uint8_t *alphabet;
+    int last;
+    const double *best;   /* (steps, k): rank 0 of each node */
+    const uint8_t *arg;   /* (steps, k): the predecessor of rank 0 */
+    vit_node *nodes;      /* (steps, k); step 0 is never expanded */
+    vit_node **stack;     /* `steps` slots: one node per step at most */
+    size_t held;          /* bytes allocated, for the failure message */
+} vit_lists;
+
+static inline int vit_lt(const vit_entry *x, const vit_entry *y)
+{
+    if (x->pooled != y->pooled)
+        return x->pooled < y->pooled;
+    if (x->pred != y->pred)
+        return x->pred < y->pred;
+    return x->rank < y->rank;
+}
+
+/* heapq's _siftdown: move h[pos] up towards start while it is smaller
+ * than its parent. */
+static void vit_siftdown(vit_entry *h, ptrdiff_t start, ptrdiff_t pos)
+{
+    vit_entry item = h[pos];
+    while (pos > start) {
+        ptrdiff_t parent = (pos - 1) >> 1;
+        if (!vit_lt(&item, &h[parent]))
+            break;
+        h[pos] = h[parent];
+        pos = parent;
+    }
+    h[pos] = item;
+}
+
+/* heapq's _siftup: walk h[pos] down to a leaf along the smaller children
+ * (the right one unless left < right), then sift it back up. */
+static void vit_siftup(vit_entry *h, ptrdiff_t end, ptrdiff_t pos)
+{
+    const ptrdiff_t start = pos, limit = end >> 1;
+    vit_entry item = h[pos];
+    while (pos < limit) {
+        ptrdiff_t child = 2 * pos + 1;
+        if (child + 1 < end && !vit_lt(&h[child], &h[child + 1]))
+            child++;
+        h[pos] = h[child];
+        pos = child;
+    }
+    h[pos] = item;
+    vit_siftdown(h, start, pos);
+}
+
+/* Room for one more extension; 0 if it cannot be allocated. */
+static int vit_grow(vit_lists *L, vit_node *node)
+{
+    ptrdiff_t cap = node->cap + node->cap / 4 + 4;
+    double *scores;
+    uint32_t *ranks;
+    uint8_t *preds;
+    if (node->len < node->cap)
+        return 1;
+    scores = realloc(node->scores, (size_t)cap * sizeof *scores);
+    if (!scores)
+        return 0;
+    node->scores = scores;
+    ranks = realloc(node->ranks, (size_t)cap * sizeof *ranks);
+    if (!ranks)
+        return 0;
+    node->ranks = ranks;
+    preds = realloc(node->preds, (size_t)cap);
+    if (!preds)
+        return 0;
+    node->preds = preds;
+    L->held += (size_t)(cap - node->cap) * 13;
+    node->cap = cap;
+    return 1;
+}
+
+/* The first ask past rank 0 (viterbi.py's expand): the frontier holds
+ * every other predecessor's rank 0, heapified in predecessor order, and
+ * rank 0 becomes the node's first stored extension. */
+static int vit_expand(vit_lists *L, ptrdiff_t step, ptrdiff_t v)
+{
+    vit_node *node = &L->nodes[step * L->k + v];
+    const ptrdiff_t k = L->k;
+    const int end = step == L->steps - 1 ? L->last : L->alphabet[v];
+    const double *col = L->lam + step * L->stride + end;
+    const double *prev = L->best + (step - 1) * k;
+    const int first = L->arg[step * k + v];
+    ptrdiff_t b, i;
+    node->frontier = malloc((size_t)(k - 1) * sizeof(vit_entry) +
+                            (size_t)k * sizeof(double));
+    if (!node->frontier || !vit_grow(L, node))
+        return 0;
+    L->held += (size_t)(k - 1) * sizeof(vit_entry) + (size_t)k * sizeof(double);
+    node->neg_trans = (double *)(node->frontier + (k - 1));
+    for (b = 0; b < k; b++) {
+        node->neg_trans[b] = -col[L->alphabet[b] * 256];
+        if (b != first) {
+            vit_entry *e = &node->frontier[node->nfront++];
+            e->pooled = node->neg_trans[b] - prev[b];
+            e->pred = (uint32_t)b;
+            e->rank = 0;
+        }
+    }
+    for (i = (node->nfront >> 1) - 1; i >= 0; i--)
+        vit_siftup(node->frontier, node->nfront, i);
+    node->scores[0] = L->best[step * k + v];
+    node->preds[0] = (uint8_t)first;
+    node->ranks[0] = 0;
+    node->len = 1;
+    return 1;
+}
+
+/* Free the lists and everything they hold (NULL is a no-op). */
+void rc4_lazy_lists_free(vit_lists *L)
+{
+    ptrdiff_t i;
+    if (!L)
+        return;
+    if (L->nodes)
+        for (i = 0; i < L->steps * L->k; i++) {
+            free(L->nodes[i].scores);
+            free(L->nodes[i].ranks);
+            free(L->nodes[i].preds);
+            free(L->nodes[i].frontier);
+        }
+    free(L->nodes);
+    free(L->stack);
+    free(L);
+}
+
+/* Ask the top node for up to n extensions.  Returns 0 once it has them
+ * (or ran out), -1 if an allocation failed. */
+static int vit_walk(vit_lists *L, int64_t n)
+{
+    const ptrdiff_t k = L->k, top = L->steps - 1;
+    vit_node *const root = &L->nodes[top * k];
+    int64_t asked;
+    if (n > 1 && !vit_expand(L, top, 0))
+        return -1;
+    for (asked = 1; asked < n && !root->done; asked++) {
+        ptrdiff_t depth = 0;
+        L->stack[depth++] = root;
+        while (depth) {
+            vit_node *node = L->stack[depth - 1];
+            const ptrdiff_t step = (node - L->nodes) / k;
+            const uint32_t b = node->preds[node->len - 1];
+            const uint32_t r = node->ranks[node->len - 1] + 1;
+            vit_node *pred = step > 1 ? &L->nodes[(step - 1) * k + b] : NULL;
+            vit_entry entry;
+            if (pred && pred->cap == 0) {
+                if (!vit_expand(L, step - 1, b))
+                    return -1;
+                L->stack[depth++] = pred;
+                continue;
+            }
+            if (pred && pred->len > (ptrdiff_t)r) {
+                /* heappushpop */
+                entry.pooled = node->neg_trans[b] - pred->scores[r];
+                entry.pred = b;
+                entry.rank = r;
+                if (node->nfront && vit_lt(&node->frontier[0], &entry)) {
+                    vit_entry popped = node->frontier[0];
+                    node->frontier[0] = entry;
+                    vit_siftup(node->frontier, node->nfront, 0);
+                    entry = popped;
+                }
+            } else if (pred && !pred->done) {
+                L->stack[depth++] = pred;
+                continue;
+            } else if (node->nfront) {
+                /* heappop */
+                entry = node->frontier[0];
+                node->frontier[0] = node->frontier[--node->nfront];
+                if (node->nfront)
+                    vit_siftup(node->frontier, node->nfront, 0);
+            } else {
+                node->done = 1;
+                depth--;
+                continue;
+            }
+            if (!vit_grow(L, node))
+                return -1;
+            node->scores[node->len] = -entry.pooled;
+            node->preds[node->len] = (uint8_t)entry.pred;
+            node->ranks[node->len] = entry.rank;
+            node->len++;
+            depth--;
+        }
+    }
+    return 0;
+}
+
+/* Run Algorithm 2's lazy lists for N = n (1 <= n < 2^32) over `steps`
+ * steps (L - 1 >= 2) of likelihoods lam (inner (256, 256) contiguous,
+ * `stride` doubles between steps, 0 for a broadcast) restricted to the
+ * k-value alphabet, with each node's rank 0 in best/arg ((steps, k),
+ * row-major; the top row's first entry only).  On success returns the
+ * lists and writes each node's extension count to counts ((steps, k),
+ * 1 for a node never asked past rank 0); rc4_lazy_lists_take then copies
+ * them out step by step.  Returns NULL if an allocation failed, with
+ * *held set to the bytes the lists held when it did and nothing left
+ * allocated. */
+vit_lists *rc4_lazy_lists(const double *lam, ptrdiff_t stride,
+                          ptrdiff_t steps, const uint8_t *alphabet,
+                          ptrdiff_t k, int last, const double *best,
+                          const uint8_t *arg, int64_t n, int64_t *counts,
+                          ptrdiff_t *held)
+{
+    vit_lists *L = calloc(1, sizeof *L);
+    ptrdiff_t s, v;
+    *held = 0;
+    if (!L)
+        return NULL;
+    L->lam = lam;
+    L->stride = stride;
+    L->steps = steps;
+    L->k = k;
+    L->alphabet = alphabet;
+    L->last = last;
+    L->best = best;
+    L->arg = arg;
+    L->nodes = calloc((size_t)(steps * k), sizeof(vit_node));
+    L->stack = malloc((size_t)steps * sizeof(vit_node *));
+    if (!L->nodes || !L->stack || vit_walk(L, n) < 0) {
+        *held = (ptrdiff_t)L->held;
+        rc4_lazy_lists_free(L);
+        return NULL;
+    }
+    for (s = 0; s < steps; s++)
+        for (v = 0; v < k; v++) {
+            const vit_node *node = &L->nodes[s * k + v];
+            counts[s * k + v] = node->cap ? node->len : 1;
+        }
+    return L;
+}
+
+/* Copy one step's extensions out, node after node: the predecessor
+ * index and rank of each (arg and rank 0 for a node never asked past
+ * rank 0), and their scores too when `scores` is not NULL (the top
+ * step's one node).  The step's nodes are freed; the backtrack takes
+ * each step once, top first. */
+void rc4_lazy_lists_take(vit_lists *L, ptrdiff_t step, uint8_t *preds,
+                         uint32_t *ranks, double *scores)
+{
+    const ptrdiff_t nodes = step == L->steps - 1 ? 1 : L->k;
+    ptrdiff_t v;
+    for (v = 0; v < nodes; v++) {
+        vit_node *node = &L->nodes[step * L->k + v];
+        if (node->cap == 0) {
+            *preds++ = L->arg[step * L->k + v];
+            *ranks++ = 0;
+            if (scores)
+                *scores++ = L->best[step * L->k + v];
+            continue;
+        }
+        memcpy(preds, node->preds, (size_t)node->len);
+        memcpy(ranks, node->ranks, (size_t)node->len * sizeof *ranks);
+        if (scores)
+            memcpy(scores, node->scores, (size_t)node->len * sizeof *scores);
+        preds += node->len;
+        ranks += node->len;
+        if (scores)
+            scores += node->len;
+        free(node->scores);
+        free(node->ranks);
+        free(node->preds);
+        free(node->frontier);
+        memset(node, 0, sizeof *node);
     }
 }

@@ -7,19 +7,21 @@ ABSAB differential codes of a transposed keystream block, each row XORed
 with its template constant and counted straight into its own 65536
 uint32 cells) and the §6 statistic sampler's
 (:func:`multinomial_rows`: numpy's own C ``random_multinomial``, one bit
-generator per row, so the draws are numpy's bit for bit), plus two
-single-threaded kernels: the §5 CRC search's best-first walk
-(:func:`lazy_walk`, over a binary heap in a numpy buffer the caller owns
-and grows) and the single-byte likelihoods (:func:`xor_loglik`, one
-fixed summation order that the numpy fallback repeats).  This module
+generator per row, so the draws are numpy's bit for bit), plus four
+single-threaded kernels that repeat their fallbacks' arithmetic in the
+same order: the §5 CRC search's best-first walk (:func:`lazy_walk`, over
+a binary heap in a numpy buffer the caller owns and grows), the
+single-byte likelihoods (:func:`xor_loglik`), the §6 eq 22-25
+likelihoods (:func:`transition_loglik`, one fused pass over the
+counters) and Algorithm 2's lazy lists (:func:`lazy_lists`).  This module
 compiles it on demand with the system C compiler (``gcc``/``cc``), caches
 the shared object under ``~/.cache/repro-rc4/`` keyed by a hash of the
 source *plus* the compiler identity and flags (so pinning a different
 ``REPRO_NATIVE_CC`` or changing CFLAGS can never load a stale artefact),
 and exposes thin ctypes wrappers.
 
-Two performance knobs ride on the kernels; the walk and the likelihoods
-take neither and run on the calling thread:
+Two performance knobs ride on the kernels; the four single-threaded
+kernels take neither and run on the calling thread:
 
 - ``threads`` (default ``os.cpu_count()``, overridable per call or via
   ``REPRO_NATIVE_THREADS``): the C side runs one work-sharing fan-out.
@@ -41,17 +43,20 @@ take neither and run on the calling thread:
 The backend is strictly optional: if no compiler is present, compilation
 fails, or ``REPRO_NATIVE=0`` is set, :func:`available` returns False and
 callers (``repro.rc4.batch``, ``repro.datasets.generate``,
-``repro.core.candidates.lazy``, ``repro.core.likelihood.single``,
-``repro.simulate.sampling``) fall back to the pure-numpy paths.
+``repro.core.candidates.lazy``, ``repro.core.candidates.viterbi``,
+``repro.core.likelihood.single``, ``repro.simulate.sampling``,
+``repro.tls.attack``) fall back to the pure-numpy paths.
 An unexpected failure (as opposed to an explicit disable) emits a single
 :class:`RuntimeWarning` so slow runs are diagnosable;
 ``REPRO_NATIVE_CC`` pins the compiler for tests that simulate a broken
 toolchain.  Both paths are bit-exact with :mod:`repro.rc4.reference`;
 tests/test_dataset_equivalence.py compares them cell-for-cell,
 tests/test_candidate_equivalence.py compares the walk with its
-``heapq`` loop, tests/test_simulate.py the multinomial rows with
-``Generator.multinomial``, and tests/test_core_likelihood.py the
-likelihoods with their numpy loop.
+``heapq`` loop and Algorithm 2's C lists with its Python engine,
+tests/test_simulate.py the multinomial rows with
+``Generator.multinomial``, tests/test_core_likelihood.py the single-byte
+likelihoods and tests/test_tls_attack.py the §6 likelihoods with their
+numpy loops.
 
 No third-party dependency is involved — only :mod:`ctypes` and a C
 compiler that the pure-python fallback makes optional.  All ``REPRO_*``
@@ -70,6 +75,7 @@ import tempfile
 import time
 import warnings
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -79,7 +85,7 @@ from ..config import (
     env_native_simd,
     env_native_threads,
 )
-from ..errors import KeyLengthError
+from ..errors import CandidateError, KeyLengthError
 from ..utils.serialization import durable_replace
 
 _SOURCE = Path(__file__).with_name("_native.c")
@@ -107,8 +113,8 @@ _SIMD_LANE_SCRATCH = 32 << 10
 #: AVX2 tier needs no -mavx2 here — the wide kernels carry their own
 #: __attribute__((target("avx2"))) so the artefact stays loadable on any
 #: x86-64 machine.  -ffp-contract=off keeps a multiply and the add after
-#: it two rounded operations (no FMA), so xor_loglik gives the numpy
-#: fallback's bits on every platform.
+#: it two rounded operations (no FMA), so xor_loglik and
+#: transition_loglik give the numpy fallback's bits on every platform.
 _CFLAGS = ("-O3", "-shared", "-fPIC", "-pthread", "-ffp-contract=off")
 
 _lib: ctypes.CDLL | None = None
@@ -260,6 +266,20 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.rc4_lazy_walk.restype = ssize
     lib.rc4_xor_loglik.argtypes = [vp, vp, ssize, vp]
     lib.rc4_xor_loglik.restype = None
+    lib.rc4_transition_loglik.argtypes = [
+        vp, vp, cint, ssize, vp, vp, vp, vp, ctypes.c_double, vp, vp, vp,
+        vp, vp,
+    ]
+    lib.rc4_transition_loglik.restype = None
+    lib.rc4_lazy_lists.argtypes = [
+        vp, ssize, ssize, vp, ssize, cint, vp, vp, ctypes.c_int64, vp,
+        ctypes.POINTER(ssize),
+    ]
+    lib.rc4_lazy_lists.restype = vp
+    lib.rc4_lazy_lists_take.argtypes = [vp, ssize, vp, vp, vp]
+    lib.rc4_lazy_lists_take.restype = None
+    lib.rc4_lazy_lists_free.argtypes = [vp]
+    lib.rc4_lazy_lists_free.restype = None
     lib.rc4_simd_available.argtypes = []
     lib.rc4_simd_available.restype = cint
     lib.rc4_simd_lanes.argtypes = []
@@ -696,3 +716,146 @@ def xor_loglik(counts: np.ndarray, log_p: np.ndarray) -> np.ndarray:
         counts.ctypes.data, log_p.ctypes.data, counts.shape[0], out.ctypes.data
     )
     return out
+
+
+def transition_loglik(
+    fm_rows: list[np.ndarray],
+    cells: list[tuple[list[int], list[float], float]],
+    total: float,
+    alignments: list[list[tuple[np.ndarray, int, float, float]]],
+) -> np.ndarray:
+    """Eq 22-25 log-likelihoods of the §6 transitions, one row each.
+
+    Row t starts from eq 15 over ``fm_rows[t]`` (65536 digraph
+    counters): ``cells[t]`` holds the biased cells' keys ``(k1 << 8) |
+    k2``, their ``log p`` and the transition's ``log u``.  Then each
+    ``(counts, key, coef, offset)`` of ``alignments[t]`` adds
+    ``counts[mu ^ key] * coef + offset`` to every cell ``mu``, in list
+    order.  The arithmetic and its order are those of
+    :func:`repro.tls.attack.transition_log_likelihoods`' numpy loop, so
+    the bits match it; every weight is the caller's.  All counter rows
+    are C-contiguous 65536-cell arrays of one dtype, uint32 or int64,
+    read in place on the calling thread.  Returns a new float64
+    ``(len(fm_rows), 65536)``.
+    """
+    lib = _load()
+    assert lib is not None, "call available() first"
+    rows = [counts for per_t in alignments for counts, _, _, _ in per_t]
+    dtype = fm_rows[0].dtype if fm_rows else np.dtype(np.uint32)
+    if not (
+        len(cells) == len(alignments) == len(fm_rows)
+        and dtype in (np.uint32, np.int64)
+        and all(
+            row.dtype == dtype and row.size == 65536 and row.flags.c_contiguous
+            for row in [*fm_rows, *rows]
+        )
+    ):
+        raise ValueError(
+            "transition_loglik needs C-contiguous 65536-cell counter rows "
+            "of one dtype, uint32 or int64, and one entry per transition"
+        )
+
+    def starts(lengths):
+        return np.concatenate([[0], np.cumsum(lengths)]).astype(np.intp)
+
+    cell_start = starts([len(keys) for keys, _, _ in cells])
+    cell_key = np.array(
+        [key for keys, _, _ in cells for key in keys], dtype=np.uint16
+    )
+    cell_logp = np.array(
+        [lp for _, log_p, _ in cells for lp in log_p], dtype=np.float64
+    )
+    log_u = np.array([lu for _, _, lu in cells], dtype=np.float64)
+    row_start = starts([len(per_t) for per_t in alignments])
+    weights = [entry[1:] for per_t in alignments for entry in per_t]
+    row_key = np.array([w[0] for w in weights], dtype=np.uint16)
+    coef = np.array([w[1] for w in weights], dtype=np.float64)
+    offset = np.array([w[2] for w in weights], dtype=np.float64)
+    fm_ptrs = np.array([row.ctypes.data for row in fm_rows], dtype=np.uintp)
+    row_ptrs = np.array([row.ctypes.data for row in rows], dtype=np.uintp)
+    out = np.empty((len(fm_rows), 65536), dtype=np.float64)
+    lib.rc4_transition_loglik(
+        fm_ptrs.ctypes.data, row_ptrs.ctypes.data, int(dtype == np.int64),
+        len(fm_rows), cell_start.ctypes.data, cell_key.ctypes.data,
+        cell_logp.ctypes.data, log_u.ctypes.data, total,
+        row_start.ctypes.data, row_key.ctypes.data, coef.ctypes.data,
+        offset.ctypes.data, out.ctypes.data,
+    )
+    return out
+
+
+def lazy_lists(
+    lam: np.ndarray,
+    alphabet: np.ndarray,
+    last: int,
+    best: np.ndarray,
+    arg: np.ndarray,
+    n: int,
+) -> Iterator[np.ndarray | tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Algorithm 2's lazy lists, run by the C engine on the calling thread.
+
+    The same walk as :func:`repro.core.candidates.viterbi._lazy_lists`
+    (see that module for the order and arithmetic), asked for ``n`` (1
+    to 2^32 - 1) rows over float64 likelihoods ``lam`` of shape
+    ``(steps, 256, 256)`` whose inner two axes are C-contiguous (a
+    broadcast first axis is fine).  ``alphabet`` holds the uint8 values
+    of the unknown positions; ``best`` (float64) and ``arg`` (uint8) are
+    ``(steps, k)`` arrays holding each node's rank 0 and its
+    predecessor, the top step's one node in column 0.
+
+    Yields the top node's scores (float64), then for each step from the
+    top down to step 1 ``(preds, ranks, starts)``: the predecessor index
+    (uint8) and rank (uint32) of every extension of the step's nodes,
+    node after node, and each node's offset into them.  The C side holds
+    the lists until the generator finishes or is closed.
+
+    Raises:
+        CandidateError: if the lists could not be allocated.
+    """
+    lib = _load()
+    assert lib is not None, "call available() first"
+    steps, k = best.shape
+    if not (
+        lam.dtype == np.float64 and lam.ndim == 3
+        and lam.shape == (steps, 256, 256) and lam.strides[1:] == (2048, 8)
+        and lam.strides[0] % 8 == 0
+        and alphabet.dtype == np.uint8 and alphabet.shape == (k,)
+        and best.dtype == np.float64 and arg.dtype == np.uint8
+        and arg.shape == best.shape and steps >= 2
+        and best.flags.c_contiguous and arg.flags.c_contiguous
+        and alphabet.flags.c_contiguous and 1 <= n < 1 << 32
+    ):
+        raise ValueError(
+            "lazy_lists needs (steps, 256, 256) float64 likelihoods, a "
+            "uint8 alphabet, (steps, k) float64 best and uint8 arg, and "
+            "1 <= n < 2**32"
+        )
+    counts = np.empty((steps, k), dtype=np.int64)
+    held = ctypes.c_ssize_t(0)
+    lists = lib.rc4_lazy_lists(
+        lam.ctypes.data, lam.strides[0] // 8, steps, alphabet.ctypes.data, k,
+        last, best.ctypes.data, arg.ctypes.data, n, counts.ctypes.data,
+        ctypes.byref(held),
+    )
+    if not lists:
+        raise CandidateError(
+            f"Algorithm 2 ran out of memory for its lists at N = {n} "
+            f"(holding {held.value / 2**20:.1f} MiB)"
+        )
+    try:
+        top = steps - 1
+        for step in range(top, 0, -1):
+            nodes = counts[step, : 1 if step == top else k]
+            size = int(nodes.sum())
+            preds = np.empty(size, dtype=np.uint8)
+            ranks = np.empty(size, dtype=np.uint32)
+            scores = np.empty(size, dtype=np.float64) if step == top else None
+            lib.rc4_lazy_lists_take(
+                lists, step, preds.ctypes.data, ranks.ctypes.data,
+                None if scores is None else scores.ctypes.data,
+            )
+            if scores is not None:
+                yield scores
+            yield preds, ranks, np.cumsum(nodes) - nodes
+    finally:
+        lib.rc4_lazy_lists_free(lists)

@@ -31,6 +31,7 @@ from ..core.candidates.viterbi import algorithm2
 from ..core.likelihood.digraph import digraph_log_likelihoods
 from ..datasets.store import ArchivedStatistics
 from ..errors import AttackError
+from ..rc4 import _native
 from .bruteforce import BruteForceOracle, CandidatePruner
 from .connection import RecordSniffer
 from .cookies import COOKIE_CHARSET
@@ -431,16 +432,19 @@ _BASE_IDX = (
 def transition_log_likelihoods(stats: CookieStatistics) -> np.ndarray:
     """Combined FM + ABSAB log-likelihoods per transition (§4.3, eq 25).
 
-    Streams the alignments: for each transition, in alignment-key order,
-    the eq 22 vector ``counts * coef + offset`` of one alignment is
-    computed into a single reused 65536-entry buffer and gathered into
-    eq 24's (mu1, mu2) layout via the XOR identity
-    ``((mu1^k1)<<8) | (mu2^k2) == ((mu1<<8)|mu2) ^ ((k1<<8)|k2)``, then
-    added to that transition's output row.  The counter rows are read
-    in place (``absab_counts`` views), so memory is the output plus a
-    few 65536-entry rows whatever the number of alignments.  The
-    per-element operations and the eq 25 accumulation order match the
-    per-alignment reference (:func:`absab_log_likelihoods` +
+    Each transition's row starts from its sparse FM estimate (eq 15)
+    and adds, in alignment-key order, the eq 22 vector ``counts * coef
+    + offset`` of each of its alignments, gathered into eq 24's (mu1,
+    mu2) layout via the XOR identity ``((mu1^k1)<<8) | (mu2^k2) ==
+    ((mu1<<8)|mu2) ^ ((k1<<8)|k2)``.  The weights (``log p``, ``log u``,
+    ``coef``, ``offset``) are computed here in numpy; the sums run in
+    one fused native kernel (:func:`repro.rc4._native.transition_loglik`)
+    or, under ``REPRO_NATIVE=0``, in numpy, one reused 65536-entry
+    buffer per alignment.  Both read the counter rows in place
+    (``absab_counts`` views), so memory is the output plus a few
+    65536-entry rows whatever the number of alignments, and both
+    repeat the per-element operations and the eq 25 accumulation order
+    of the per-alignment reference (:func:`absab_log_likelihoods` +
     :func:`combine_likelihoods`) bit for bit.
 
     Returns:
@@ -452,35 +456,51 @@ def transition_log_likelihoods(stats: CookieStatistics) -> np.ndarray:
     if total <= 0:
         raise AttackError("no requests ingested")
 
-    alignments: dict[int, list[tuple[int, str, np.ndarray]]] = {}
-    for (t, gap, side), counts in stats.absab_counts.items():
-        alignments.setdefault(t, []).append((gap, side, counts))
     # Eq 22's per-gap scalars, computed exactly as the scalar reference
-    # does, so the multiply-add below reproduces its vectors bitwise.
+    # does, so the multiply-add reproduces its vectors bitwise.
     gap_scalars: dict[int, tuple[float, float]] = {}
+    # Per transition, in alignment-key order: (counts, key, coef, offset).
+    terms: list[list[tuple[np.ndarray, int, float, float]]] = [
+        [] for _ in transitions
+    ]
+    for (t, gap, side), counts in stats.absab_counts.items():
+        if gap not in gap_scalars:
+            alpha = absab_alpha(gap)
+            log_alpha = np.log(alpha)
+            log_u = np.log((1.0 - alpha) / (65536 - 1))
+            gap_scalars[gap] = (log_alpha - log_u, total * log_u)
+        r = transitions[t]
+        partner = r + 2 + gap if side == "after" else r - 2 - gap
+        key = (layout.known_byte(partner) << 8) | layout.known_byte(partner + 1)
+        terms[t].append((counts, key, *gap_scalars[gap]))
+    fm_cells = []
+    for r in transitions:
+        cells = fm_biased_cells(position_to_counter(r))
+        mass = sum(p for _, p in cells)
+        fm_cells.append((cells, (1.0 - mass) / (65536 - len(cells))))
+
+    if _native.available():
+        # Eq 15's weights as digraph_log_likelihoods takes them.
+        weights = [
+            ([(k1 << 8) | k2 for (k1, k2), _ in cells],
+             [np.log(p) for _, p in cells], np.log(uniform_p))
+            for cells, uniform_p in fm_cells
+        ]
+        fm_rows = [stats.fm_counts[t].reshape(-1) for t in range(len(terms))]
+        loglik = _native.transition_loglik(fm_rows, weights, total, terms)
+        return loglik.reshape(len(transitions), 256, 256)
+
     lam_hat = np.empty(65536, dtype=np.float64)
     index = np.empty(65536, dtype=np.intp)
     gathered = np.empty((256, 256), dtype=np.float64)
-
     loglik = np.empty((len(transitions), 256, 256), dtype=np.float64)
-    for t, r in enumerate(transitions):
-        cells = fm_biased_cells(position_to_counter(r))
-        mass = sum(p for _, p in cells)
-        uniform_p = (1.0 - mass) / (65536 - len(cells))
+    for t, (cells, uniform_p) in enumerate(fm_cells):
         loglik[t] = digraph_log_likelihoods(
             stats.fm_counts[t], cells, uniform_p, total
         )
-        for gap, side, counts in alignments.get(t, ()):
-            if gap not in gap_scalars:
-                alpha = absab_alpha(gap)
-                log_alpha = np.log(alpha)
-                log_u = np.log((1.0 - alpha) / (65536 - 1))
-                gap_scalars[gap] = (log_alpha - log_u, total * log_u)
-            coef, offset = gap_scalars[gap]
+        for counts, key, coef, offset in terms[t]:
             np.multiply(counts, coef, out=lam_hat)
             lam_hat += offset
-            partner = r + 2 + gap if side == "after" else r - 2 - gap
-            key = (layout.known_byte(partner) << 8) | layout.known_byte(partner + 1)
             np.bitwise_xor(_BASE_IDX, key, out=index)
             np.take(lam_hat, index, out=gathered.reshape(-1))
             loglik[t] += gathered

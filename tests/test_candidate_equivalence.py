@@ -15,7 +15,8 @@ Five equivalence layers:
    charset, the full alphabet, L = 1100 and random tie-heavy inputs
    (hypothesis).  Besides: all-tied inputs come out colexicographic,
    shorter lists are prefixes of longer ones, concurrent calls share no
-   state, and memory follows the outputs.
+   state, memory follows the outputs, and lists that cannot be
+   allocated raise a typed error.
 3. **Ground truth** — hypothesis property tests against
    :meth:`PlaintextHmm.brute_force` on tiny alphabets, including
    integer-valued likelihoods that force exact score ties.
@@ -27,18 +28,23 @@ Five equivalence layers:
    generator pipeline ``search(pruner.filter(...))``: same attempts,
    same pruned counts, same errors, for hits, budgets and exhaustion.
 
-Layers 1, 3 and 4 run under the numpy fallback and the native backend
-at 1-3 threads.
+Layers 1 to 4 run under the numpy fallback and the native backend at 1-3
+threads: Algorithm 2's lazy lists on the Python engine and the C engine,
+the walk on ``heapq`` and the C kernel.
 """
 
 from __future__ import annotations
 
 import functools
+import json
+import os
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
 from itertools import islice, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,7 +69,9 @@ from repro.tls.bruteforce import BruteForceOracle, CandidatePruner
 def backend(engine_threads, monkeypatch):
     """The suites under the numpy fallback and the native backend at 1-3
     threads (the kernels take their thread count from the environment).
-    Algorithm 2 itself is pure Python, so it must not notice."""
+    Algorithm 2 runs its lazy lists on the Python engine under the
+    fallback and on the single-threaded C engine otherwise, so the
+    thread count must change nothing."""
     monkeypatch.setenv("REPRO_NATIVE_THREADS", str(engine_threads))
 
 # --------------------------------------------------------------------------
@@ -250,8 +258,10 @@ def _assert_matches_reference(lam, first, last, n, charset):
     return got
 
 
+@pytest.mark.usefixtures("backend")
 class TestCanonicalReference:
-    """Rows and score bits equal the reference wherever scores tie."""
+    """Rows and score bits equal the reference wherever scores tie, on
+    both Algorithm 2 engines."""
 
     @pytest.mark.parametrize("n", [1, 7, 40, 97, 200])
     def test_integer_ties_across_the_nth_boundary(self, rng, n):
@@ -440,17 +450,90 @@ class TestCanonicalReference:
 
     def test_memory_follows_the_outputs(self):
         """N = 2^16 for a 16-byte cookie: the lazy lists keep a few
-        extensions per output (about 21 MiB), where N of them per node
-        and step would take about 500 MiB."""
-        lam = np.random.default_rng(7).normal(size=(17, 256, 256))
-        tracemalloc.start()
-        try:
-            got = algorithm2(lam, 0x3D, 0x3B, 1 << 16, charset=_COOKIE_CHARSET)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(got) == 1 << 16
-        assert peak < 64 << 20
+        extensions per output (about 21 MiB on the Python engine, half
+        that on the C engine), where N of them per node and step would
+        take about 500 MiB.  The C engine's lists are invisible to
+        tracemalloc, so a child process measures the peak resident
+        growth of the call."""
+        growth = _run_probe(_MEMORY_PROBE)
+        assert growth < 64 << 20, growth
+
+    def test_failed_allocation_raises_a_typed_error(self):
+        """A child process caps its address space 32 MiB above what it
+        uses, then asks for N = 2^22: the lists run out of memory, which
+        must surface as a CandidateError (the process survives it and
+        decodes again once the cap is lifted)."""
+        if not sys.platform.startswith("linux"):
+            pytest.skip("reads the address-space size from /proc")
+        message = _run_probe(_ALLOCATION_PROBE)
+        assert message.startswith("Algorithm 2 ran out of memory"), message
+
+
+REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+#: Prints the peak resident growth, in bytes, of one N = 2^16 decode.
+_MEMORY_PROBE = """
+import json
+import resource
+
+import numpy as np
+
+from repro.core import algorithm2
+from repro.tls.cookies import COOKIE_CHARSET
+
+lam = np.random.default_rng(7).normal(size=(17, 256, 256))
+algorithm2(lam, 0x3D, 0x3B, 2, charset=COOKIE_CHARSET)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+got = algorithm2(lam, 0x3D, 0x3B, 1 << 16, charset=COOKIE_CHARSET)
+assert len(got) == 1 << 16
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps((after - before) * 1024))
+"""
+
+#: Prints the message of the error a decode raises when its lists cannot
+#: be allocated, after checking that a decode works again without a cap.
+_ALLOCATION_PROBE = """
+import json
+import resource
+
+import numpy as np
+
+from repro.core import algorithm2
+from repro.errors import CandidateError
+
+lam = np.random.default_rng(7).normal(size=(17, 256, 256))
+charset = bytes(range(0x21, 0x21 + 90))
+small = algorithm2(lam, 0x3D, 0x3B, 1000, charset=charset)
+with open("/proc/self/status") as status:
+    size = next(int(line.split()[1]) << 10
+                for line in status if line.startswith("VmSize:"))
+unlimited = resource.RLIM_INFINITY
+resource.setrlimit(resource.RLIMIT_AS, (size + (32 << 20), unlimited))
+try:
+    algorithm2(lam, 0x3D, 0x3B, 1 << 22, charset=charset)
+    message = None
+except CandidateError as exc:
+    message = str(exc)
+resource.setrlimit(resource.RLIMIT_AS, (unlimited, unlimited))
+again = algorithm2(lam, 0x3D, 0x3B, 1000, charset=charset)
+assert np.array_equal(again.matrix, small.matrix)
+print(json.dumps(message))
+"""
+
+
+def _run_probe(script: str):
+    """Run ``script`` in a child process on the engine this test selects
+    (the numpy fallback is passed on as ``REPRO_NATIVE=0``) and return
+    the JSON value it prints last."""
+    env = dict(os.environ, PYTHONPATH=REPO_SRC)
+    if not _native.available():
+        env["REPRO_NATIVE"] = "0"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=env, timeout=300,
+    )
+    assert proc.returncode == 0, (proc.returncode, proc.stderr[-2000:])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 # --------------------------------------------------------------------------

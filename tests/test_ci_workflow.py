@@ -217,10 +217,12 @@ def test_verify_job_smokes_recovery_at_scale(workflow):
 
 
 def test_verify_job_runs_the_capture_benchmark_self_test(workflow):
-    """Every verify leg runs one traced perfbench pass of each capture
-    workload (https-capture and tkip-search) and fails unless each last
-    line reports correct outputs and no failed repetition, so a capture
-    change that breaks the benchmark's checks or self-tests fails CI."""
+    """Every verify leg runs one traced perfbench pass of each workload
+    (https-recover, https-capture and tkip-search) and fails unless each
+    last line reports correct outputs and no failed repetition, so a
+    change that breaks the benchmark's checks or self-tests fails CI
+    (https-recover's check reads Algorithm 2's candidate matrix through
+    the ``repro.tls.attack.algorithm2`` entry point)."""
     job = workflow["jobs"]["verify"]
     assert sorted(job["strategy"]["matrix"]["native"]) == ["0", "1"]
     steps = [
@@ -230,7 +232,10 @@ def test_verify_job_runs_the_capture_benchmark_self_test(workflow):
     step = steps[0]
     assert not step.get("continue-on-error"), "the step must gate the job"
     command = " ".join(step["run"].replace("\\\n", " ").split())
-    assert "for workload in https-capture tkip-search; do" in command
+    assert (
+        "for workload in https-recover https-capture tkip-search; do"
+        in command
+    )
     assert (
         'python3 perfbench/run.py --workload "$workload" --seed 1 '
         "--seconds 0 --trace 1" in command

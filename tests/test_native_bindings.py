@@ -139,6 +139,13 @@ def _binding_calls(rng):
     scores = np.zeros(2)
     counts = rng.random((2, 256))
     log_p = np.log(np.full((2, 256), 1 / 256))
+    fm_rows = [np.ones(65536, np.uint32)]
+    cells = [([0x0001], [-16.0], -16.1)]
+    terms = [[(np.ones(65536, np.uint32), 0x4142, 0.5, -3.0)]]
+    lam = rng.random((3, 256, 256))
+    alphabet = np.array([0x61, 0x62], np.uint8)
+    best = rng.random((3, 2))
+    arg = np.zeros((3, 2), np.uint8)
     calls = {
         "batch_keystream": lambda: _native.batch_keystream(
             keys, 4, threads=1),
@@ -153,6 +160,10 @@ def _binding_calls(rng):
         "lazy_walk": lambda: _native.lazy_walk(
             sorted_lam, heap, 1, ranks, scores),
         "xor_loglik": lambda: _native.xor_loglik(counts, log_p),
+        "transition_loglik": lambda: _native.transition_loglik(
+            fm_rows, cells, 1.0, terms),
+        "lazy_lists": lambda: list(_native.lazy_lists(
+            lam, alphabet, 0x3B, best, arg, 4)),
     }
     if _native.numpy_multinomial() is not None:
         probs, gens = [np.full(8, 1 / 8)], [np.random.PCG64(1)]

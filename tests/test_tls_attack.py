@@ -92,11 +92,6 @@ class TestLikelihoodsAndRecovery:
         loglik = transition_log_likelihoods(stats)
         assert loglik.shape == (small_sim.cookie_len + 1, 256, 256)
 
-    def test_no_requests_rejected(self, small_sim):
-        stats = CookieStatistics.empty(small_sim.layout, max_gap=4)
-        with pytest.raises(AttackError):
-            transition_log_likelihoods(stats)
-
     def test_candidates_respect_charset(self, small_sim):
         from repro.tls import COOKIE_CHARSET
 
@@ -133,15 +128,23 @@ _SHORT_LAYOUT = CookieLayout(
     prefix=(bytes(range(33, 123)) * 2)[:131], suffix=b";p=/", cookie_len=1
 )
 
+#: An 8-byte cookie between short known runs: at max_gap 2 the middle
+#: transition (index 4) has no known digraph within reach on either side.
+_GAPPED_LAYOUT = CookieLayout(
+    prefix=b"GET /x; c=", suffix=b";p=/", cookie_len=8
+)
 
-def _random_statistics(layout, max_gap, seed):
-    """Matrix-backed statistics with arbitrary counts and a large total."""
+
+def _random_statistics(layout, max_gap, seed, dtype=np.int64):
+    """Matrix-backed statistics with arbitrary counts and a large total,
+    in int64 counters (the sampler's) or uint32 ones (a capture's)."""
     rng = np.random.default_rng(seed)
     alignments = len(CookieStatistics.alignment_keys(layout, max_gap=max_gap))
     return CookieStatistics.from_counters(
         layout,
-        rng.integers(0, 1 << 20, size=(len(layout.transitions()), 256, 256)),
-        rng.integers(0, 1 << 20, size=(alignments, 65536)),
+        rng.integers(0, 1 << 20, size=(len(layout.transitions()), 256, 256))
+        .astype(dtype),
+        rng.integers(0, 1 << 20, size=(alignments, 65536)).astype(dtype),
         max_gap=max_gap,
         num_requests=9 << 27,
     )
@@ -168,17 +171,55 @@ def _reference_log_likelihoods(stats):
     return np.stack(out)
 
 
+@pytest.mark.usefixtures("engine_threads")
 class TestLikelihoodReference:
     """``transition_log_likelihoods`` equals the per-alignment reference
-    bit for bit, and holds no per-alignment float copies."""
+    bit for bit on both backends (the fused native kernel is
+    single-threaded, so the thread counts only repeat it), and holds no
+    per-alignment float copies."""
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint32])
     @pytest.mark.parametrize("max_gap", [8, 32, 128])
-    def test_bit_identical_to_reference(self, max_gap):
-        stats = _random_statistics(_SHORT_LAYOUT, max_gap, seed=max_gap)
+    def test_bit_identical_to_reference(self, max_gap, dtype):
+        stats = _random_statistics(_SHORT_LAYOUT, max_gap, max_gap, dtype)
+        assert stats.fm_counts.dtype == stats.absab_matrix.dtype == dtype
         ref = _reference_log_likelihoods(stats)
         got = transition_log_likelihoods(stats)
         assert got.dtype == np.float64 and got.shape == ref.shape
         np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint32])
+    def test_transition_without_alignments(self, dtype):
+        """A transition with no ABSAB alignment keeps its eq 15 row."""
+        stats = _random_statistics(_GAPPED_LAYOUT, 2, 9, dtype)
+        assert not any(t == 4 for t, _, _ in stats.absab_counts)
+        ref = _reference_log_likelihoods(stats)
+        got = transition_log_likelihoods(stats)
+        np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+
+    @pytest.mark.parametrize(
+        ("dtype", "low", "high"),
+        [(np.int64, 1 << 53, 1 << 62), (np.uint32, 1 << 31, 1 << 32)],
+        ids=["int64-past-2^53", "uint32-past-2^31"],
+    )
+    def test_cells_near_the_top_of_their_dtype(self, dtype, low, high):
+        """Sampled int64 cells above 2^53 lose bits on their way to
+        float64, and uint32 cells above 2^31 do not fit a signed 32-bit
+        conversion: both backends must convert them as numpy does."""
+        rng = np.random.default_rng(53)
+        stats = _random_statistics(_SHORT_LAYOUT, 8, 53, dtype)
+        for counters in (stats.fm_counts, stats.absab_matrix):
+            counters[...] = rng.integers(low, high, counters.shape)
+        stats.num_requests = high - 1
+        ref = _reference_log_likelihoods(stats)
+        got = transition_log_likelihoods(stats)
+        np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+
+    def test_no_requests_rejected(self):
+        stats = CookieStatistics.empty(_SHORT_LAYOUT, max_gap=8)
+        assert stats.num_requests == 0
+        with pytest.raises(AttackError, match="no requests"):
+            transition_log_likelihoods(stats)
 
     def test_uint32_counters_give_the_same_bits(self):
         """Capture counters are uint32: eq 15 and eq 22 read them
